@@ -22,8 +22,8 @@ from .model import (
     AbstainStrategy,
     VoteProfile,
     as_array,
-    compensated_cumsum,
     ordering2_keys,
+    threshold_index,
 )
 
 
@@ -60,8 +60,7 @@ def _require_cost(alpha: float) -> float:
 
 def _budget(profile: VoteProfile, alpha: float) -> float:
     """Constraint deficit lam - ((1 - 2 alpha)/n) sum |a_i| nature must cover."""
-    total = float(profile.prefix_abs[-1])
-    return profile.lam - (1.0 - 2.0 * alpha) * total / profile.n
+    return profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
 
 
 def trivial_check(profile: VoteProfile, alpha: float) -> bool:
@@ -70,28 +69,31 @@ def trivial_check(profile: VoteProfile, alpha: float) -> bool:
     Inclusive comparison: alpha <= (1/2)(1 - n*lam / sum |a_i|).
     """
     alpha = _require_cost(alpha)
-    total = float(profile.prefix_abs[-1])
-    return alpha <= 0.5 * (1.0 - profile.n * profile.lam / total) + VALIDATION_TOL
+    return alpha <= 0.5 * (1.0 - profile.n * profile.lam / profile.total) + VALIDATION_TOL
+
+
+def _budget_threshold(profile: VoteProfile, alpha: float) -> tuple[int, float]:
+    """w and the exact sum of the w - 1 largest margins; see ``find_w``."""
+    if alpha >= 0.5:
+        raise ValueError("w is defined only for alpha < 1/2")
+    if trivial_check(profile, alpha):
+        raise ValueError("w is undefined in the trivial regime")
+    v = find_threshold(profile)
+    target = profile.n * _budget(profile, alpha)
+    w, head = threshold_index(profile.abs_sorted[:v], target, 2.0 * alpha)
+    # w <= v holds exactly.  A rounded target past the v-th prefix sum lies
+    # within rounding of it, above the (v-1)-th, so w = v.
+    return (w, head) if w <= v else (v, profile.head)
 
 
 def find_w(profile: VoteProfile, alpha: float) -> int:
     """Index where nature's magnitude-raising budget runs out.
 
     w = min { i : (1/n)(sum_{j<=i} |a_j| + sum_{j>i} (1-2 alpha)|a_j|) >= lam },
-    computed through the equivalent scan (2 alpha/n) sum_{j<=i} |a_j| >= budget.
+    computed through the equivalent rule (2 alpha) sum_{j<=i} |a_j| >= n*budget.
     Only meaningful in the nontrivial regime 0 < alpha < 1/2, where w <= v.
     """
-    alpha = _require_cost(alpha)
-    if alpha >= 0.5:
-        raise ValueError("w is defined only for alpha < 1/2")
-    if trivial_check(profile, alpha):
-        raise ValueError("w is undefined in the trivial regime")
-    need = profile.n * _budget(profile, alpha) - VALIDATION_TOL
-    hits = np.nonzero(2.0 * alpha * profile.prefix_abs >= need)[0]
-    w = int(hits[0]) + 1
-    if w > find_threshold(profile):
-        raise AssertionError("budget index exceeded the game threshold")
-    return w
+    return _budget_threshold(profile, _require_cost(alpha))[0]
 
 
 def abstain_value(profile: VoteProfile, alpha: float) -> tuple[float, float, float]:
@@ -113,8 +115,8 @@ def abstain_value(profile: VoteProfile, alpha: float) -> tuple[float, float, flo
         value = (1.0 - game_value(profile)) / 2.0
         return value, value, value
 
-    w = find_w(profile, alpha)
-    spent = 2.0 * alpha * (float(profile.prefix_abs[w - 2]) if w > 1 else 0.0)
+    w, head = _budget_threshold(profile, alpha)
+    spent = 2.0 * alpha * head
     remaining = n * _budget(profile, alpha) - spent
     pivot = float(profile.abs_sorted[w - 1])
     raise_w = remaining / pivot
@@ -140,8 +142,7 @@ def closed_form_value(profile: VoteProfile, alpha: float) -> float:
     """
     alpha = _require_cost(alpha)
     n = profile.n
-    w = find_w(profile, alpha)
-    head = float(profile.prefix_abs[w - 2]) if w > 1 else 0.0
+    w, head = _budget_threshold(profile, alpha)
     pivot = float(profile.abs_sorted[w - 1])
     correction = (n * _budget(profile, alpha) - 2.0 * alpha * head) / (2.0 * n * pivot)
     return alpha * (1.0 - w / n) + correction
@@ -156,14 +157,10 @@ def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
     probabilities do not depend on alpha.
     """
     alpha = _require_cost(alpha)
-    n = profile.n
     if alpha >= 0.5:
-        return AbstainStrategy(probs=np.zeros(n), alpha=alpha)
-    v = find_threshold(profile)
-    pivot = float(profile.abs_sorted[v - 1])
-    probs = np.zeros(n)
-    probs[v:] = 1.0 - profile.abs_sorted[v:] / pivot
-    return AbstainStrategy(probs=profile.to_original_order(probs), alpha=alpha)
+        return AbstainStrategy(probs=np.zeros(profile.n), alpha=alpha)
+    probs = 1.0 - np.minimum(np.abs(profile.votes) / profile.pivot, 1.0)
+    return AbstainStrategy(probs=probs, alpha=alpha)
 
 
 def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
@@ -188,8 +185,7 @@ def worst_case_loss_formula(profile: VoteProfile, alpha: float) -> float:
     v = find_threshold(profile)
     if alpha >= 0.5:
         return 0.5 * (1.0 - v / n)
-    pivot = float(profile.abs_sorted[v - 1])
-    tail_ratio = float(profile.abs_sorted[v:].sum()) / pivot
+    tail_ratio = float(profile.abs_sorted[v:].sum()) / profile.pivot
     return alpha * (1.0 - v / n) + (0.5 - alpha) * tail_ratio / n
 
 
@@ -207,8 +203,7 @@ def benefit_of_abstention(profile: VoteProfile, alpha: float) -> tuple[float, fl
     loss_no_abstain = 0.5 * (1.0 - (v - 1) / n)
     loss_abstain = 0.5 * (1.0 - v / n)
     if alpha < 0.5:
-        pivot = float(profile.abs_sorted[v - 1])
-        shortfall = float(np.sum(1.0 - profile.abs_sorted[v:] / pivot))
+        shortfall = float(np.sum(1.0 - profile.abs_sorted[v:] / profile.pivot))
         loss_abstain -= (0.5 - alpha) * shortfall / n
     return loss_no_abstain, loss_abstain, loss_no_abstain - loss_abstain
 
@@ -225,12 +220,8 @@ def inner_game_value(profile: VoteProfile, strategy: AbstainStrategy) -> tuple[i
     magnitudes = np.abs(profile.votes)[order]
     commitments = (1.0 - strategy.probs)[order]
     n = profile.n
-    prefix = compensated_cumsum(magnitudes)
-    hits = np.nonzero(prefix >= n * profile.lam - VALIDATION_TOL)[0]
-    if hits.size == 0:
-        raise AssertionError("feasible profile lost feasibility under reordering")
-    v2 = int(hits[0]) + 1
-    head = float(prefix[v2 - 2]) if v2 > 1 else 0.0
+    # Same margins, same exact sums: the profile's feasibility keeps v2 <= n.
+    v2, head = threshold_index(magnitudes, n * profile.lam)
     pivot = float(magnitudes[v2 - 1])
     head_commitment = float(commitments[: v2 - 1].sum())
     value = head_commitment / n + (commitments[v2 - 1] / pivot) * (profile.lam - head / n)

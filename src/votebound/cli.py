@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abstain import abstain_loss, abstain_value, solve_abstain, trivial_check
+from .abstain import abstain_loss, solve_abstain
 from .errors import (
     DegenerateAbstain,
     DegenerateBound,
@@ -30,14 +30,7 @@ from .errors import (
 )
 from .game import solve_game
 from .model import EnsembleMatrix, LabeledSample, WeightVector, compute_votes, sort_profile
-from .oracle import (
-    ENUM_MAX_N,
-    certify_batch,
-    certify_saddle,
-    enumerate_game_value,
-    grid_abstain_value,
-    worst_case_abstain_loss,
-)
+from .oracle import ENUM_MAX_N, certify_batch, certify_instance, worst_case_abstain_loss
 from .pacbayes import (
     BoundReport,
     PacBayesParams,
@@ -50,9 +43,6 @@ from .pacbayes import (
     kl_discrete,
     lambda_hat,
 )
-
-SOLVER_DEVIATION_LIMIT = 1e-9
-
 
 class ParseError(VoteboundError):
     """An input file could not be parsed."""
@@ -366,31 +356,9 @@ def cmd_verify(args) -> int:
         votes = _read_votes(args.votes)
         if votes.size > ENUM_MAX_N:
             raise ValidationError(f"oracle certification is capped at n = {ENUM_MAX_N}")
-        profile = sort_profile(votes, args.lam)
-        solution = solve_game(profile)
-        saddle = certify_saddle(profile, solution)
-        enumerated = enumerate_game_value(votes, args.lam)
-        max_dev = max(saddle.max_deviation, abs(solution.value - enumerated))
-        payload = {
-            "instances_checked": 1,
-            "closed_form_value": solution.value,
-            "oracle_value": enumerated,
-            "saddle": saddle.details,
-            "max_deviation": max_dev,
-        }
-        if args.alpha is not None:
-            exact, lower, upper = abstain_value(profile, args.alpha)
-            payload["abstain_value_exact"] = exact
-            payload["abstain_value_bounds"] = [lower, upper]
-            if trivial_check(profile, args.alpha):
-                max_dev = max(max_dev, abs(exact - args.alpha))
-            else:
-                max_dev = max(max_dev, lower - exact, exact - upper)
-            if profile.n <= 4:
-                grid = grid_abstain_value(votes, args.lam, args.alpha)
-                payload["abstain_grid_value"] = grid
-            payload["max_deviation"] = max_dev
-        payload["ok"] = bool(max_dev <= SOLVER_DEVIATION_LIMIT)
+        check = certify_instance(votes, args.lam, args.alpha)
+        del check["deviations"], check["grid_excess"]
+        payload = {"instances_checked": 1, **check}
         _emit(_tool_meta(payload, args.canonical), args.out)
         return 0 if payload["ok"] else 1
 

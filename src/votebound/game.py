@@ -2,15 +2,14 @@
 
 The predictor maximizes, and nature minimizes, the average correlation
 (1/n) z.g over the box [-1,1]^n, with nature constrained to keep the votes'
-average correlation (1/n) z.a at least lam.  Everything below works in the
-descending-|vote| ordering carried by the profile and translates results
-back to original index order.
+average correlation (1/n) z.a at least lam.  Every closed form below reads
+the profile's threshold record (v, the pivot |a_v| and the head sum of the
+v - 1 larger margins) and works directly in original example order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .model import (
 class GameSolution:
     """Threshold index, game value, optimal strategies, and the value bound.
 
-    ``v`` is 1-based in sorted order; ``g_star`` and ``z_star`` are reported
-    in original example order.
+    ``v`` counts the top margins up to the threshold; ``g_star`` and
+    ``z_star`` are in original example order.
     """
 
     v: int
@@ -42,21 +41,11 @@ class GameSolution:
 def find_threshold(profile: VoteProfile) -> int:
     """Smallest count v of top-margin examples whose margins cover the bound.
 
-    v = min { i : (1/n) * sum_{j<=i} |a_j| >= lam } in sorted order.
+    v = min { i : (1/n) * sum_{j<=i} |a_j| >= lam } over margins in
+    nonincreasing order, decided exactly when the profile is built.
     Feasibility of the profile guarantees 1 <= v <= n and |a_v| > 0.
     """
-    need = profile.n * profile.lam - VALIDATION_TOL
-    hits = np.nonzero(profile.prefix_abs >= need)[0]
-    v = int(hits[0]) + 1
-    if profile.abs_sorted[v - 1] <= 0.0:
-        # Unreachable for lam > 0: a zero margin cannot complete the prefix.
-        raise AssertionError("threshold landed on a zero vote")
-    return v
-
-
-def _head_sum(profile: VoteProfile, v: int) -> float:
-    """Sum of the v-1 largest margins."""
-    return float(profile.prefix_abs[v - 2]) if v > 1 else 0.0
+    return profile.v
 
 
 def game_value(profile: VoteProfile) -> float:
@@ -68,9 +57,7 @@ def game_value(profile: VoteProfile) -> float:
     """
     n = profile.n
     v = find_threshold(profile)
-    head = _head_sum(profile, v)
-    pivot = float(profile.abs_sorted[v - 1])
-    value = (v - 1) / n + (profile.lam - head / n) / pivot
+    value = (v - 1) / n + (profile.lam - profile.head / n) / profile.pivot
     if value > 1.0 + SOLVER_TOL or value < profile.lam - SOLVER_TOL:
         raise AssertionError(f"game value {value} escaped [lam, 1]")
     return min(max(value, profile.lam), 1.0)
@@ -79,64 +66,35 @@ def game_value(profile: VoteProfile) -> float:
 def optimal_predictor(profile: VoteProfile) -> PredictionVector:
     """Minimax optimal predictions, in original example order.
 
-    In sorted order the predictor commits fully (sign of the vote) on the v
-    most confident examples and scales the rest by 1/|a_v|.
+    g*_i = clip(a_i / |a_v|, -1, 1): full commitment (the sign of the vote)
+    on margins at or above the pivot, the vote scaled by 1/|a_v| below it.
     """
-    v = find_threshold(profile)
-    pivot = float(profile.abs_sorted[v - 1])
-    sorted_votes = profile.sorted_votes()
-    g = np.empty(profile.n)
-    g[:v] = np.sign(sorted_votes[:v])
-    g[v:] = sorted_votes[v:] / pivot
-    return PredictionVector(profile.to_original_order(g))
+    return PredictionVector(np.clip(profile.votes / profile.pivot, -1.0, 1.0))
 
 
 def optimal_nature(profile: VoteProfile) -> LabelVector:
     """Nature's optimal labels, in original example order.
 
-    Sorted order: sign of the vote before the threshold, the fractional
-    value that makes the correlation constraint bind exactly at the
-    threshold, and zero afterwards.
+    The sign of the vote on the v - 1 largest margins, the fractional value
+    that makes the correlation constraint bind exactly on the v-th, and zero
+    elsewhere.  Margins tied with the pivot are filled in ascending example
+    order; the fractional label goes to the first tied example not filled
+    in full.
     """
     n = profile.n
-    v = find_threshold(profile)
-    head = _head_sum(profile, v)
-    sorted_votes = profile.sorted_votes()
-    z = np.zeros(n)
-    z[: v - 1] = np.sign(sorted_votes[: v - 1])
-    pivot_label = (n * profile.lam - head) / float(sorted_votes[v - 1])
+    votes = profile.votes
+    magnitudes = np.abs(votes)
+    above = magnitudes > profile.pivot
+    ties = np.flatnonzero(magnitudes == profile.pivot)
+    full = ties[: find_threshold(profile) - 1 - np.count_nonzero(above)]
+    at_pivot = ties[full.size]
+    z = np.where(above, np.sign(votes), 0.0)
+    z[full] = np.sign(votes[full])
+    pivot_label = (n * profile.lam - profile.head) / float(votes[at_pivot])
     if abs(pivot_label) > 1.0 + SOLVER_TOL:
         raise AssertionError("fractional label escaped the box")
-    z[v - 1] = min(max(pivot_label, -1.0), 1.0)
-    return LabelVector(profile.to_original_order(z))
-
-
-def nature_greedy(profile: VoteProfile) -> LabelVector:
-    """Nature's optimum built by the literal sequential greedy procedure.
-
-    Repeatedly pick the unused example with the largest margin (ties by
-    ascending original index), fill it with the sign of its vote while the
-    selected margins still fall short of n*lam, and finish with the
-    fractional fill that makes the constraint bind.  Agrees with
-    ``optimal_nature`` under the shared tie-break.
-    """
-    votes = profile.votes
-    n = profile.n
-    target = n * profile.lam
-    z = np.zeros(n)
-    chosen: list[int] = []
-    remaining = set(range(n))
-    while True:
-        pick = max(remaining, key=lambda j: (abs(votes[j]), -j))
-        remaining.discard(pick)
-        chosen.append(pick)
-        selected_sum = fsum(abs(votes[j]) for j in chosen)
-        if selected_sum < target - VALIDATION_TOL:
-            z[pick] = np.sign(votes[pick])
-            continue
-        fill = np.sign(votes[pick]) - (selected_sum - target) / votes[pick]
-        z[pick] = min(max(fill, -1.0), 1.0)
-        return LabelVector(z)
+    z[at_pivot] = min(max(pivot_label, -1.0), 1.0)
+    return LabelVector(z)
 
 
 def value_lower_bound(profile: VoteProfile) -> float:
@@ -146,10 +104,7 @@ def value_lower_bound(profile: VoteProfile) -> float:
     so the bound is tight when the top margins are all 1 or the constraint
     binds with no fractional remainder.
     """
-    n = profile.n
-    v = find_threshold(profile)
-    head = _head_sum(profile, v)
-    return profile.lam + ((v - 1) - head) / n
+    return profile.lam + ((find_threshold(profile) - 1) - profile.head) / profile.n
 
 
 def solve_game(profile: VoteProfile) -> GameSolution:

@@ -1,11 +1,12 @@
-"""Core domain types: ensemble matrices, vote profiles, and the two orderings.
+"""Core domain types: ensemble matrices, vote profiles, and the threshold rule.
 
 All values are immutable after construction (numpy arrays are stored
-read-only), so instances are safe to share across threads.
+read-only and must be finite), so instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,10 @@ VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite (no NaN or inf)")
     arr.setflags(write=False)
     return arr
 
@@ -40,23 +43,30 @@ def as_array(vector) -> np.ndarray:
     return arr
 
 
-def compensated_cumsum(values) -> np.ndarray:
-    """Kahan-compensated running sums.
+def threshold_index(
+    magnitudes: np.ndarray, target: float, scale: float = 1.0
+) -> tuple[int, float]:
+    """Smallest count k with scale * sum(magnitudes[:k]) >= target - VALIDATION_TOL.
 
-    Threshold scans compare prefix sums against n*lambda; compensation keeps
-    those inclusive comparisons stable when the constraint binds exactly.
+    The one threshold rule behind v, w and v2.  The bound
+    (target - VALIDATION_TOL) / scale is rounded once; the comparison with
+    each prefix sum is exact.  ``magnitudes`` are nonnegative, so prefix sums
+    only grow: the float cumsum brackets k within its rounding error, and
+    exact ``math.fsum`` comparisons bisect the bracket.  Returns k (1-based,
+    n + 1 when even the full sum falls short) and the correctly rounded sum
+    of the first k - 1 magnitudes.
     """
-    arr = np.asarray(values, dtype=float)
-    out = np.empty(arr.size)
-    total = 0.0
-    carry = 0.0
-    for k, x in enumerate(arr):
-        y = float(x) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[k] = total
-    return out
+    need = (target - VALIDATION_TOL) / scale
+    sums = np.cumsum(magnitudes)
+    slack = 4.0 * (sums.size + 1) * np.finfo(float).eps * float(sums[-1])
+    lo, hi = (int(i) for i in np.searchsorted(sums, (need - slack, need + slack)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.fsum(np.append(magnitudes[: mid + 1], -need)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo + 1, math.fsum(magnitudes[:lo])
 
 
 @dataclass(frozen=True)
@@ -202,18 +212,22 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class VoteProfile:
-    """Ensemble votes plus the margin ordering every solver works in.
+    """Ensemble votes plus the threshold record every solver reads.
 
-    ``order[k]`` is the original index of the k-th largest |vote|; ties break
-    by ascending original index, so zero votes always sort last.  Construction
-    fails unless the mean absolute vote covers the correlation bound ``lam``.
+    ``abs_sorted`` holds the margins |a_i| in nonincreasing order and
+    ``total`` their exact sum.  ``v`` is the smallest count of top margins
+    whose sum covers n*lam, ``pivot`` is |a_v| and ``head`` the exact sum of
+    the v - 1 larger margins.  Construction fails unless the margins cover
+    the correlation bound with a nonzero pivot.
     """
 
     votes: np.ndarray
     lam: float
-    order: np.ndarray = field(init=False)
     abs_sorted: np.ndarray = field(init=False)
-    prefix_abs: np.ndarray = field(init=False)
+    total: float = field(init=False)
+    v: int = field(init=False)
+    pivot: float = field(init=False)
+    head: float = field(init=False)
 
     def __post_init__(self):
         votes = np.asarray(self.votes, dtype=float)
@@ -221,6 +235,8 @@ class VoteProfile:
             raise DimensionError("votes must form a non-empty 1-D vector")
         votes = _readonly(_validate_box(votes, "vote"))
         lam = float(self.lam)
+        if not math.isfinite(lam):
+            raise ValueError("correlation bound must be finite")
         if lam <= 0:
             raise DegenerateBound(
                 "correlation bound must be positive; callers may fall back to "
@@ -228,32 +244,28 @@ class VoteProfile:
             )
         if lam > 1.0 + VALIDATION_TOL:
             raise InfeasibleConstraint("correlation bound cannot exceed 1")
-        magnitudes = np.abs(votes)
-        order = _readonly(np.argsort(-magnitudes, kind="stable"), dtype=int)
-        abs_sorted = _readonly(magnitudes[order])
-        prefix_abs = _readonly(compensated_cumsum(abs_sorted))
-        if prefix_abs[-1] < votes.size * lam - VALIDATION_TOL:
+        abs_sorted = _readonly(np.sort(np.abs(votes))[::-1])
+        total = math.fsum(abs_sorted)
+        v, head = threshold_index(abs_sorted, votes.size * lam)
+        if v > votes.size:
             raise InfeasibleConstraint(
-                f"mean |vote| {prefix_abs[-1] / votes.size:.6g} is below the "
+                f"mean |vote| {total / votes.size:.6g} is below the "
                 f"correlation bound {lam:.6g}"
             )
+        pivot = float(abs_sorted[v - 1])
+        if pivot == 0.0:
+            raise InfeasibleConstraint("all votes are zero, so no margin can carry the bound")
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "abs_sorted", abs_sorted)
-        object.__setattr__(self, "prefix_abs", prefix_abs)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "head", head)
 
     @property
     def n(self) -> int:
         return self.votes.size
-
-    def sorted_votes(self) -> np.ndarray:
-        return self.votes[self.order]
-
-    def to_original_order(self, sorted_values: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        out[self.order] = sorted_values
-        return out
 
 
 def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
@@ -269,7 +281,7 @@ def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
 
 
 def sort_profile(votes, lam: float) -> VoteProfile:
-    """Build the feasible, margin-sorted profile used by all solvers."""
+    """Build the feasible profile, with its threshold record, used by all solvers."""
     return VoteProfile(votes=as_array(votes), lam=lam)
 
 

@@ -3,14 +3,16 @@
 These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
-admits, and the grid search is structure-free.  Desk scale only (n <= 8,
-grids n <= 4).
+admits, the sequential greedy builds nature's optimum one pick at a time,
+and the grid search is structure-free.  Desk scale only (n <= 8, grids
+n <= 4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import fsum
 from typing import Optional
 
 import numpy as np
@@ -59,8 +61,6 @@ class CertificationReport:
     closed_form_value: float
     oracle_value: float
     max_deviation: float
-    instances_checked: int
-    worst_instance: Optional[dict]
     details: dict = field(default_factory=dict)
 
 
@@ -97,6 +97,34 @@ def lp_best_response(problem: BoxLpProblem) -> tuple[np.ndarray, float]:
             lhs = rhs
             break
     return z, float(c @ z)
+
+
+def nature_greedy(profile: VoteProfile) -> LabelVector:
+    """Nature's optimum built by the literal sequential greedy procedure.
+
+    Repeatedly pick the unused example with the largest margin (ties by
+    ascending original index), fill it with the sign of its vote while the
+    selected margins still fall short of n*lam, and finish with the
+    fractional fill that makes the constraint bind.  O(n^2); the reference
+    ``game.optimal_nature`` is checked against, under the same tie-break.
+    """
+    votes = profile.votes
+    n = profile.n
+    target = n * profile.lam
+    z = np.zeros(n)
+    chosen: list[int] = []
+    remaining = set(range(n))
+    while True:
+        pick = max(remaining, key=lambda j: (abs(votes[j]), -j))
+        remaining.discard(pick)
+        chosen.append(pick)
+        selected_sum = fsum(abs(votes[j]) for j in chosen)
+        if selected_sum < target - VALIDATION_TOL:
+            z[pick] = np.sign(votes[pick])
+            continue
+        fill = np.sign(votes[pick]) - (selected_sum - target) / votes[pick]
+        z[pick] = min(max(fill, -1.0), 1.0)
+        return LabelVector(z)
 
 
 def _ternary_grid(n: int) -> np.ndarray:
@@ -138,6 +166,10 @@ def enumerate_game_value(votes, lam: float) -> float:
     return best / n
 
 
+def _default_grid_step(n: int) -> float:
+    return 0.005 if n <= 3 else 0.02
+
+
 def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = None) -> float:
     """Structure-free grid maximization of (1/n) sum min(alpha, (1-t_i)/2).
 
@@ -154,7 +186,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     if n > GRID_MAX_N:
         raise ValueError(f"grid oracle is capped at n = {GRID_MAX_N}")
     if step is None:
-        step = 0.005 if n <= 3 else 0.02
+        step = _default_grid_step(n)
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
@@ -214,8 +246,6 @@ def certify_saddle(profile: VoteProfile, solution: GameSolution) -> Certificatio
         closed_form_value=solution.value,
         oracle_value=nature_side,
         max_deviation=deviation,
-        instances_checked=1,
-        worst_instance=None,
         details={
             "nature_best_response": nature_side,
             "predictor_best_response": predictor_side,
@@ -264,6 +294,50 @@ def random_instances(count: int, seed: int, nmax: int):
         yield votes, lam, alpha
 
 
+def certify_instance(votes, lam: float, alpha: Optional[float] = None, grid_step=None) -> dict:
+    """Certify one instance against every oracle that reaches its size.
+
+    The game value against enumeration and both saddle best responses; with
+    ``alpha``, the abstain value against its bracketing bounds (exactly alpha
+    when trivial) and, for n <= GRID_MAX_N, against the structure-free grid
+    beyond its n*step/2 accuracy (``grid_excess``, -inf when no grid ran).
+    ``deviations`` holds every closed-form deviation by check name; ``ok``
+    requires all of them and the grid excess to stay within SOLVER_TOL.
+    """
+    profile = sort_profile(votes, lam)
+    solution = solve_game(profile)
+    enumerated = enumerate_game_value(votes, lam)
+    saddle = certify_saddle(profile, solution)
+    deviations = {
+        "value_vs_enumeration": abs(solution.value - enumerated),
+        "saddle": saddle.max_deviation,
+    }
+    abstain = {}
+    grid_excess = -np.inf
+    if alpha is not None:
+        exact, lower, upper = abstain_value(profile, alpha)
+        abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
+        if trivial_check(profile, alpha):
+            deviations["abstain_trivial"] = abs(exact - alpha)
+        else:
+            deviations["abstain_bounds"] = max(lower - exact, exact - upper, 0.0)
+        if profile.n <= GRID_MAX_N:
+            step = _default_grid_step(profile.n) if grid_step is None else grid_step
+            abstain["abstain_grid_value"] = grid_abstain_value(votes, lam, alpha, step=step)
+            grid_excess = abs(abstain["abstain_grid_value"] - exact) - profile.n * step / 2.0
+    max_deviation = max(deviations.values())
+    return {
+        "closed_form_value": solution.value,
+        "oracle_value": enumerated,
+        "saddle": saddle.details,
+        "max_deviation": max_deviation,
+        **abstain,
+        "ok": bool(max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),
+        "deviations": deviations,
+        "grid_excess": grid_excess,
+    }
+
+
 def certify_batch(
     count: int,
     seed: int = 0,
@@ -271,11 +345,8 @@ def certify_batch(
     check_abstain: bool = True,
     grid_step: float = 0.02,
 ) -> dict:
-    """Run the full certification battery over seeded random instances.
+    """Run ``certify_instance`` over seeded random instances.
 
-    Per instance: game value vs enumeration, both saddle best responses, the
-    abstain value against its bracketing bounds (exactly alpha when trivial),
-    and for n <= 4 the abstain value against the structure-free grid.
     Returns an aggregate summary with the worst instance observed.
     """
     if nmax > ENUM_MAX_N:
@@ -284,37 +355,20 @@ def certify_batch(
     max_grid_excess = -np.inf
     worst: Optional[dict] = None
     grid_checked = 0
+    ok = True
     for votes, lam, alpha in random_instances(count, seed, nmax):
-        profile = sort_profile(votes, lam)
-        solution = solve_game(profile)
-        deviations = {
-            "value_vs_enumeration": abs(solution.value - enumerate_game_value(votes, lam)),
-        }
-        saddle = certify_saddle(profile, solution)
-        deviations["saddle"] = saddle.max_deviation
-
-        if check_abstain:
-            exact, lower, upper = abstain_value(profile, alpha)
-            if trivial_check(profile, alpha):
-                deviations["abstain_trivial"] = abs(exact - alpha)
-            else:
-                deviations["abstain_bounds"] = max(lower - exact, exact - upper, 0.0)
-            if profile.n <= GRID_MAX_N:
-                grid_checked += 1
-                grid = grid_abstain_value(votes, lam, alpha, step=grid_step)
-                excess = abs(grid - exact) - profile.n * grid_step / 2.0
-                max_grid_excess = max(max_grid_excess, excess)
-
-        instance_dev = max(deviations.values())
-        if instance_dev > max_closed_dev:
-            max_closed_dev = instance_dev
+        check = certify_instance(votes, lam, alpha if check_abstain else None, grid_step)
+        ok &= check["ok"]
+        grid_checked += "abstain_grid_value" in check
+        max_grid_excess = max(max_grid_excess, check["grid_excess"])
+        if check["max_deviation"] > max_closed_dev:
+            max_closed_dev = check["max_deviation"]
             worst = {
                 "votes": [float(x) for x in votes],
                 "lam": lam,
                 "alpha": alpha,
-                "deviations": {k: float(d) for k, d in deviations.items()},
+                "deviations": {k: float(d) for k, d in check["deviations"].items()},
             }
-    grid_ok = grid_checked == 0 or max_grid_excess <= SOLVER_TOL
     return {
         "instances_checked": count,
         "seed": seed,
@@ -323,5 +377,5 @@ def certify_batch(
         "grid_instances_checked": grid_checked,
         "max_grid_excess": float(max_grid_excess) if grid_checked else None,
         "worst_instance": worst,
-        "ok": bool(max_closed_dev <= SOLVER_TOL and grid_ok),
+        "ok": ok,
     }

@@ -10,7 +10,7 @@ clamped; the caller falls back to the averaged prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import fsum, log, sqrt
 from typing import Optional
 
 import numpy as np
@@ -22,19 +22,16 @@ from .model import LabeledSample, VoteProfile, WeightVector
 
 @dataclass(frozen=True)
 class PacBayesParams:
-    """Training size, confidence level, and exponential-weights temperature."""
+    """Training size and confidence level."""
 
     m: int
     delta: float
-    eta: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("training size must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -121,11 +118,8 @@ def error_probability_bound(profile: VoteProfile, report: BoundReport, delta: fl
     """
     if report.lambda_hat <= 0.0:
         raise DegenerateBound("error bound undefined for nonpositive lambda_hat")
-    n = profile.n
-    v = find_threshold(profile)
-    head = float(profile.prefix_abs[v - 2]) if v > 1 else 0.0
-    disagreement = (v - 1) - head
-    return report.gibbs_train_error - disagreement / (2.0 * n) + report.epsilon + delta
+    disagreement = (find_threshold(profile) - 1) - profile.head
+    return report.gibbs_train_error - disagreement / (2.0 * profile.n) + report.epsilon + delta
 
 
 def abstain_mistake_bounds(
@@ -142,9 +136,8 @@ def abstain_mistake_bounds(
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
     v = find_threshold(profile)
-    pivot = float(profile.abs_sorted[v - 1])
-    tail_ratio = float(profile.abs_sorted[v:].sum()) / pivot
-    head_disagreement = v - float(profile.prefix_abs[v - 1])
+    tail_ratio = float(profile.abs_sorted[v:].sum()) / profile.pivot
+    head_disagreement = v - fsum(profile.abs_sorted[:v])
     abstain = (
         2.0 * report.gibbs_train_error + 2.0 * report.epsilon + delta - tail_ratio / n
     )

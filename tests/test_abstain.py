@@ -77,6 +77,14 @@ class TestFindW:
         # Budget 0.275; scaled prefixes 0.125, 0.225, 0.3 cross at the third index.
         assert find_w(fix2, 0.25) == 3
 
+    def test_tight_bound_at_large_n_keeps_w_at_v(self):
+        # lam is the float mean |vote|, so every margin is needed: w = v = n.
+        # The budget's rounding, amplified by 1/(2 alpha), must not push w past v.
+        k = (np.arange(1, 5751, dtype=np.int64) * 48271) % 2147483647
+        votes = k / 1073741823.5 - 1.0
+        profile = sort_profile(votes, float(np.abs(votes).mean()))
+        assert find_w(profile, 0.01) == find_threshold(profile) == 5750
+
 
 class TestAbstainValue:
     def test_fix1_nontrivial(self, fix1):
@@ -106,8 +114,7 @@ class TestAbstainValue:
             if trivial_check(profile, alpha):
                 assert value == alpha
             else:
-                total = profile.prefix_abs[-1]
-                margin = alpha - 0.5 * (1 - profile.n * lam / total)
+                margin = alpha - 0.5 * (1 - profile.n * lam / profile.total)
                 if margin > 1e-6:  # clear of the trivial boundary
                     assert value < alpha
 
@@ -156,9 +163,9 @@ class TestPAlg:
         for votes, lam, alpha in random_instances(count=200, seed=23, nmax=6):
             profile = sort_profile(votes, lam)
             strategy = p_alg(profile, alpha)
-            v = find_threshold(profile)
-            sorted_probs = strategy.probs[profile.order]
-            assert np.all(sorted_probs[:v] == 0.0)
+            top = np.abs(votes) >= profile.pivot
+            assert np.count_nonzero(top) >= find_threshold(profile)
+            assert np.all(strategy.probs[top] == 0.0)
 
     def test_abstain_fraction_bound(self):
         # (1/n) sum p_i <= 1 - lambda - (1/n) sum_{i>v} |a_i| / |a_v|
@@ -178,9 +185,8 @@ class TestPAlg:
                 continue
             strategy = p_alg(profile, min(alpha, 0.45))
             keys, _ = ordering2_keys(profile.votes, strategy)
-            v = find_threshold(profile)
-            pivot = profile.abs_sorted[v - 1]
-            assert np.allclose(keys[profile.order][v - 1 :], pivot, atol=1e-9)
+            at_or_below = np.abs(votes) <= profile.pivot
+            assert np.allclose(keys[at_or_below], profile.pivot, atol=1e-9)
 
 
 class TestAbstainLoss:

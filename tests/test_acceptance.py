@@ -104,9 +104,7 @@ def test_criterion_4_value_lower_bound_and_gap():
         value = game_value(profile)
         bound = value_lower_bound(profile)
         ok &= value >= bound - TOL
-        v = find_threshold(profile)
-        head = profile.prefix_abs[v - 2] if v > 1 else 0.0
-        gap = (1.0 / profile.abs_sorted[v - 1] - 1.0) * (lam - head / profile.n)
+        gap = (1.0 / profile.pivot - 1.0) * (lam - profile.head / profile.n)
         ok &= abs((value - bound) - gap) <= TOL
     report(4, ok, "V >= lam + mean top-margin disagreement, gap identity to 1e-9")
 
@@ -155,12 +153,12 @@ def test_criterion_6_near_optimal_strategy():
         profile = sort_profile(votes, lam)
         v = find_threshold(profile)
         strategy = p_alg(profile, min(a, 0.45))
-        sorted_probs = strategy.probs[profile.order]
-        ok &= bool(np.all(sorted_probs[:v] == 0.0))
+        top = np.abs(votes) >= profile.pivot
+        ok &= bool(np.count_nonzero(top) >= v and np.all(strategy.probs[top] == 0.0))
         if np.all(profile.abs_sorted > 0):
             keys, _ = ordering2_keys(profile.votes, strategy)
-            pivot = profile.abs_sorted[v - 1]
-            ok &= bool(np.allclose(keys[profile.order][v - 1 :], pivot, atol=TOL))
+            at_or_below = np.abs(votes) <= profile.pivot
+            ok &= bool(np.allclose(keys[at_or_below], profile.pivot, atol=TOL))
     matched = 0
     for votes, v_bind in _integral_binding_instances():
         magnitudes = np.sort(np.abs(votes))[::-1]

@@ -98,6 +98,25 @@ class TestSolveCommand:
         assert code == 2
         assert report["error"] == "validation_error"
 
+    def test_nan_vote_exits_2(self, tmp_path, capsys):
+        votes = write_votes(tmp_path, "vote\nnan\n0.8\n")
+        code, report = run(capsys, "solve", "--votes", votes, "--lambda", "0.2")
+        assert code == 2
+        assert report["error"] == "validation_error"
+
+    def test_nan_lambda_exits_2(self, tmp_path, capsys):
+        code, report = run(capsys, "solve", "--votes", write_votes(tmp_path), "--lambda", "nan")
+        assert code == 2
+        assert report["error"] == "validation_error"
+
+    def test_all_zero_votes_at_tolerance_edge_exit_2(self, tmp_path, capsys):
+        # n*lam falls below the validation slack, so the bound is "covered"
+        # before any margin: the threshold pivot would be a zero vote.
+        votes = write_votes(tmp_path, "vote\n0\n0\n")
+        code, report = run(capsys, "solve", "--votes", votes, "--lambda", "1e-13")
+        assert code == 2
+        assert report["error"] == "infeasible_constraint"
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, report = run(capsys, "solve", "--votes", str(tmp_path / "nope.csv"), "--lambda", "0.5")
         assert code == 4
@@ -468,3 +487,16 @@ class TestVerifyCommand:
         assert report["oracle_value"] == 0.6
         assert report["abstain_value_exact"] == 0.1484375
         assert report["ok"] is True
+
+    def test_single_instance_grid_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
+        # FIX-1's exact abstain value is 0.1484375; the grid's tolerance at
+        # n = 4 and the default step 0.02 is 0.04.
+        monkeypatch.setattr("votebound.oracle.grid_abstain_value", lambda *a, **k: 0.25)
+        code, report = run(
+            capsys, "verify", "--votes", write_votes(tmp_path), "--lambda", "0.5",
+            "--alpha", "0.25", "--canonical",
+        )
+        assert code == 1
+        assert report["abstain_grid_value"] == 0.25
+        assert report["max_deviation"] < 1e-9
+        assert report["ok"] is False

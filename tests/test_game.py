@@ -118,10 +118,7 @@ class TestValueLowerBound:
         # value - bound = (1/|a_v| - 1)(lambda - (1/n) sum_{i<v} |a_i|)
         for votes, lam, _ in random_instances(count=200, seed=12, nmax=6):
             profile = sort_profile(votes, lam)
-            v = find_threshold(profile)
-            head = profile.prefix_abs[v - 2] if v > 1 else 0.0
-            pivot = profile.abs_sorted[v - 1]
-            gap = (1.0 / pivot - 1.0) * (lam - head / profile.n)
+            gap = (1.0 / profile.pivot - 1.0) * (lam - profile.head / profile.n)
             assert game_value(profile) - value_lower_bound(profile) == pytest.approx(
                 gap, abs=1e-9
             )
@@ -139,8 +136,9 @@ class TestGameProperties:
             assert np.all(np.abs(sol.g_star.values) <= 1 + 1e-12)
             assert np.all(np.abs(sol.z_star.values) <= 1 + 1e-12)
             # Full commitment on the v most confident examples.
-            g_sorted = sol.g_star.values[profile.order]
-            assert np.all(np.abs(g_sorted[: sol.v]) == 1.0)
+            committed = np.abs(votes) >= profile.pivot
+            assert np.count_nonzero(committed) >= sol.v
+            assert np.all(np.abs(sol.g_star.values[committed]) == 1.0)
 
     def test_predictor_monotone_in_vote(self):
         for votes, lam, _ in random_instances(count=200, seed=14, nmax=6):

@@ -1,3 +1,5 @@
+from math import fsum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from votebound import (
     PredictionVector,
     WeightVector,
     compute_votes,
+    optimal_nature,
     ordering2_keys,
     payoff,
     sort_profile,
@@ -52,6 +55,10 @@ class TestWeightVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([0.5, 0.4]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            WeightVector(np.array([np.nan, 0.5]))
 
     def test_roles(self):
         WeightVector(np.array([1.0]), role="prior")
@@ -108,11 +115,16 @@ class TestComputeVotes:
 class TestSortProfile:
     def test_orders_by_magnitude(self):
         profile = sort_profile([0.2, -0.9, 0.5], 0.3)
-        assert profile.order.tolist() == [1, 2, 0]
+        assert profile.abs_sorted.tolist() == [0.9, 0.5, 0.2]
+        # n*lam = 0.9 is covered by the largest margin alone.
+        assert (profile.v, profile.pivot, profile.head) == (1, 0.9, 0.0)
 
     def test_tie_break_by_original_index(self):
+        # Tied margins fill in ascending index order: the first is labelled
+        # in full, the second carries the fractional remainder 0.3/0.5.
         profile = sort_profile([0.5, 0.5], 0.4)
-        assert profile.order.tolist() == [0, 1]
+        assert (profile.v, profile.pivot, profile.head) == (2, 0.5, 0.5)
+        assert np.allclose(optimal_nature(profile).values, [1.0, 0.6], atol=1e-12)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleConstraint):
@@ -148,15 +160,21 @@ class TestSortProfile:
         if mean_abs <= 1e-6:
             return
         profile = sort_profile(votes, mean_abs / 2)
-        sorted_abs = np.abs(votes)[profile.order]
-        assert np.all(np.diff(sorted_abs) <= 0)
-        restored = np.empty(len(votes))
-        restored[profile.order] = votes[profile.order]
-        assert np.array_equal(restored, votes)
+        assert np.all(np.diff(profile.abs_sorted) <= 0)
+        assert np.array_equal(np.sort(profile.abs_sorted), np.sort(np.abs(votes)))
+        assert profile.total == fsum(np.abs(votes))
+        assert profile.head == fsum(profile.abs_sorted[: profile.v - 1])
+        assert profile.pivot == profile.abs_sorted[profile.v - 1] > 0
+        # The record depends on the multiset of margins only.
+        reversed_profile = sort_profile(votes[::-1], mean_abs / 2)
+        assert np.array_equal(reversed_profile.abs_sorted, profile.abs_sorted)
+        for key in ("total", "v", "pivot", "head"):
+            assert getattr(reversed_profile, key) == getattr(profile, key)
 
     def test_zero_votes_sort_last(self):
         profile = sort_profile([0.0, 0.7, 0.0, 0.3], 0.2)
-        assert profile.order.tolist() == [1, 3, 0, 2]
+        assert profile.abs_sorted.tolist() == [0.7, 0.3, 0.0, 0.0]
+        assert (profile.v, profile.pivot) == (2, 0.3)
 
 
 class TestPayoff:

@@ -309,8 +309,6 @@ class TestParamsAndReport:
             PacBayesParams(m=0, delta=0.05)
         with pytest.raises(ValueError):
             PacBayesParams(m=10, delta=1.0)
-        with pytest.raises(ValueError):
-            PacBayesParams(m=10, delta=0.05, eta=-1)
 
     def test_report_degeneracy_flag_tracks_lambda(self):
         report = make_report(0.45, 0.1)
