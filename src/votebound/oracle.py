@@ -294,7 +294,9 @@ def random_instances(count: int, seed: int, nmax: int):
         yield votes, lam, alpha
 
 
-def certify_instance(votes, lam: float, alpha: Optional[float] = None, grid_step=None) -> dict:
+def certify_instance(
+    votes, lam: float, alpha: Optional[float] = None, grid_step: Optional[float] = None
+) -> dict:
     """Certify one instance against every oracle that reaches its size.
 
     The game value against enumeration and both saddle best responses; with

@@ -139,11 +139,3 @@ def test_helper_decides_targets_one_ulp_around_a_prefix_sum(data, step):
 def test_helper_reports_uncovered_target():
     assert threshold_index(np.array([0.5, 0.25]), 0.75 + 1e-9)[0] == 3
     assert threshold_index(np.array([0.5, 0.25]), 0.75) == (2, 0.5)
-
-
-@pytest.mark.parametrize("n", [1, 7, 10_000])
-def test_all_zero_tail_never_becomes_the_pivot(n):
-    votes = np.zeros(n)
-    votes[0] = 1.0
-    profile = sort_profile(votes, 1.0 / n)
-    assert (profile.v, profile.pivot, profile.head) == (1, 1.0, 0.0)
