@@ -26,7 +26,7 @@ SOLVER_TOL = 1e-9
 
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite (no NaN or inf)")
     arr.setflags(write=False)
     return arr
