@@ -3,6 +3,8 @@
 Every case runs the CLI in-process with ``--canonical --out`` (or the library
 solvers directly) and compares the bytes it writes against ``tests/golden/``:
 small reports are stored whole, large ones as a sha256 in ``SHA256SUMS``.
+``gen`` must rewrite the committed input data under ``golden/data`` byte for
+byte (its manifest echoes the output paths, so only the files are compared).
 The expected files are frozen; rewrite them only for an intended output
 change, and say why in the change log:
 
@@ -169,6 +171,18 @@ def test_canonical_report_is_byte_identical(case, tmp_path):
 
 def test_library_digest_is_bit_identical():
     _check("library_2e5.txt", render_library())
+
+
+@pytest.mark.parametrize("name", ["train_predictions.csv", "train_labels.csv", "test_predictions.csv"])
+def test_gen_reproduces_the_committed_data(name, tmp_path, capsys):
+    """gen with the arguments that made tests/golden/data rewrites it byte for byte."""
+    argv = [
+        "gen", "--seed", "7", "--train-size", "1000", "--test-size", "400",
+        "--hypotheses", "12", "--base-error", "0.1", "--canonical", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 def _write_all() -> None:
