@@ -4,140 +4,17 @@ Turn an ensemble's votes on an unlabeled test set into confidence-rated
 (optionally abstaining) predictions that are minimax optimal against any
 labeling consistent with a certified average correlation, and certify every
 closed-form solution against independent brute-force oracles.
+
+The package exports the documented entry points; everything else is
+imported from its module (``model``, ``game``, ``abstain``, ``pacbayes``,
+``oracle``, ``errors``).
 """
 
-from .abstain import (
-    AbstainSolution,
-    abstain_loss,
-    abstain_value,
-    benefit_of_abstention,
-    closed_form_value,
-    find_w,
-    inner_game_value,
-    p_alg,
-    solve_abstain,
-    trivial_check,
-    worst_case_loss_formula,
-)
-from .errors import (
-    DegenerateAbstain,
-    DegenerateBound,
-    DimensionError,
-    Infeasible,
-    InfeasibleConstraint,
-    InfiniteDivergence,
-    InvalidCost,
-    VoteboundError,
-)
-from .game import (
-    GameSolution,
-    find_threshold,
-    game_value,
-    optimal_nature,
-    optimal_predictor,
-    solve_game,
-    value_lower_bound,
-)
-from .model import (
-    AbstainStrategy,
-    EnsembleMatrix,
-    LabeledSample,
-    LabelVector,
-    PredictionVector,
-    VoteProfile,
-    WeightVector,
-    compute_votes,
-    ordering2_keys,
-    payoff,
-    sort_profile,
-)
-from .oracle import (
-    BoxLpProblem,
-    CertificationReport,
-    certify_batch,
-    certify_saddle,
-    enumerate_game_value,
-    grid_abstain_value,
-    lp_best_response,
-    nature_greedy,
-    random_instances,
-    worst_case_abstain_loss,
-)
-from .pacbayes import (
-    BoundReport,
-    PacBayesParams,
-    abstain_mistake_bounds,
-    epsilon,
-    error_probability_bound,
-    exp_weights_posterior,
-    gibbs_train_error,
-    hypothesis_errors,
-    kl_bernoulli,
-    kl_bound_train,
-    kl_discrete,
-    lambda_hat,
-)
+from .abstain import solve_abstain
+from .errors import VoteboundError
+from .game import solve_game
+from .model import payoff, sort_profile
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstainSolution",
-    "AbstainStrategy",
-    "BoundReport",
-    "BoxLpProblem",
-    "CertificationReport",
-    "DegenerateAbstain",
-    "DegenerateBound",
-    "DimensionError",
-    "EnsembleMatrix",
-    "GameSolution",
-    "Infeasible",
-    "InfeasibleConstraint",
-    "InfiniteDivergence",
-    "InvalidCost",
-    "LabelVector",
-    "LabeledSample",
-    "PacBayesParams",
-    "PredictionVector",
-    "VoteProfile",
-    "VoteboundError",
-    "WeightVector",
-    "abstain_loss",
-    "abstain_mistake_bounds",
-    "abstain_value",
-    "benefit_of_abstention",
-    "certify_batch",
-    "certify_saddle",
-    "closed_form_value",
-    "compute_votes",
-    "enumerate_game_value",
-    "epsilon",
-    "error_probability_bound",
-    "exp_weights_posterior",
-    "find_threshold",
-    "find_w",
-    "game_value",
-    "gibbs_train_error",
-    "grid_abstain_value",
-    "hypothesis_errors",
-    "inner_game_value",
-    "kl_bernoulli",
-    "kl_bound_train",
-    "kl_discrete",
-    "lambda_hat",
-    "lp_best_response",
-    "nature_greedy",
-    "optimal_nature",
-    "optimal_predictor",
-    "ordering2_keys",
-    "p_alg",
-    "payoff",
-    "random_instances",
-    "solve_abstain",
-    "solve_game",
-    "sort_profile",
-    "trivial_check",
-    "value_lower_bound",
-    "worst_case_abstain_loss",
-    "worst_case_loss_formula",
-]
+__all__ = ["VoteboundError", "payoff", "solve_abstain", "solve_game", "sort_profile"]

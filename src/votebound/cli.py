@@ -8,8 +8,8 @@ with ``error`` (a stable slug) and ``message``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,16 +18,7 @@ import numpy as np
 
 from . import __version__
 from .abstain import abstain_loss, solve_abstain
-from .errors import (
-    DegenerateAbstain,
-    DegenerateBound,
-    DimensionError,
-    Infeasible,
-    InfeasibleConstraint,
-    InfiniteDivergence,
-    InvalidCost,
-    VoteboundError,
-)
+from .errors import DimensionError, InvalidCost, VoteboundError
 from .game import solve_game
 from .model import EnsembleMatrix, LabeledSample, WeightVector, compute_votes, sort_profile
 from .oracle import ENUM_MAX_N, certify_batch, certify_instance, worst_case_abstain_loss
@@ -44,6 +35,7 @@ from .pacbayes import (
     lambda_hat,
 )
 
+
 class ParseError(VoteboundError):
     """An input file could not be parsed."""
 
@@ -54,19 +46,6 @@ class ValidationError(VoteboundError):
     """A command argument is outside its allowed range."""
 
     code = "validation_error"
-
-
-_EXIT_CODES = {
-    ParseError: 3,
-    DimensionError: 3,
-    ValidationError: 2,
-    InfeasibleConstraint: 2,
-    DegenerateBound: 2,
-    DegenerateAbstain: 2,
-    InvalidCost: 2,
-    InfiniteDivergence: 2,
-    Infeasible: 2,
-}
 
 
 def _round_floats(obj):
@@ -84,7 +63,10 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, args, out: str | None) -> None:
+    """Write the report as JSON, with tool metadata unless --canonical."""
+    if not args.canonical:
+        payload["tool"] = {"name": "votebound", "version": __version__}
     text = json.dumps(_round_floats(payload), indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -92,60 +74,52 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tool_meta(payload: dict, canonical: bool) -> dict:
-    if not canonical:
-        payload["tool"] = {"name": "votebound", "version": __version__}
-    return payload
+def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
+    """The cells under a checked header line, one row per line.
+
+    ``header=None`` expects the prediction header ``h1,...,hH``.  Every row
+    must hold exactly the header's cell count, each cell parsing as ``dtype``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            names = [name.strip() for name in handle.readline().split(",")]
+            if names != (header or [f"h{j + 1}" for j in range(len(names))]):
+                raise ParseError(f"{path}: expected header {','.join(header or ['h1..hH'])}")
+            # loadtxt skips empty lines, and only warns when no other line is left.
+            first = next((line for line in handle if line != "\n"), None)
+            if first is None:
+                raise ParseError(f"{path}: no data rows")
+            cells = np.loadtxt(
+                itertools.chain([first], handle),
+                delimiter=",", dtype=dtype, ndmin=2, quotechar='"', comments=None,
+            )
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8") from exc
+    except ValueError as exc:  # a cell that does not parse, or a ragged row
+        detail = str(exc).split(";")[0]  # drop numpy's hint about usecols
+        raise ParseError(f"{path}: rows must hold {dtype.__name__} cells ({detail})") from exc
+    if cells.shape[1] != len(names):
+        raise ParseError(f"{path}: every row must hold the header's {len(names)} cells")
+    return cells
 
 
 def _read_votes(path: str) -> np.ndarray:
-    rows = _read_csv(path, expected_header=["vote"])
-    try:
-        return np.array([float(row[0]) for row in rows])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: votes must be one real per row") from exc
-
-
-def _read_csv(path: str, expected_header=None) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if expected_header is not None and header != expected_header:
-        raise ParseError(f"{path}: expected header {','.join(expected_header)}")
-    return rows[1:]
-
-
-def _read_predictions(path: str) -> np.ndarray:
-    rows = _read_csv(path)
-    try:
-        grid = np.array([[int(cell) for cell in row] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise ParseError(f"{path}: prediction cells must be -1 or 1") from exc
-    if grid.ndim != 2 or grid.size == 0:
-        raise ParseError(f"{path}: no prediction rows")
-    return grid
-
-
-def _read_labels(path: str) -> np.ndarray:
-    rows = _read_csv(path, expected_header=["label"])
-    try:
-        return np.array([int(row[0]) for row in rows], dtype=float)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: labels must be -1 or 1, one per row") from exc
+    return _read_csv(path, ["vote"], float)[:, 0]
 
 
 def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON") from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "weights" not in payload:
         raise ParseError(f'{path}: expected an object with a "weights" array')
-    weights = np.asarray(payload["weights"], dtype=float)
     prior = payload.get("prior")
-    return weights, None if prior is None else np.asarray(prior, dtype=float)
+    try:
+        weights = np.asarray(payload["weights"], dtype=float)
+        return weights, None if prior is None else np.asarray(prior, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'{path}: "weights" and "prior" must be arrays of reals') from exc
 
 
 def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVector]:
@@ -155,87 +129,65 @@ def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVe
     if spec == "uniform":
         return WeightVector(np.full(h, 1.0 / h)), uniform_prior
     if spec.startswith("exp:"):
-        try:
-            eta = float(spec[4:])
-        except ValueError as exc:
-            raise ValidationError(f"bad exponential-weights spec {spec!r}") from exc
+        eta = float(spec[4:])
         if eta < 0:
             raise ValidationError("eta must be nonnegative")
         return exp_weights_posterior(sample, eta), uniform_prior
     weights, prior = _read_weights(spec)
-    try:
-        posterior = WeightVector(weights)
-        q0 = uniform_prior if prior is None else WeightVector(prior, role="prior")
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    return posterior, q0
+    posterior = WeightVector(weights)
+    return posterior, uniform_prior if prior is None else WeightVector(prior, role="prior")
 
 
-def _solution_payload(profile, solution) -> dict:
-    return {
-        "n": profile.n,
-        "lambda": profile.lam,
-        "v": solution.v,
-        "value": solution.value,
-        "lower_bound": solution.lower_bound,
-        "g_star": list(solution.g_star.values),
-        "z_star": list(solution.z_star.values),
-    }
+def _record(solution) -> dict:
+    """A solution's fields in declaration order, with domain vectors unwrapped."""
+    fields = {field.name: getattr(solution, field.name) for field in dataclasses.fields(solution)}
+    return {key: getattr(v, "values", getattr(v, "probs", v)) for key, v in fields.items()}
 
 
 def cmd_solve(args) -> int:
-    votes = _read_votes(args.votes)
-    profile = sort_profile(votes, args.lam)
-    solution = solve_game(profile)
-    _emit(_tool_meta(_solution_payload(profile, solution), args.canonical), args.out)
+    profile = sort_profile(_read_votes(args.votes), args.lam)
+    payload = {"n": profile.n, "lambda": profile.lam, **_record(solve_game(profile))}
+    _emit(payload, args, args.out)
     return 0
 
 
 def cmd_abstain(args) -> int:
-    if args.alpha is None or args.alpha <= 0:
+    if args.alpha <= 0:
         raise InvalidCost("abstain cost must be positive")
-    votes = _read_votes(args.votes)
-    profile = sort_profile(votes, args.lam)
+    profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
+    loss_vs_z_star = abstain_loss(solution.g_star, abstain.p_alg, solution.z_star)
+    record = _record(abstain)
     payload = {
         "n": profile.n,
         "lambda": profile.lam,
-        "alpha": abstain.alpha,
+        "alpha": record.pop("alpha"),
         "v": solution.v,
         "game_value": solution.value,
-        "trivial": abstain.trivial,
-        "w": abstain.w,
-        "budget": abstain.budget,
-        "value_exact": abstain.value_exact,
-        "value_lower": abstain.value_lower,
-        "value_upper": abstain.value_upper,
-        "value_closed_form": abstain.value_closed_form,
-        "p_alg": list(abstain.p_alg.probs),
-        "loss_formula": abstain.loss_formula,
-        "loss_vs_z_star": abstain_loss(solution.g_star, abstain.p_alg, solution.z_star),
-        "loss_no_abstain": abstain.loss_no_abstain,
-        "loss_abstain": abstain.loss_abstain,
-        "v2": abstain.v2,
     }
+    for key, value in record.items():
+        payload[key] = value
+        if key == "loss_formula":
+            payload["loss_vs_z_star"] = loss_vs_z_star
     if profile.n <= ENUM_MAX_N:
-        z_worst, worst = worst_case_abstain_loss(
+        z_worst, payload["oracle_worst_case_loss"] = worst_case_abstain_loss(
             profile, solution.g_star, abstain.p_alg, abstain.alpha
         )
-        payload["oracle_worst_case_loss"] = worst
-        payload["z_worst"] = list(z_worst.values)
+        payload["z_worst"] = z_worst.values
     else:
-        payload["oracle_worst_case_loss"] = None
-        payload["oracle_note"] = (
-            f"exact nature best response is computed only for n <= {ENUM_MAX_N}"
-        )
-    _emit(_tool_meta(payload, args.canonical), args.out)
+        note = f"exact nature best response is computed only for n <= {ENUM_MAX_N}"
+        payload.update(oracle_worst_case_loss=None, oracle_note=note)
+    _emit(payload, args, args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    sample = _load_sample(args.train_pred, args.train_labels)
-    test = _load_matrix(args.test_pred)
+    sample = LabeledSample(
+        predictions=_read_csv(args.train_pred, None, int),
+        labels=_read_csv(args.train_labels, ["label"], int)[:, 0],
+    )
+    test = EnsembleMatrix(_read_csv(args.test_pred, None, int))
     if test.num_hypotheses != sample.num_hypotheses:
         raise DimensionError(
             f"train has {sample.num_hypotheses} hypotheses, test has {test.num_hypotheses}"
@@ -264,8 +216,7 @@ def cmd_pipeline(args) -> int:
     )
 
     votes = compute_votes(test, posterior)
-    game_json = None
-    abstain_json = None
+    game_json = abstain_json = None
     predictions = votes
     probs = np.zeros(test.num_examples)
 
@@ -275,38 +226,16 @@ def cmd_pipeline(args) -> int:
         predictions = solution.g_star.values
         raw = error_probability_bound(profile, report, args.delta)
         bounds = (None, None)
-        abstain = None
         if args.alpha is not None:
             abstain = solve_abstain(profile, args.alpha)
             probs = abstain.p_alg.probs
+            abstain_json = _record(abstain)
             if args.alpha < 0.5:
                 bounds = abstain_mistake_bounds(profile, report, args.delta)
         report = dataclasses.replace(
             report, error_bound=raw, abstain_bound=bounds[0], mistake_bound=bounds[1]
         )
-        game_json = {
-            "v": solution.v,
-            "value": solution.value,
-            "lower_bound": solution.lower_bound,
-            "g_star": list(solution.g_star.values),
-            "z_star": list(solution.z_star.values),
-        }
-        if abstain is not None:
-            abstain_json = {
-                "alpha": abstain.alpha,
-                "trivial": abstain.trivial,
-                "w": abstain.w,
-                "budget": abstain.budget,
-                "value_exact": abstain.value_exact,
-                "value_lower": abstain.value_lower,
-                "value_upper": abstain.value_upper,
-                "value_closed_form": abstain.value_closed_form,
-                "p_alg": list(abstain.p_alg.probs),
-                "loss_formula": abstain.loss_formula,
-                "loss_no_abstain": abstain.loss_no_abstain,
-                "loss_abstain": abstain.loss_abstain,
-                "v2": abstain.v2,
-            }
+        game_json = _record(solution)
 
     raw = report.error_bound
     payload = {
@@ -340,31 +269,28 @@ def cmd_pipeline(args) -> int:
         "fallback": report.degenerate,
         "seed": args.seed,
     }
-    _emit(_tool_meta(payload, args.canonical), args.out)
+    _emit(payload, args, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.nmax > ENUM_MAX_N:
-        raise ValidationError(f"nmax must be at most {ENUM_MAX_N}")
+    if not 1 <= args.nmax <= ENUM_MAX_N:
+        raise ValidationError(f"nmax must lie in [1, {ENUM_MAX_N}]")
     if args.count < 1:
         raise ValidationError("count must be at least 1")
 
-    if args.votes is not None:
+    if args.votes is None:
+        payload = certify_batch(count=args.count, seed=args.seed, nmax=args.nmax)
+    else:
         if args.lam is None:
             raise ValidationError("--lambda is required with --votes")
         votes = _read_votes(args.votes)
         if votes.size > ENUM_MAX_N:
             raise ValidationError(f"oracle certification is capped at n = {ENUM_MAX_N}")
-        check = certify_instance(votes, args.lam, args.alpha)
-        del check["deviations"], check["grid_excess"]
-        payload = {"instances_checked": 1, **check}
-        _emit(_tool_meta(payload, args.canonical), args.out)
-        return 0 if payload["ok"] else 1
-
-    summary = certify_batch(count=args.count, seed=args.seed, nmax=args.nmax)
-    _emit(_tool_meta(summary, args.canonical), args.out)
-    return 0 if summary["ok"] else 1
+        payload = {"instances_checked": 1, **certify_instance(votes, args.lam, args.alpha)}
+        del payload["deviations"], payload["grid_excess"]
+    _emit(payload, args, args.out)
+    return 0 if payload["ok"] else 1
 
 
 def cmd_gen(args) -> int:
@@ -387,14 +313,15 @@ def cmd_gen(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "train_pred": out_dir / "train_predictions.csv",
-        "train_labels": out_dir / "train_labels.csv",
-        "test_pred": out_dir / "test_predictions.csv",
-    }
-    _write_predictions(files["train_pred"], train_pred)
-    _write_labels(files["train_labels"], train_labels)
-    _write_predictions(files["test_pred"], test_pred)
+    pred_header = ",".join(f"h{j + 1}" for j in range(h))
+    files = {}
+    for key, name, cells, header in (
+        ("train_pred", "train_predictions.csv", train_pred, pred_header),
+        ("train_labels", "train_labels.csv", train_labels, "label"),
+        ("test_pred", "test_predictions.csv", test_pred, pred_header),
+    ):
+        files[key] = out_dir / name
+        np.savetxt(files[key], cells, fmt="%d", delimiter=",", header=header, comments="")
 
     manifest = {
         "seed": args.seed,
@@ -404,36 +331,8 @@ def cmd_gen(args) -> int:
         "base_error": args.base_error,
         "files": {key: str(path) for key, path in files.items()},
     }
-    _emit(_tool_meta(manifest, args.canonical), None)
+    _emit(manifest, args, None)
     return 0
-
-
-def _write_predictions(path: Path, grid: np.ndarray) -> None:
-    header = ",".join(f"h{j + 1}" for j in range(grid.shape[1]))
-    lines = [header]
-    lines += [",".join(str(int(cell)) for cell in row) for row in grid]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_labels(path: Path, labels: np.ndarray) -> None:
-    lines = ["label"] + [str(int(y)) for y in labels]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_sample(pred_path: str, labels_path: str) -> LabeledSample:
-    predictions = _read_predictions(pred_path)
-    labels = _read_labels(labels_path)
-    try:
-        return LabeledSample(predictions=predictions, labels=labels)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _load_matrix(path: str) -> EnsembleMatrix:
-    try:
-        return EnsembleMatrix(_read_predictions(path))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,26 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: str, exc: Exception, code: int) -> int:
+    sys.stdout.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except VoteboundError as exc:
-        code = _EXIT_CODES.get(type(exc), 2)
-        sys.stdout.write(
-            json.dumps({"error": exc.code, "message": str(exc)}) + "\n"
-        )
-        return code
+        return _fail(exc.code, exc, 3 if isinstance(exc, (ParseError, DimensionError)) else 2)
     except ValueError as exc:
         # Domain-invalid numeric input (votes outside the box, bad weights).
-        sys.stdout.write(
-            json.dumps({"error": "validation_error", "message": str(exc)}) + "\n"
-        )
-        return 2
+        return _fail("validation_error", exc, 2)
     except OSError as exc:
-        sys.stdout.write(json.dumps({"error": "io_error", "message": str(exc)}) + "\n")
-        return 4
+        return _fail("io_error", exc, 4)
 
 
 if __name__ == "__main__":

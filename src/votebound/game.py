@@ -33,9 +33,9 @@ class GameSolution:
 
     v: int
     value: float
+    lower_bound: float
     g_star: PredictionVector
     z_star: LabelVector
-    lower_bound: float
 
 
 def find_threshold(profile: VoteProfile) -> int:

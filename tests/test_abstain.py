@@ -1,28 +1,22 @@
 import numpy as np
 import pytest
 
-from votebound import (
-    grid_abstain_value,
-    AbstainStrategy,
-    DimensionError,
-    InvalidCost,
+from votebound import solve_abstain, solve_game, sort_profile
+from votebound.abstain import (
     abstain_loss,
     abstain_value,
     benefit_of_abstention,
     closed_form_value,
-    find_threshold,
     find_w,
-    game_value,
     inner_game_value,
-    ordering2_keys,
     p_alg,
-    random_instances,
-    solve_abstain,
-    solve_game,
-    sort_profile,
     trivial_check,
     worst_case_loss_formula,
 )
+from votebound.errors import DimensionError, InvalidCost
+from votebound.game import find_threshold, game_value
+from votebound.model import AbstainStrategy, ordering2_keys
+from votebound.oracle import grid_abstain_value, random_instances
 
 
 class TestTrivialCheck:

@@ -11,31 +11,25 @@ import time
 import numpy as np
 from jsonschema import validate
 
-from votebound import (
-    PacBayesParams,
-    WeightVector,
+from votebound import solve_game, sort_profile
+from votebound.abstain import (
     abstain_loss,
     abstain_value,
-    certify_saddle,
-    enumerate_game_value,
-    epsilon,
-    find_threshold,
-    game_value,
-    grid_abstain_value,
-    kl_bernoulli,
-    kl_discrete,
-    lambda_hat,
-    ordering2_keys,
     p_alg,
-    random_instances,
-    solve_game,
-    sort_profile,
     trivial_check,
-    value_lower_bound,
-    worst_case_abstain_loss,
     worst_case_loss_formula,
 )
 from votebound.cli import main
+from votebound.game import find_threshold, game_value, value_lower_bound
+from votebound.model import WeightVector, ordering2_keys
+from votebound.oracle import (
+    certify_saddle,
+    enumerate_game_value,
+    grid_abstain_value,
+    random_instances,
+    worst_case_abstain_loss,
+)
+from votebound.pacbayes import PacBayesParams, epsilon, kl_bernoulli, kl_discrete, lambda_hat
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
 TOL = 1e-9

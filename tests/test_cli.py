@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from jsonschema import validate
 
 from votebound.cli import main
@@ -42,6 +43,26 @@ def gen_dataset(tmp_path, capsys, seed=7, m=2000, n=64, h=16, base_error=0.1, su
     )
     assert code == 0
     return manifest["files"]
+
+
+def run_pipeline(capsys, files, *extra):
+    return run(
+        capsys,
+        "pipeline",
+        "--train-pred",
+        files["train_pred"],
+        "--train-labels",
+        files["train_labels"],
+        "--test-pred",
+        files["test_pred"],
+        "--canonical",
+        *extra,
+    )
+
+
+def assert_parse_error(code, report):
+    assert code == 3
+    assert report["error"] == "parse_error"
 
 
 class TestSolveCommand:
@@ -116,6 +137,21 @@ class TestSolveCommand:
         code, report = run(capsys, "solve", "--votes", votes, "--lambda", "1e-13")
         assert code == 2
         assert report["error"] == "infeasible_constraint"
+
+    def test_vote_row_with_extra_cell_exits_3(self, tmp_path, capsys):
+        votes = write_votes(tmp_path, "vote\n0.7,abc\n0.2\n")
+        assert_parse_error(*run(capsys, "solve", "--votes", votes, "--lambda", "0.2"))
+
+    def test_non_utf8_votes_exit_3(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        votes.write_bytes(b"vote\n0.5\n\xff0.2\n")
+        assert_parse_error(*run(capsys, "solve", "--votes", str(votes), "--lambda", "0.2"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["vote\n", "vote\n\n\n", ""])
+    def test_no_data_rows_exit_3(self, tmp_path, capsys, text):
+        votes = write_votes(tmp_path, text)
+        assert_parse_error(*run(capsys, "solve", "--votes", votes, "--lambda", "0.2"))
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, report = run(capsys, "solve", "--votes", str(tmp_path / "nope.csv"), "--lambda", "0.5")
@@ -450,6 +486,54 @@ class TestPipelineCommand:
         assert report["bound_report"]["kl_posterior_prior"] > 0
 
 
+class TestPipelineInputs:
+    """Every malformed input file ends as a parse error, never as a report."""
+
+    def test_headerless_predictions_exit_3(self, tmp_path, capsys):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        path = tmp_path / "data" / "test_predictions.csv"
+        path.write_text(path.read_text().split("\n", 1)[1])
+        assert_parse_error(*run_pipeline(capsys, files))
+
+    def test_prediction_rows_wider_than_header_exit_3(self, tmp_path, capsys):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=3)
+        path = tmp_path / "data" / "test_predictions.csv"
+        path.write_text(path.read_text().replace("h1,h2,h3", "h1,h2"))
+        assert_parse_error(*run_pipeline(capsys, files))
+
+    def test_label_row_with_extra_cell_exits_3(self, tmp_path, capsys):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=3)
+        path = tmp_path / "data" / "train_labels.csv"
+        lines = path.read_text().split("\n")
+        lines[3] += ",1"
+        path.write_text("\n".join(lines))
+        assert_parse_error(*run_pipeline(capsys, files))
+
+    @pytest.mark.parametrize(
+        "cell, code", [(" 1", 0), ("+1", 0), ('"1"', 0), ("1.0", 3), ("1.5", 3), ("", 3)]
+    )
+    def test_prediction_cells_are_integers(self, tmp_path, capsys, cell, code):
+        files = gen_dataset(tmp_path, capsys, m=200, n=5, h=3)
+        path = tmp_path / "data" / "test_predictions.csv"
+        lines = path.read_text().split("\n")
+        lines[1] = ",".join([cell] + lines[1].split(",")[1:])
+        path.write_text("\n".join(lines))
+        exit_code, report = run_pipeline(capsys, files)
+        assert exit_code == code
+        assert code == 0 or report["error"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"weights": {"a": 1}}', b'{"weights": ["a", 1, 0, 0]}', b'{"weights": [1, 0, 0, \xff]}'],
+        ids=["object", "string", "not-utf8"],
+    )
+    def test_bad_weights_file_exits_3(self, tmp_path, capsys, content):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        weights = tmp_path / "weights.json"
+        weights.write_bytes(content)
+        assert_parse_error(*run_pipeline(capsys, files, "--posterior", str(weights)))
+
+
 class TestVerifyCommand:
     def test_batch_run_is_clean(self, capsys):
         code, report = run(
@@ -460,9 +544,11 @@ class TestVerifyCommand:
         assert report["max_deviation"] < 1e-9
 
     def test_nmax_guard_exits_2(self, capsys):
-        code, report = run(capsys, "verify", "--nmax", "9")
-        assert code == 2
-        assert report["error"] == "validation_error"
+        for nmax in ("9", "0", "-1"):
+            code, report = run(capsys, "verify", "--nmax", nmax)
+            assert code == 2
+            assert report["error"] == "validation_error"
+            assert "nmax" in report["message"]
 
     def test_single_instance_above_oracle_cap_exits_2(self, tmp_path, capsys):
         votes = write_votes(tmp_path, "vote\n" + "0.5\n" * 9)

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from votebound import (
+from votebound import payoff, solve_game, sort_profile
+from votebound.game import (
     find_threshold,
     game_value,
-    nature_greedy,
     optimal_nature,
     optimal_predictor,
-    payoff,
-    random_instances,
-    solve_game,
-    sort_profile,
     value_lower_bound,
 )
+from votebound.oracle import nature_greedy, random_instances
 
 
 class TestFindThreshold:

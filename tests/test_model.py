@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votebound import (
-    AbstainStrategy,
+from votebound import payoff, sort_profile
+from votebound.errors import (
     DegenerateAbstain,
     DegenerateBound,
     DimensionError,
-    EnsembleMatrix,
     InfeasibleConstraint,
-    LabeledSample,
+)
+from votebound.game import optimal_nature
+from votebound.model import (
+    AbstainStrategy,
+    EnsembleMatrix,
     LabelVector,
+    LabeledSample,
     PredictionVector,
     WeightVector,
     compute_votes,
-    optimal_nature,
     ordering2_keys,
-    payoff,
-    sort_profile,
 )
 
 sign_entries = st.integers(min_value=0, max_value=1).map(lambda b: 2 * b - 1)

@@ -3,20 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from votebound import (
+from votebound import solve_game, sort_profile
+from votebound.abstain import abstain_value, p_alg
+from votebound.errors import Infeasible
+from votebound.game import game_value
+from votebound.oracle import (
     BoxLpProblem,
-    Infeasible,
-    abstain_value,
     certify_batch,
     certify_saddle,
     enumerate_game_value,
-    game_value,
     grid_abstain_value,
     lp_best_response,
-    p_alg,
     random_instances,
-    solve_game,
-    sort_profile,
     worst_case_abstain_loss,
 )
 
@@ -179,7 +177,7 @@ class TestCertifySaddle:
 
 class TestWorstCaseAbstainLoss:
     def test_full_abstention_decouples_from_labels(self, fix1):
-        from votebound import AbstainStrategy
+        from votebound.model import AbstainStrategy
 
         strategy = AbstainStrategy(np.ones(4), alpha=0.3)
         _, loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy, 0.3)

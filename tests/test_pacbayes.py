@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votebound import (
+from votebound import sort_profile
+from votebound.errors import DegenerateBound, DimensionError, InfiniteDivergence
+from votebound.model import LabeledSample, WeightVector
+from votebound.pacbayes import (
     BoundReport,
-    DegenerateBound,
-    DimensionError,
-    InfiniteDivergence,
-    LabeledSample,
     PacBayesParams,
-    WeightVector,
     abstain_mistake_bounds,
     epsilon,
     error_probability_bound,
@@ -23,7 +21,6 @@ from votebound import (
     kl_bound_train,
     kl_discrete,
     lambda_hat,
-    sort_profile,
 )
 
 # Frozen fixtures, recomputed to 12 digits at 30-digit working precision

@@ -15,16 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from votebound import (
-    DegenerateAbstain,
-    InfeasibleConstraint,
-    find_w,
-    inner_game_value,
-    ordering2_keys,
-    p_alg,
-    sort_profile,
-    trivial_check,
-)
+from votebound import sort_profile
+from votebound.abstain import find_w, inner_game_value, p_alg, trivial_check
+from votebound.errors import DegenerateAbstain, InfeasibleConstraint
+from votebound.model import ordering2_keys
 from votebound.model import VALIDATION_TOL, threshold_index
 
 
