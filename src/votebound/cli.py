@@ -82,7 +82,7 @@ def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            names = [name.strip() for name in handle.readline().split(",")]
+            names = [name.strip().strip('"') for name in handle.readline().split(",")]
             if names != (header or [f"h{j + 1}" for j in range(len(names))]):
                 raise ParseError(f"{path}: expected header {','.join(header or ['h1..hH'])}")
             # loadtxt skips empty lines, and only warns when no other line is left.

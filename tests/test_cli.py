@@ -138,6 +138,12 @@ class TestSolveCommand:
         assert code == 2
         assert report["error"] == "infeasible_constraint"
 
+    def test_quoted_header_and_cells_parse(self, tmp_path, capsys):
+        votes = write_votes(tmp_path, '"vote"\n"1.0"\n"0.8"\n"0.5"\n"0.2"\n')
+        code, report = run(capsys, "solve", "--votes", votes, "--lambda", "0.5", "--canonical")
+        assert code == 0
+        assert report["g_star"] == [1.0, 1.0, 1.0, 0.4]
+
     def test_vote_row_with_extra_cell_exits_3(self, tmp_path, capsys):
         votes = write_votes(tmp_path, "vote\n0.7,abc\n0.2\n")
         assert_parse_error(*run(capsys, "solve", "--votes", votes, "--lambda", "0.2"))
