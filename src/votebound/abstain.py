@@ -9,6 +9,7 @@ simple near-optimal strategy that abstains only below the threshold margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,8 +54,8 @@ class AbstainSolution:
 
 
 def _require_cost(alpha: float) -> float:
-    if not alpha > 0:
-        raise InvalidCost("abstain cost must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise InvalidCost("abstain cost must be positive and finite")
     return float(alpha)
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: solve, abstain, pipeline, verify, gen.
 
-Exit codes: 0 success, 1 certification failure, 2 domain/validation error,
-3 parse/dimension error, 4 I/O error.  Errors are reported as JSON objects
-with ``error`` (a stable slug) and ``message``.
+Exit codes: 0 success, 1 certification failure, 2 domain/validation error
+(including a result that is not a finite real), 3 parse/dimension error, 4 I/O
+error, 5 internal error.  Errors are reported as JSON objects with ``error``
+(a stable slug) and ``message``.
 """
 
 from __future__ import annotations
@@ -48,26 +49,52 @@ class ValidationError(VoteboundError):
     code = "validation_error"
 
 
-def _round_floats(obj):
-    """Round reals to 12 significant digits so reports are byte-stable."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+def _json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` with reals rounded to 12 significant digits.
+
+    A 1-D array is formatted once per distinct value, keyed on its bits (so
+    -0.0 and 0.0 stay apart), and a structured array is written as a list of
+    records, one per row.  A NaN or infinite real cannot be written as JSON.
+    """
+    inner = pad + "  "
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        if not abs(obj) <= sys.float_info.max:
+            raise ValidationError(f"the report holds a non-finite real ({float(obj)})")
+        return repr(float(f"{float(obj):.12g}"))
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_round_floats(value) for value in obj]
-    return obj
+        items = [f"{inner}{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(obj, np.ndarray) and obj.dtype.names:
+        fields = ",\n".join(f"{inner}  {json.dumps(name)}: %s" for name in obj.dtype.names)
+        columns = [_json_texts(obj[name]) for name in obj.dtype.names]
+        items = [f"{{\n{fields}\n{inner}}}" % row for row in zip(*columns)]
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
+        items = _json_texts(obj)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_json(value, inner) for value in obj]
+    else:
+        return json.dumps(obj)
+    return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _json_texts(column: np.ndarray) -> list[str]:
+    """``_json`` of each entry of a 1-D array, computed once per distinct value."""
+    keys, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    distinct = keys.view(column.dtype).tolist()
+    # Integers need neither rounding nor a finiteness check.
+    texts = list(map(str if column.dtype.kind in "iu" else _json, distinct))
+    return np.array(texts, object)[inverse].tolist()
 
 
 def _emit(payload: dict, args, out: str | None) -> None:
     """Write the report as JSON, with tool metadata unless --canonical."""
     if not args.canonical:
         payload["tool"] = {"name": "votebound", "version": __version__}
-    text = json.dumps(_round_floats(payload), indent=2) + "\n"
+    text = _json(payload) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -129,10 +156,7 @@ def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVe
     if spec == "uniform":
         return WeightVector(np.full(h, 1.0 / h)), uniform_prior
     if spec.startswith("exp:"):
-        eta = float(spec[4:])
-        if eta < 0:
-            raise ValidationError("eta must be nonnegative")
-        return exp_weights_posterior(sample, eta), uniform_prior
+        return exp_weights_posterior(sample, float(spec[4:])), uniform_prior
     weights, prior = _read_weights(spec)
     posterior = WeightVector(weights)
     return posterior, uniform_prior if prior is None else WeightVector(prior, role="prior")
@@ -256,16 +280,10 @@ def cmd_pipeline(args) -> int:
         },
         "game_solution": game_json,
         "abstain_solution": abstain_json,
-        "examples": [
-            {
-                "index": i,
-                "vote": float(votes[i]),
-                "prediction": float(predictions[i]),
-                "abstain_probability": float(probs[i]),
-                "label": int(np.sign(predictions[i])),
-            }
-            for i in range(test.num_examples)
-        ],
+        "examples": np.rec.fromarrays(
+            [np.arange(len(votes)), votes, predictions, probs, np.sign(predictions).astype(int)],
+            names="index,vote,prediction,abstain_probability,label",
+        ),
         "fallback": report.degenerate,
         "seed": args.seed,
     }
@@ -406,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(error: str, exc: Exception, code: int) -> int:
+def _fail(error: str, exc: Exception | str, code: int) -> int:
     sys.stdout.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
     return code
 
@@ -422,6 +440,8 @@ def main(argv=None) -> int:
         return _fail("validation_error", exc, 2)
     except OSError as exc:
         return _fail("io_error", exc, 4)
+    except Exception as exc:  # a defect: still one JSON error line, never a traceback
+        return _fail("internal_error", f"{type(exc).__name__}: {exc}", 5)
 
 
 if __name__ == "__main__":

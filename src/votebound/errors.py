@@ -36,7 +36,7 @@ class DegenerateAbstain(VoteboundError):
 
 
 class InvalidCost(VoteboundError):
-    """The abstain cost must be positive."""
+    """The abstain cost must be positive and finite."""
 
     code = "invalid_cost"
 

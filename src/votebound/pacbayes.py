@@ -10,7 +10,7 @@ clamped; the caller falls back to the averaged prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, log, sqrt
+from math import fsum, isfinite, log, sqrt
 from typing import Optional
 
 import numpy as np
@@ -159,8 +159,8 @@ def exp_weights_posterior(sample: LabeledSample, eta: float) -> WeightVector:
     eta = 0 gives the uniform distribution; the shift by the minimum error
     keeps the exponentials in range for large eta.
     """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
+    if eta < 0.0 or not isfinite(eta):
+        raise ValueError(f"eta must be nonnegative and finite, not {eta}")
     errors = hypothesis_errors(sample)
     shifted = np.exp(-eta * (errors - errors.min()))
     return WeightVector(weights=shifted / shifted.sum())

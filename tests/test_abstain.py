@@ -39,6 +39,9 @@ class TestTrivialCheck:
             trivial_check(fix1, 0.0)
         with pytest.raises(InvalidCost):
             trivial_check(fix1, -0.1)
+        for cost in (float("inf"), float("nan")):
+            with pytest.raises(InvalidCost):
+                trivial_check(fix1, cost)
 
 
 class TestFindW:

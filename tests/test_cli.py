@@ -187,6 +187,17 @@ class TestSolveCommand:
         assert with_meta["tool"]["name"] == "votebound"
         assert "tool" not in canonical
 
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("votebound.cli.cmd_solve", broken)
+        code = main(["solve", "--votes", write_votes(tmp_path), "--lambda", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 5
+        assert json.loads(out) == {"error": "internal_error", "message": "RuntimeError: boom"}
+        assert err == ""
+
 
 class TestAbstainCommand:
     def test_fix1_moderate_cost(self, tmp_path, capsys):
@@ -256,6 +267,16 @@ class TestAbstainCommand:
         )
         assert code == 2
         assert report["error"] == "invalid_cost"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, error", [("inf", "invalid_cost"), ("1e308", "validation_error")]
+    )
+    def test_cost_with_non_finite_results_exits_2(self, tmp_path, capsys, alpha, error):
+        votes = write_votes(tmp_path)
+        code, report = run(capsys, "abstain", "--votes", votes, "--lambda", "0.2", "--alpha", alpha)
+        assert code == 2
+        assert report["error"] == error
 
 
 class TestGenCommand:
@@ -538,6 +559,15 @@ class TestPipelineInputs:
         weights = tmp_path / "weights.json"
         weights.write_bytes(content)
         assert_parse_error(*run_pipeline(capsys, files, "--posterior", str(weights)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_non_finite_eta_exits_2(self, tmp_path, capsys, eta):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        code, report = run_pipeline(capsys, files, "--posterior", f"exp:{eta}")
+        assert code == 2
+        assert report["error"] == "validation_error"
+        assert "eta" in report["message"]
 
 
 class TestVerifyCommand:
