@@ -49,44 +49,45 @@ class ValidationError(VoteboundError):
     code = "validation_error"
 
 
-def _json(obj, pad: str = "") -> str:
+def _json(obj, pad: str = "", path: str = "") -> str:
     """``json.dumps(obj, indent=2)`` with reals rounded to 12 significant digits.
 
     A 1-D array is formatted once per distinct value, keyed on its bits (so
     -0.0 and 0.0 stay apart), and a structured array is written as a list of
-    records, one per row.  A NaN or infinite real cannot be written as JSON.
+    records, one per row.  A NaN or infinite real is refused, named by its key path.
     """
     inner = pad + "  "
     if isinstance(obj, (float, np.floating)):
         if not abs(obj) <= sys.float_info.max:
-            raise ValidationError(f"the report holds a non-finite real ({float(obj)})")
+            raise ValidationError(f"non-finite real ({float(obj)}) at {path[1:]}")
         return repr(float(f"{float(obj):.12g}"))
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner, f'{path}.{k}')}"
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(obj, np.ndarray) and obj.dtype.names:
         fields = ",\n".join(f"{inner}  {json.dumps(name)}: %s" for name in obj.dtype.names)
-        columns = [_json_texts(obj[name]) for name in obj.dtype.names]
+        columns = [_json_texts(obj[name], f"{path}.{name}") for name in obj.dtype.names]
         items = [f"{{\n{fields}\n{inner}}}" % row for row in zip(*columns)]
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
-        items = _json_texts(obj)
+        items = _json_texts(obj, path)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_json(value, inner) for value in obj]
+        items = [_json(value, inner, path) for value in obj]
     else:
         return json.dumps(obj)
     return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
 
 
-def _json_texts(column: np.ndarray) -> list[str]:
+def _json_texts(column: np.ndarray, path: str) -> list[str]:
     """``_json`` of each entry of a 1-D array, computed once per distinct value."""
     keys, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
     distinct = keys.view(column.dtype).tolist()
     # Integers need neither rounding nor a finiteness check.
-    texts = list(map(str if column.dtype.kind in "iu" else _json, distinct))
+    texts = [str(x) if column.dtype.kind in "iu" else _json(x, "", path) for x in distinct]
     return np.array(texts, object)[inverse].tolist()
 
 
@@ -94,11 +95,12 @@ def _emit(payload: dict, args, out: str | None) -> None:
     """Write the report as JSON, with tool metadata unless --canonical."""
     if not args.canonical:
         payload["tool"] = {"name": "votebound", "version": __version__}
-    text = _json(payload) + "\n"
+    text = _json(payload)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            print(text, file=stream)  # text, then "\n": the report is never copied
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
@@ -240,9 +242,10 @@ def cmd_pipeline(args) -> int:
     )
 
     votes = compute_votes(test, posterior)
+    del test  # the n x H matrix is not needed past the votes
     game_json = abstain_json = None
     predictions = votes
-    probs = np.zeros(test.num_examples)
+    probs = np.zeros(votes.size)
 
     if not report.degenerate:
         profile = sort_profile(votes, lam_hat)

@@ -4,12 +4,15 @@ These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
 admits, the sequential greedy builds nature's optimum one pick at a time,
-and the grid search is structure-free.  Desk scale only (n <= 8, grids
-n <= 4).
+and the grid search is structure-free.  Desk scale only: n <= ENUM_MAX_N = 8,
+grids n <= GRID_MAX_N = 4.  Each {-1, 0, 1}^n grid is built once, read-only;
+the abstain grid keeps only the partial sums no other beats on both, which is
+exact because float addition rounds monotonically (see grid_abstain_value).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import fsum
@@ -26,6 +29,7 @@ from .model import (
     AbstainStrategy,
     LabelVector,
     VoteProfile,
+    _readonly,
     as_array,
     sort_profile,
 )
@@ -127,8 +131,9 @@ def nature_greedy(profile: VoteProfile) -> LabelVector:
         return LabelVector(z)
 
 
+@functools.cache
 def _ternary_grid(n: int) -> np.ndarray:
-    return np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    return _readonly(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
 
 
 def enumerate_game_value(votes, lam: float) -> float:
@@ -151,12 +156,11 @@ def enumerate_game_value(votes, lam: float) -> float:
     feasible = grid @ a >= target - VALIDATION_TOL
     best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
 
+    sub = _ternary_grid(n - 1)
     for k in range(n):
         if a[k] == 0.0:
             continue
-        rest = [j for j in range(n) if j != k]
-        sub = _ternary_grid(n - 1) if n > 1 else np.zeros((1, 0))
-        z_k = (target - sub @ a[rest]) / a[k]
+        z_k = (target - sub @ np.delete(a, k)) / a[k]
         inside = np.abs(z_k) <= 1.0 + VALIDATION_TOL
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
@@ -170,6 +174,14 @@ def _default_grid_step(n: int) -> float:
     return 0.005 if n <= 3 else 0.02
 
 
+def _pareto_frontier(gain: np.ndarray, pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs no other pair matches or beats on both, by ascending gain."""
+    order = np.lexsort((-pay, -gain))
+    gain, pay = gain[order], pay[order]
+    keep = pay > np.maximum.accumulate(np.concatenate(([-np.inf], pay[:-1])))
+    return gain[keep][::-1], pay[keep][::-1]
+
+
 def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = None) -> float:
     """Structure-free grid maximization of (1/n) sum min(alpha, (1-t_i)/2).
 
@@ -177,7 +189,10 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     (1/n) sum t_i |a_i| >= lam; signs are fixed to sign(a_i), which loses
     nothing because the objective depends only on |z_i| and matching signs
     loosens the constraint the most.  Accurate to n*step/2 by the
-    objective's 1/2-Lipschitz dependence on each coordinate.
+    objective's 1/2-Lipschitz dependence on each coordinate.  The tail over
+    the other coordinates keeps only the (gain, pay) sums no other sum matches
+    or beats on both: exact, as each kept sum is the float a full scan forms
+    and float addition rounds monotonically, so a beaten sum stays beaten.
     """
     if not alpha > 0:
         raise InvalidCost("abstain cost must be positive")
@@ -207,19 +222,16 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
         raise Infeasible("no feasible label vector for this bound")
 
     gains = [levels * a[i] for i in active]
-    tail_gain = np.zeros(1)
-    tail_pay = np.zeros(1)
+    tail_gain = tail_pay = np.zeros(1)
     for g in gains[1:]:
-        tail_gain = (tail_gain[:, None] + g[None, :]).ravel()
-        tail_pay = (tail_pay[:, None] + payoffs[None, :]).ravel()
-
-    best = -np.inf
-    for g0, p0 in zip(gains[0], payoffs):
-        mask = tail_gain >= target - g0 - VALIDATION_TOL
-        if mask.any():
-            best = max(best, p0 + float(tail_pay[mask].max()))
-    if not np.isfinite(best):
+        sums = (tail_gain[:, None] + g).ravel(), (tail_pay[:, None] + payoffs).ravel()
+        tail_gain, tail_pay = _pareto_frontier(*sums)
+    # Pay falls as gain rises: each first-coordinate level's best tail is the first that meets it.
+    first = np.searchsorted(tail_gain, target - gains[0] - VALIDATION_TOL)
+    met = first < tail_gain.size
+    if not met.any():
         raise Infeasible("grid found no feasible assignment")
+    best = (payoffs[met] + tail_pay[first[met]]).max()
     return (best + base) / n
 
 

@@ -278,6 +278,13 @@ class TestAbstainCommand:
         assert code == 2
         assert report["error"] == error
 
+    def test_non_finite_refusal_names_the_field(self, tmp_path, capsys):
+        votes = write_votes(tmp_path)
+        code, report = run(capsys, "abstain", "--votes", votes, "--lambda", "0.2", "--alpha", "1e308")
+        assert code == 2
+        assert report["error"] == "validation_error"
+        assert report["message"].endswith("(inf) at budget")
+
 
 class TestGenCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):

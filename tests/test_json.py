@@ -126,11 +126,14 @@ def test_many_rows_of_tied_and_distinct_values():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_reals_are_refused(bad):
-    for payload in (
-        {"budget": bad},
-        {"x": [1.0, np.float64(bad)]},
-        {"g_star": np.array([0.5, bad, 0.5])},
-        np.rec.fromarrays([np.arange(2), np.array([0.0, bad])], names="index,vote"),
+    # The refusal names the real by its path of keys.
+    for payload, path in (
+        ({"budget": bad}, "budget"),
+        ({"x": [1.0, np.float64(bad)]}, "x"),
+        ({"g_star": np.array([0.5, bad, 0.5])}, "g_star"),
+        ({"bound_report": {"epsilon": 0.1, "error_bound_raw": bad}}, "bound_report.error_bound_raw"),
+        (np.rec.fromarrays([np.arange(2), np.array([0.0, bad])], names="index,vote"), "vote"),
+        ({"examples": np.rec.fromarrays([np.array([0.0, bad])], names="vote")}, "examples.vote"),
     ):
-        with pytest.raises(VoteboundError, match="non-finite"):
+        with pytest.raises(VoteboundError, match=rf"non-finite real \(.+\) at {path}$"):
             _json(payload)

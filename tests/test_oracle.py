@@ -2,13 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votebound import solve_game, sort_profile
 from votebound.abstain import abstain_value, p_alg
 from votebound.errors import Infeasible
 from votebound.game import game_value
+from votebound.model import VALIDATION_TOL
 from votebound.oracle import (
+    ENUM_MAX_N,
     BoxLpProblem,
+    _pareto_frontier,
+    _ternary_grid,
     certify_batch,
     certify_saddle,
     enumerate_game_value,
@@ -17,6 +23,174 @@ from votebound.oracle import (
     random_instances,
     worst_case_abstain_loss,
 )
+
+
+def product_grid(n):
+    """{-1, 0, 1}^n rebuilt on every call (the uncached route)."""
+    return np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+
+
+def reference_enumerate_game_value(votes, lam):
+    """``enumerate_game_value`` on freshly built grids, as it ran before caching."""
+    a = np.asarray(votes, dtype=float)
+    n = a.size
+    target = n * lam
+    if float(np.abs(a).sum()) < target - VALIDATION_TOL:
+        raise Infeasible("no feasible label vector for this bound")
+    grid = product_grid(n)
+    feasible = grid @ a >= target - VALIDATION_TOL
+    best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
+    for k in range(n):
+        if a[k] == 0.0:
+            continue
+        rest = [j for j in range(n) if j != k]
+        sub = product_grid(n - 1) if n > 1 else np.zeros((1, 0))
+        z_k = (target - sub @ a[rest]) / a[k]
+        inside = np.abs(z_k) <= 1.0 + VALIDATION_TOL
+        if inside.any():
+            totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
+            best = min(best, float(totals.min()))
+    if not np.isfinite(best):
+        raise Infeasible("no feasible candidate found")
+    return best / n
+
+
+def reference_grid_abstain_value(votes, lam, alpha, step):
+    """``grid_abstain_value`` as a full tail scan per first-coordinate level.
+
+    The former route: every (gain, pay) pair of the |levels|^(n-1) tail is
+    kept, and each level of the first coordinate masks the whole tail.
+    """
+    a = np.abs(np.asarray(votes, dtype=float))
+    n = a.size
+    target = n * lam
+    if float(a.sum()) < target - VALIDATION_TOL:
+        raise Infeasible("no feasible label vector for this bound")
+    levels = np.arange(0.0, 1.0 + step / 2.0, step)
+    levels[-1] = min(levels[-1], 1.0)
+    if levels[-1] < 1.0:
+        levels = np.append(levels, 1.0)
+    payoffs = np.minimum(alpha, 0.5 * (1.0 - levels))
+    active = np.nonzero(a > 0.0)[0]
+    base = (n - active.size) * min(alpha, 0.5)
+    if active.size == 0:
+        raise Infeasible("no feasible label vector for this bound")
+    gains = [levels * a[i] for i in active]
+    tail_gain = np.zeros(1)
+    tail_pay = np.zeros(1)
+    for g in gains[1:]:
+        tail_gain = (tail_gain[:, None] + g[None, :]).ravel()
+        tail_pay = (tail_pay[:, None] + payoffs[None, :]).ravel()
+    best = -np.inf
+    for g0, p0 in zip(gains[0], payoffs):
+        mask = tail_gain >= target - g0 - VALIDATION_TOL
+        if mask.any():
+            best = max(best, p0 + float(tail_pay[mask].max()))
+    if not np.isfinite(best):
+        raise Infeasible("grid found no feasible assignment")
+    return (best + base) / n
+
+
+def outcome(oracle, *args):
+    """The oracle's value as exact hex, or the type of what it raised."""
+    try:
+        with np.errstate(over="ignore"):  # a subnormal vote overflows z_k to inf on both routes
+            return float(oracle(*args)).hex()
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+@st.composite
+def oracle_votes(draw, n):
+    """Votes that are uniform, tied at multiples of 1/4, +-1, or hold zeros."""
+    kind = draw(st.sampled_from(["uniform", "quarters", "signs", "zeros"]))
+    if kind == "quarters":
+        cells = st.integers(-4, 4).map(lambda k: k / 4)
+    elif kind == "signs":
+        cells = st.sampled_from([-1.0, 1.0])
+    else:
+        cells = st.floats(-1.0, 1.0)
+        if kind == "zeros":
+            cells = st.just(0.0) | st.just(-0.0) | cells
+    return np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+
+
+@st.composite
+def lambdas(draw, votes):
+    """lam in (0, mean|a|] and just past it, plus the top-k means where ties bind."""
+    mean_abs = float(np.abs(votes).mean())
+    top = np.cumsum(np.sort(np.abs(votes))[::-1]) / votes.size
+    return draw(
+        st.floats(0.0, 1.05, exclude_min=True).map(lambda f: f * mean_abs)
+        | st.sampled_from([float(x) for x in top])
+    )
+
+
+@st.composite
+def grid_instances(draw):
+    n = draw(st.integers(1, 4))
+    steps = [0.005, 0.01, 0.02, 0.05, 0.1] if n <= 3 else [0.01, 0.02, 0.05, 0.1]
+    votes = draw(oracle_votes(n))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from([0.25, 0.5, 0.75]))
+    return votes, draw(lambdas(votes)), alpha, draw(st.sampled_from(steps))
+
+
+@st.composite
+def enumeration_instances(draw):
+    votes = draw(oracle_votes(draw(st.integers(1, ENUM_MAX_N))))
+    return votes, draw(lambdas(votes))
+
+
+class TestAgainstFormerRoutes:
+    """The oracles must return the former routes' floats bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_instances())
+    def test_grid_matches_full_tail_scan(self, instance):
+        assert outcome(grid_abstain_value, *instance) == outcome(
+            reference_grid_abstain_value, *instance
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(enumeration_instances())
+    def test_enumeration_matches_uncached_grids(self, instance):
+        assert outcome(enumerate_game_value, *instance) == outcome(
+            reference_enumerate_game_value, *instance
+        )
+
+    def test_random_instances_match_bit_for_bit(self):
+        for votes, lam, alpha in random_instances(count=150, seed=36, nmax=4):
+            for step in (0.02, 0.05):
+                assert outcome(grid_abstain_value, votes, lam, alpha, step) == outcome(
+                    reference_grid_abstain_value, votes, lam, alpha, step
+                )
+            assert outcome(enumerate_game_value, votes, lam) == outcome(
+                reference_enumerate_game_value, votes, lam
+            )
+
+    def test_cached_grid_is_read_only_in_product_order(self):
+        for n in range(ENUM_MAX_N + 1):
+            grid = _ternary_grid(n)
+            assert grid is _ternary_grid(n)
+            assert grid.dtype == np.float64 and grid.shape == (3**n, n)
+            assert np.array_equal(grid, product_grid(n))
+            with pytest.raises(ValueError):
+                grid[...] = 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40
+        )
+    )
+    def test_frontier_keeps_exactly_the_undominated_pairs(self, pairs):
+        gain, pay = (np.array(column, dtype=float) / 4 for column in zip(*pairs))
+        front_gain, front_pay = _pareto_frontier(gain, pay)
+        assert np.all(np.diff(front_gain) > 0) and np.all(np.diff(front_pay) < 0)
+        kept = set(zip(front_gain.tolist(), front_pay.tolist()))
+        for g, p in zip(gain.tolist(), pay.tolist()):
+            beaten = np.any((gain >= g) & (pay >= p) & ((gain > g) | (pay > p)))
+            assert ((g, p) in kept) == (not beaten)
 
 
 def vertex_lp_optimum(costs, coeffs, rhs):
