@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateAbstain, DimensionError, InvalidCost
+from .errors import DimensionError, InvalidCost
 from .game import find_threshold, game_value
 from .model import (
     SOLVER_TOL,
@@ -23,7 +23,6 @@ from .model import (
     AbstainStrategy,
     VoteProfile,
     as_array,
-    ordering2_keys,
     threshold_index,
 )
 
@@ -33,9 +32,8 @@ class AbstainSolution:
     """Everything the abstain solver knows about one (profile, alpha) instance.
 
     ``w`` and ``value_closed_form`` are populated only in the nontrivial
-    alpha < 1/2 regime; ``v2`` is the threshold index under the
-    commitment-adjusted ordering and is None when some abstain probability
-    reaches 1 (zero votes below the threshold).
+    alpha < 1/2 regime, where the closed form is a second, algebraic route
+    to ``value_exact``, held to it within SOLVER_TOL plus its rounding.
     """
 
     alpha: float
@@ -49,19 +47,28 @@ class AbstainSolution:
     p_alg: AbstainStrategy
     loss_formula: float
     loss_no_abstain: float
-    loss_abstain: float
-    v2: Optional[int]
+
+
+@dataclass(frozen=True)
+class _Regime:
+    """What every abstain closed form reads, found once per (profile, alpha).
+
+    ``w`` is set only in the nontrivial alpha < 1/2 regime, with ``head``,
+    the exact sum of the w - 1 largest margins, and ``pivot_w`` = |a_w|.
+    """
+
+    alpha: float
+    trivial: bool
+    budget: float
+    w: Optional[int] = None
+    head: float = 0.0
+    pivot_w: float = 0.0
 
 
 def _require_cost(alpha: float) -> float:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise InvalidCost("abstain cost must be positive and finite")
     return float(alpha)
-
-
-def _budget(profile: VoteProfile, alpha: float) -> float:
-    """Constraint deficit lam - ((1 - 2 alpha)/n) sum |a_i| nature must cover."""
-    return profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
 
 
 def trivial_check(profile: VoteProfile, alpha: float) -> bool:
@@ -73,18 +80,24 @@ def trivial_check(profile: VoteProfile, alpha: float) -> bool:
     return alpha <= 0.5 * (1.0 - profile.n * profile.lam / profile.total) + VALIDATION_TOL
 
 
-def _budget_threshold(profile: VoteProfile, alpha: float) -> tuple[int, float]:
-    """w and the exact sum of the w - 1 largest margins; see ``find_w``."""
-    if alpha >= 0.5:
-        raise ValueError("w is defined only for alpha < 1/2")
-    if trivial_check(profile, alpha):
-        raise ValueError("w is undefined in the trivial regime")
+def _regime(profile: VoteProfile, alpha: float) -> _Regime:
+    """The trivial test, nature's budget and, below alpha = 1/2, w; see ``find_w``.
+
+    The budget lam - ((1 - 2 alpha)/n) sum |a_i| is the constraint deficit
+    nature must cover once every |z_i| starts at 1 - 2 alpha.
+    """
+    alpha = _require_cost(alpha)
+    budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
+    trivial = trivial_check(profile, alpha)
+    if trivial or alpha >= 0.5:
+        return _Regime(alpha, trivial, budget)
     v = find_threshold(profile)
-    target = profile.n * _budget(profile, alpha)
-    w, head = threshold_index(profile.abs_sorted[:v], target, 2.0 * alpha)
+    w, head = threshold_index(profile.abs_sorted[:v], profile.n * budget, 2.0 * alpha)
     # w <= v holds exactly.  A rounded target past the v-th prefix sum lies
     # within rounding of it, above the (v-1)-th, so w = v.
-    return (w, head) if w <= v else (v, profile.head)
+    if w > v:
+        w, head = v, profile.head
+    return _Regime(alpha, False, budget, w, head, float(profile.abs_sorted[w - 1]))
 
 
 def find_w(profile: VoteProfile, alpha: float) -> int:
@@ -92,9 +105,33 @@ def find_w(profile: VoteProfile, alpha: float) -> int:
 
     w = min { i : (1/n)(sum_{j<=i} |a_j| + sum_{j>i} (1-2 alpha)|a_j|) >= lam },
     computed through the equivalent rule (2 alpha) sum_{j<=i} |a_j| >= n*budget.
-    Only meaningful in the nontrivial regime 0 < alpha < 1/2, where w <= v.
+    Only defined in the nontrivial regime 0 < alpha < 1/2, where w <= v.
     """
-    return _budget_threshold(profile, _require_cost(alpha))[0]
+    w = _regime(profile, alpha).w
+    if w is None:
+        raise ValueError("w is defined only in the nontrivial regime alpha < 1/2")
+    return w
+
+
+def _value(profile: VoteProfile, regime: _Regime) -> tuple[float, float, float]:
+    alpha, n, w = regime.alpha, profile.n, regime.w
+    if regime.trivial:
+        return alpha, alpha, alpha
+    if w is None:
+        value = (1.0 - game_value(profile)) / 2.0
+        return value, value, value
+    remaining = n * regime.budget - 2.0 * alpha * regime.head
+    raise_w = remaining / regime.pivot_w
+    if raise_w < -SOLVER_TOL or raise_w > 2.0 * alpha + SOLVER_TOL:
+        raise AssertionError("fractional magnitude raise escaped [0, 2 alpha]")
+    t_w = min(max((1.0 - 2.0 * alpha) + raise_w, 0.0), 1.0)
+
+    value = (0.5 * (1.0 - t_w) + (n - w) * alpha) / n
+    lower = alpha * (1.0 - w / n)
+    upper = alpha * (1.0 - (w - 1) / n)
+    if not (lower - SOLVER_TOL <= value <= upper + SOLVER_TOL):
+        raise AssertionError("abstain value escaped its bracketing bounds")
+    return value, lower, upper
 
 
 def abstain_value(profile: VoteProfile, alpha: float) -> tuple[float, float, float]:
@@ -108,45 +145,26 @@ def abstain_value(profile: VoteProfile, alpha: float) -> tuple[float, float, flo
     value reads off that construction and must land inside
     [alpha(1 - w/n), alpha(1 - (w-1)/n)].
     """
-    alpha = _require_cost(alpha)
-    n = profile.n
-    if trivial_check(profile, alpha):
-        return alpha, alpha, alpha
-    if alpha >= 0.5:
-        value = (1.0 - game_value(profile)) / 2.0
-        return value, value, value
+    return _value(profile, _regime(profile, alpha))
 
-    w, head = _budget_threshold(profile, alpha)
-    spent = 2.0 * alpha * head
-    remaining = n * _budget(profile, alpha) - spent
-    pivot = float(profile.abs_sorted[w - 1])
-    raise_w = remaining / pivot
-    if raise_w < -SOLVER_TOL or raise_w > 2.0 * alpha + SOLVER_TOL:
-        raise AssertionError("fractional magnitude raise escaped [0, 2 alpha]")
-    t_w = min(max((1.0 - 2.0 * alpha) + raise_w, 0.0), 1.0)
 
-    value = (0.5 * (1.0 - t_w) + (n - w) * alpha) / n
-    lower = alpha * (1.0 - w / n)
-    upper = alpha * (1.0 - (w - 1) / n)
-    if not (lower - SOLVER_TOL <= value <= upper + SOLVER_TOL):
-        raise AssertionError("abstain value escaped its bracketing bounds")
-    return value, lower, upper
+def _closed_form(profile: VoteProfile, regime: _Regime) -> float:
+    n, alpha, pivot = profile.n, regime.alpha, regime.pivot_w
+    surplus = 2.0 * alpha * (regime.head + pivot) - n * regime.budget
+    return alpha * (1.0 - regime.w / n) + surplus / (2.0 * n * pivot)
 
 
 def closed_form_value(profile: VoteProfile, alpha: float) -> float:
-    """Alternate algebraic expression for the nontrivial abstain value.
+    """Algebraic expression for the nontrivial abstain value.
 
-    alpha(1 - w/n) + (1/(2 n |a_w|)) (n*budget - 2 alpha sum_{j<w} |a_j|).
-    Retained for side-by-side reporting: it deviates from the greedy
-    construction on generic instances while staying inside the same bounds,
-    so it is logged, never asserted.
+    alpha(1 - w/n) + (2 alpha S_w - n*budget) / (2 n |a_w|), where S_w is the
+    sum of the w largest margins: the greedy construction of
+    ``abstain_value`` solved for its value in one line.
     """
-    alpha = _require_cost(alpha)
-    n = profile.n
-    w, head = _budget_threshold(profile, alpha)
-    pivot = float(profile.abs_sorted[w - 1])
-    correction = (n * _budget(profile, alpha) - 2.0 * alpha * head) / (2.0 * n * pivot)
-    return alpha * (1.0 - w / n) + correction
+    regime = _regime(profile, alpha)
+    if regime.w is None:
+        raise ValueError("the closed form is defined only in the nontrivial regime alpha < 1/2")
+    return _closed_form(profile, regime)
 
 
 def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
@@ -190,74 +208,38 @@ def worst_case_loss_formula(profile: VoteProfile, alpha: float) -> float:
     return alpha * (1.0 - v / n) + (0.5 - alpha) * tail_ratio / n
 
 
-def benefit_of_abstention(profile: VoteProfile, alpha: float) -> tuple[float, float, float]:
-    """Worst-case losses with and without abstention and their difference.
-
-    loss_no_abstain = (1/2)(1 - (v-1)/n) bounds the plain predictor's error;
-    loss_abstain = (1/2)(1 - v/n) - (1/n) sum_{i>v} (1/2 - alpha)(1 - |a_i|/|a_v|)
-    bounds the abstaining predictor's loss for alpha < 1/2 (the sum term
-    drops out at alpha >= 1/2).  The difference is positive for alpha < 1/2.
-    """
-    alpha = _require_cost(alpha)
-    n = profile.n
-    v = find_threshold(profile)
-    loss_no_abstain = 0.5 * (1.0 - (v - 1) / n)
-    loss_abstain = 0.5 * (1.0 - v / n)
-    if alpha < 0.5:
-        shortfall = float(np.sum(1.0 - profile.abs_sorted[v:] / profile.pivot))
-        loss_abstain -= (0.5 - alpha) * shortfall / n
-    return loss_no_abstain, loss_abstain, loss_no_abstain - loss_abstain
-
-
-def inner_game_value(profile: VoteProfile, strategy: AbstainStrategy) -> tuple[int, float]:
-    """Value of the prediction game reweighted by commitment 1 - p_i.
-
-    Uses the commitment-adjusted ordering; v2 is the threshold index there.
-    Returns (v2, (1/n) sum_{i<v2} (1 - p_i)
-                 + ((1 - p_{v2})/|a_{v2}|)(lam - (1/n) sum_{i<v2} |a_i|)),
-    all indices in that ordering.
-    """
-    _, order = ordering2_keys(profile.votes, strategy)
-    magnitudes = np.abs(profile.votes)[order]
-    commitments = (1.0 - strategy.probs)[order]
-    n = profile.n
-    # Same margins, same exact sums: the profile's feasibility keeps v2 <= n.
-    v2, head = threshold_index(magnitudes, n * profile.lam)
-    pivot = float(magnitudes[v2 - 1])
-    head_commitment = float(commitments[: v2 - 1].sum())
-    value = head_commitment / n + (commitments[v2 - 1] / pivot) * (profile.lam - head / n)
-    return v2, float(value)
-
-
 def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
-    """Assemble the full abstain-game report for one cost level."""
-    alpha = _require_cost(alpha)
-    trivial = trivial_check(profile, alpha)
-    value_exact, value_lower, value_upper = abstain_value(profile, alpha)
-    nontrivial_low_cost = not trivial and alpha < 0.5
-    w = find_w(profile, alpha) if nontrivial_low_cost else None
-    closed = closed_form_value(profile, alpha) if nontrivial_low_cost else None
-    strategy = p_alg(profile, alpha)
-    if trivial:
+    """Assemble the full abstain-game report for one cost level.
+
+    ``loss_no_abstain`` = (1/2)(1 - (v-1)/n) bounds the plain predictor's error.
+    """
+    regime = _regime(profile, alpha)
+    alpha = regime.alpha
+    value_exact, value_lower, value_upper = _value(profile, regime)
+    closed = None
+    if regime.w is not None:
+        closed = _closed_form(profile, regime)
+        # The routes round differently, by a few ulps of terms of size
+        # (n |budget| + 2 alpha S_w) / (2 n |a_w|): beyond SOLVER_TOL only when |a_w| is tiny.
+        n, pivot = profile.n, regime.pivot_w
+        terms = (n * abs(regime.budget) + 2.0 * alpha * (regime.head + pivot)) / (2.0 * n * pivot)
+        if abs(closed - value_exact) > SOLVER_TOL + 4.0 * np.finfo(float).eps * terms:
+            raise AssertionError("closed-form abstain value differs from the greedy value")
+    if regime.trivial:
         # The vacuous game is won by abstaining everywhere.
         strategy = AbstainStrategy(probs=np.ones(profile.n), alpha=alpha)
-    loss_no_abstain, loss_abstain, _ = benefit_of_abstention(profile, alpha)
-    try:
-        v2, _ = inner_game_value(profile, strategy)
-    except DegenerateAbstain:
-        v2 = None
+    else:
+        strategy = p_alg(profile, alpha)
     return AbstainSolution(
         alpha=alpha,
-        trivial=trivial,
-        w=w,
-        budget=_budget(profile, alpha),
+        trivial=regime.trivial,
+        w=regime.w,
+        budget=regime.budget,
         value_exact=value_exact,
         value_lower=value_lower,
         value_upper=value_upper,
         value_closed_form=closed,
         p_alg=strategy,
         loss_formula=worst_case_loss_formula(profile, alpha),
-        loss_no_abstain=loss_no_abstain,
-        loss_abstain=loss_abstain,
-        v2=v2,
+        loss_no_abstain=0.5 * (1.0 - (find_threshold(profile) - 1) / profile.n),
     )

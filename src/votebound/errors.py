@@ -29,12 +29,6 @@ class DegenerateBound(VoteboundError):
     code = "degenerate_bound"
 
 
-class DegenerateAbstain(VoteboundError):
-    """An abstain probability is too close to 1 for the reweighted ordering."""
-
-    code = "degenerate_abstain"
-
-
 class InvalidCost(VoteboundError):
     """The abstain cost must be positive and finite."""
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateAbstain,
     DegenerateBound,
     DimensionError,
     InfeasibleConstraint,
@@ -22,6 +21,9 @@ from .errors import (
 # Input validation slack; solver-side assertions use SOLVER_TOL.
 VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
+# exact_sum hands shorter arrays to math.fsum, which is faster at small sizes.
+EXACT_SUM_MIN_SIZE = 4096
+_LOW26 = (1 << 26) - 1
 
 
 def _readonly(values) -> np.ndarray:
@@ -43,18 +45,47 @@ def as_array(vector) -> np.ndarray:
     return arr
 
 
+def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
+    """Correctly rounded sum of nonnegative ``magnitudes`` plus ``offset``.
+
+    The same bits as ``math.fsum``, which it calls below EXACT_SUM_MIN_SIZE
+    elements.  Longer arrays are summed as integers: each float64 is its
+    52-bit fraction field plus the implicit leading bit, scaled by 2**exponent.
+    The fraction fields are split into 26-bit halves, so ``np.add.reduceat``
+    sums each half over a run of equal exponent without overflow.  Sorted
+    input has few runs (one per binade), and Python ints add the run sums
+    exactly; one int true division rounds the result.
+    """
+    if magnitudes.size < EXACT_SUM_MIN_SIZE:
+        return math.fsum(np.append(magnitudes, offset) if offset else magnitudes)
+    bits = magnitudes.view(np.int64)
+    biased = bits >> 52  # the sign bit of a nonnegative float is 0
+    starts = np.concatenate(([0], np.flatnonzero(biased[1:] != biased[:-1]) + 1))
+    high = np.add.reduceat((bits >> 26) & _LOW26, starts).tolist()
+    low = np.add.reduceat(bits & _LOW26, starts).tolist()
+    ends = starts[1:].tolist() + [bits.size]
+    mantissa, exponent = math.frexp(offset)
+    terms = [(int(mantissa * 2.0**53), exponent - 53)]
+    for h, lo, e, start, end in zip(high, low, biased[starts].tolist(), starts.tolist(), ends):
+        # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
+        terms.append(((h << 26) + lo + ((end - start) << 52 if e else 0), max(e, 1) - 1075))
+    base = min(scale for _, scale in terms)
+    total = sum(value << (scale - base) for value, scale in terms)
+    return total / (1 << -base) if base < 0 else float(total << base)
+
+
 def threshold_index(
     magnitudes: np.ndarray, target: float, scale: float = 1.0
 ) -> tuple[int, float]:
     """Smallest count k with scale * sum(magnitudes[:k]) >= target - VALIDATION_TOL.
 
-    The one threshold rule behind v, w and v2.  The bound
+    The one threshold rule behind v and w.  The bound
     (target - VALIDATION_TOL) / scale is rounded once; the comparison with
-    each prefix sum is exact.  ``magnitudes`` are nonnegative, so prefix sums
-    only grow: the float cumsum brackets k within its rounding error, and
-    exact ``math.fsum`` comparisons bisect the bracket.  Returns k (1-based,
-    n + 1 when even the full sum falls short) and the correctly rounded sum
-    of the first k - 1 magnitudes.
+    each prefix sum is exact.  ``magnitudes`` are nonnegative and
+    nonincreasing, so prefix sums only grow: the float cumsum brackets k
+    within its rounding error, and exact ``exact_sum`` comparisons bisect the
+    bracket.  Returns k (1-based, n + 1 when even the full sum falls short)
+    and the correctly rounded sum of the first k - 1 magnitudes.
     """
     need = (target - VALIDATION_TOL) / scale
     sums = np.cumsum(magnitudes)
@@ -62,11 +93,11 @@ def threshold_index(
     lo, hi = (int(i) for i in np.searchsorted(sums, (need - slack, need + slack)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if math.fsum(np.append(magnitudes[: mid + 1], -need)) >= 0.0:
+        if exact_sum(magnitudes[: mid + 1], -need) >= 0.0:
             hi = mid
         else:
             lo = mid + 1
-    return lo + 1, math.fsum(magnitudes[:lo])
+    return lo + 1, exact_sum(magnitudes[:lo])
 
 
 @dataclass(frozen=True)
@@ -245,7 +276,7 @@ class VoteProfile:
         if lam > 1.0 + VALIDATION_TOL:
             raise InfeasibleConstraint("correlation bound cannot exceed 1")
         abs_sorted = _readonly(np.sort(np.abs(votes))[::-1])
-        total = math.fsum(abs_sorted)
+        total = exact_sum(abs_sorted)
         v, head = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:
             raise InfeasibleConstraint(
@@ -292,21 +323,3 @@ def payoff(g, z) -> float:
     if gv.size != zv.size:
         raise DimensionError("prediction and label vectors differ in length")
     return float(gv @ zv) / gv.size
-
-
-def ordering2_keys(votes, strategy: AbstainStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Commitment-adjusted margins |a_i| / (1 - p_i) and their sort order.
-
-    Returns the keys in original index order and the permutation that sorts
-    them in nonincreasing order (ties by ascending original index).  Requires
-    every abstain probability to stay clear of 1.
-    """
-    a = as_array(votes)
-    probs = strategy.probs
-    if a.size != probs.size:
-        raise DimensionError("votes and abstain probabilities differ in length")
-    if np.any(probs >= 1.0 - 1e-9):
-        raise DegenerateAbstain("abstain probability too close to 1 for reweighting")
-    keys = np.abs(a) / (1.0 - probs)
-    order = np.argsort(-keys, kind="stable")
-    return keys, order

@@ -160,7 +160,8 @@ def enumerate_game_value(votes, lam: float) -> float:
     for k in range(n):
         if a[k] == 0.0:
             continue
-        z_k = (target - sub @ np.delete(a, k)) / a[k]
+        with np.errstate(over="ignore"):  # a subnormal a_k: the box test drops the inf
+            z_k = (target - sub @ np.delete(a, k)) / a[k]
         inside = np.abs(z_k) <= 1.0 + VALIDATION_TOL
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)

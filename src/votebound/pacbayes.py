@@ -10,14 +10,14 @@ clamped; the caller falls back to the averaged prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite, log, sqrt
+from math import isfinite, log, sqrt
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateBound, DimensionError, InfiniteDivergence
 from .game import find_threshold
-from .model import LabeledSample, VoteProfile, WeightVector
+from .model import LabeledSample, VoteProfile, WeightVector, exact_sum
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def abstain_mistake_bounds(
     n = profile.n
     v = find_threshold(profile)
     tail_ratio = float(profile.abs_sorted[v:].sum()) / profile.pivot
-    head_disagreement = v - fsum(profile.abs_sorted[:v])
+    head_disagreement = v - exact_sum(profile.abs_sorted[:v])
     abstain = (
         2.0 * report.gibbs_train_error + 2.0 * report.epsilon + delta - tail_ratio / n
     )

@@ -76,8 +76,6 @@ PIPELINE_REPORT_SCHEMA = {
                         "p_alg",
                         "loss_formula",
                         "loss_no_abstain",
-                        "loss_abstain",
-                        "v2",
                     ],
                     "properties": {
                         "alpha": {"type": "number", "exclusiveMinimum": 0},
@@ -91,8 +89,6 @@ PIPELINE_REPORT_SCHEMA = {
                         "p_alg": {"type": "array", "items": {"type": "number"}},
                         "loss_formula": {"type": "number"},
                         "loss_no_abstain": {"type": "number"},
-                        "loss_abstain": {"type": "number"},
-                        "v2": {"type": ["integer", "null"]},
                     },
                     "additionalProperties": False,
                 },

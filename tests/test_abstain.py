@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
+import votebound.abstain
+import votebound.model
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import (
     abstain_loss,
     abstain_value,
-    benefit_of_abstention,
     closed_form_value,
     find_w,
-    inner_game_value,
     p_alg,
     trivial_check,
     worst_case_loss_formula,
 )
 from votebound.errors import DimensionError, InvalidCost
-from votebound.game import find_threshold, game_value
-from votebound.model import AbstainStrategy, ordering2_keys
+from votebound.game import find_threshold
+from votebound.model import SOLVER_TOL, AbstainStrategy
 from votebound.oracle import grid_abstain_value, random_instances
 
 
@@ -129,14 +129,15 @@ class TestAbstainValue:
         grid = grid_abstain_value([0.8], 0.4, 0.3, step=0.005)
         assert abs(grid - value) <= 0.005 / 2 + 1e-9
 
-    def test_closed_form_stays_inside_bounds_but_differs(self, fix1):
-        # The alternate algebraic expression lands in the same bracket yet
-        # does not match the greedy value; both are reported, neither blurred.
-        reference = closed_form_value(fix1, 0.25)
-        assert reference == pytest.approx(0.1640625, abs=1e-12)
-        value, lower, upper = abstain_value(fix1, 0.25)
-        assert lower - 1e-12 <= reference <= upper + 1e-12
-        assert reference != pytest.approx(value, abs=1e-6)
+    def test_closed_form_matches_greedy_value(self, fix1):
+        # (2 alpha S_w - n*budget) / (2 n |a_w|) = (0.9 - 0.75) / 6.4 above alpha(1 - w/n).
+        assert closed_form_value(fix1, 0.25) == 0.1484375 == abstain_value(fix1, 0.25)[0]
+        for votes, lam, alpha in random_instances(count=200, seed=28, nmax=6):
+            profile = sort_profile(votes, lam)
+            if trivial_check(profile, alpha) or alpha >= 0.5:
+                continue
+            value = abstain_value(profile, alpha)[0]
+            assert abs(closed_form_value(profile, alpha) - value) <= SOLVER_TOL
 
 
 class TestPAlg:
@@ -181,7 +182,7 @@ class TestPAlg:
             if np.any(profile.abs_sorted == 0.0):
                 continue
             strategy = p_alg(profile, min(alpha, 0.45))
-            keys, _ = ordering2_keys(profile.votes, strategy)
+            keys = np.abs(profile.votes) / (1.0 - strategy.probs)
             at_or_below = np.abs(votes) <= profile.pivot
             assert np.allclose(keys[at_or_below], profile.pivot, atol=1e-9)
 
@@ -264,50 +265,31 @@ class TestWorstCaseLossFormula:
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def benefit_of_abstention(profile, alpha):
+    solution = solve_abstain(profile, alpha)
+    return solution.loss_no_abstain - solution.loss_formula
+
+
 class TestBenefitOfAbstention:
     def test_fix1(self, fix1):
-        loss_plain, loss_abst, diff = benefit_of_abstention(fix1, 0.25)
-        assert loss_plain == pytest.approx(0.25, abs=1e-12)
-        assert loss_abst == pytest.approx(0.0875, abs=1e-12)
-        assert diff == pytest.approx(0.1625, abs=1e-12)
-        assert loss_abst == pytest.approx(worst_case_loss_formula(fix1, 0.25), abs=1e-12)
+        solution = solve_abstain(fix1, 0.25)
+        assert solution.loss_no_abstain == pytest.approx(0.25, abs=1e-12)
+        assert benefit_of_abstention(fix1, 0.25) == pytest.approx(0.1625, abs=1e-12)
 
     def test_boundary_cost_leaves_only_index_slack(self, fix1):
-        _, _, diff = benefit_of_abstention(fix1, 0.5)
+        diff = benefit_of_abstention(fix1, 0.5)
         assert diff == pytest.approx(1 / (2 * fix1.n), abs=1e-12)
 
     def test_unanimous_margins_have_no_disagreement_benefit(self):
         profile = sort_profile([1.0, -1.0, 1.0], 0.5)
         v = find_threshold(profile)
-        _, loss_abst, _ = benefit_of_abstention(profile, 0.25)
+        loss_abst = solve_abstain(profile, 0.25).loss_formula
         assert loss_abst == pytest.approx(0.5 * (1 - v / 3), abs=1e-12)
 
     def test_positive_benefit_below_half(self):
         for votes, lam, alpha in random_instances(count=200, seed=27, nmax=6):
             profile = sort_profile(votes, lam)
-            _, _, diff = benefit_of_abstention(profile, min(alpha, 0.49))
-            assert diff > 0
-
-
-class TestInnerGameValue:
-    def test_no_abstain_reduces_to_plain_game(self, fix1):
-        strategy = AbstainStrategy(np.zeros(4), alpha=0.25)
-        v2, value = inner_game_value(fix1, strategy)
-        assert v2 == find_threshold(fix1)
-        assert value == pytest.approx(game_value(fix1), abs=1e-12)
-
-    def test_fix1_with_tail_abstention(self, fix1):
-        strategy = AbstainStrategy(np.array([0, 0, 0, 0.6]), alpha=0.25)
-        v2, value = inner_game_value(fix1, strategy)
-        assert v2 == 3
-        assert value == pytest.approx(0.6, abs=1e-12)
-
-    def test_single_example(self):
-        profile = sort_profile([0.8], 0.4)
-        strategy = AbstainStrategy(np.array([0.5]), alpha=0.25)
-        v2, value = inner_game_value(profile, strategy)
-        assert v2 == 1
-        assert value == pytest.approx(0.25, abs=1e-12)
+            assert benefit_of_abstention(profile, min(alpha, 0.49)) > 0
 
 
 class TestSolveAbstain:
@@ -318,20 +300,39 @@ class TestSolveAbstain:
         assert np.all(solution.p_alg.probs == 1.0)
         assert solution.w is None
         assert solution.value_closed_form is None
-
     def test_fix1_fields(self, fix1):
         solution = solve_abstain(fix1, 0.25)
         assert solution.w == 2
         assert solution.budget == pytest.approx(0.1875, abs=1e-12)
-        assert solution.v2 == 3
+        assert solution.value_closed_form == solution.value_exact == 0.1484375
         assert solution.loss_formula == pytest.approx(0.0875, abs=1e-12)
         assert solution.loss_no_abstain == pytest.approx(0.25, abs=1e-12)
-        assert solution.loss_abstain == pytest.approx(0.0875, abs=1e-12)
 
     def test_zero_margin_tail_disables_reweighted_index(self):
         profile = sort_profile([0.9, 0.0, 0.4], 0.3)
         solution = solve_abstain(profile, 0.25)
-        # p = 1 on the zero-margin example, so the reweighted ordering is
-        # undefined and the index is withheld rather than invented.
-        assert solution.v2 is None
+        # p = 1 on the zero-margin example: it commits to nothing, so no
+        # reweighting by 1 - p_i could order it.
         assert solution.p_alg.probs[1] == 1.0
+        assert solution.p_alg.probs[0] == 0.0
+        assert solution.value_closed_form == pytest.approx(solution.value_exact, abs=1e-12)
+
+    def test_threshold_rule_runs_once_below_half_and_never_otherwise(self, monkeypatch):
+        votes = (np.arange(5000) * 37) % 41 / 20.0 - 1.0
+        profile = sort_profile(votes, 0.3)
+        calls = []
+        rule = votebound.model.threshold_index
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return rule(*args, **kwargs)
+
+        for module in (votebound.model, votebound.abstain):
+            monkeypatch.setattr(module, "threshold_index", counted)
+        assert solve_abstain(profile, 0.25).w is not None
+        assert len(calls) == 1
+        for alpha in (0.05, 0.5, 0.7):  # trivial, then the plain-game regime
+            calls.clear()
+            solve_abstain(profile, alpha)
+            assert calls == []
+        assert solve_abstain(profile, 0.05).trivial

@@ -21,7 +21,7 @@ from votebound.abstain import (
 )
 from votebound.cli import main
 from votebound.game import find_threshold, game_value, value_lower_bound
-from votebound.model import WeightVector, ordering2_keys
+from votebound.model import WeightVector
 from votebound.oracle import (
     certify_saddle,
     enumerate_game_value,
@@ -150,7 +150,7 @@ def test_criterion_6_near_optimal_strategy():
         top = np.abs(votes) >= profile.pivot
         ok &= bool(np.count_nonzero(top) >= v and np.all(strategy.probs[top] == 0.0))
         if np.all(profile.abs_sorted > 0):
-            keys, _ = ordering2_keys(profile.votes, strategy)
+            keys = np.abs(profile.votes) / (1.0 - strategy.probs)
             at_or_below = np.abs(votes) <= profile.pivot
             ok &= bool(np.allclose(keys[at_or_below], profile.pivot, atol=TOL))
     matched = 0

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
+import votebound
 from votebound.cli import main
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
@@ -616,6 +621,18 @@ class TestVerifyCommand:
         assert report["oracle_value"] == 0.6
         assert report["abstain_value_exact"] == 0.1484375
         assert report["ok"] is True
+
+    def test_subnormal_vote_leaves_stderr_empty(self, tmp_path):
+        # The enumeration oracle divides by the 1e-310 vote; the inf it makes
+        # is dropped by the box test and must not print a numpy warning.
+        votes = write_votes(tmp_path, "vote\n0.5\n1e-310\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(votebound.__file__).parents[1]))
+        argv = ["verify", "--votes", votes, "--lambda", "0.2", "--alpha", "0.25"]
+        done = subprocess.run(
+            [sys.executable, "-m", "votebound.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["ok"] is True
 
     def test_single_instance_grid_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
         # FIX-1's exact abstain value is 0.1484375; the grid's tolerance at

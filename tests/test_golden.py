@@ -135,7 +135,7 @@ def render_library() -> bytes:
         ab = solve_abstain(profile, alpha)
         scalars = (
             "trivial", "w", "budget", "value_exact", "value_lower", "value_upper",
-            "value_closed_form", "loss_formula", "loss_no_abstain", "loss_abstain", "v2",
+            "value_closed_form", "loss_formula", "loss_no_abstain",
         )
         lines.append(f"abstain alpha={alpha!r} " + " ".join(
             f"{key}={getattr(ab, key)!r}" for key in scalars

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from votebound import payoff, sort_profile
 from votebound.errors import (
-    DegenerateAbstain,
     DegenerateBound,
     DimensionError,
     InfeasibleConstraint,
@@ -19,9 +18,10 @@ from votebound.model import (
     LabelVector,
     LabeledSample,
     PredictionVector,
+    EXACT_SUM_MIN_SIZE,
     WeightVector,
     compute_votes,
-    ordering2_keys,
+    exact_sum,
 )
 
 sign_entries = st.integers(min_value=0, max_value=1).map(lambda b: 2 * b - 1)
@@ -178,6 +178,37 @@ class TestSortProfile:
         assert (profile.v, profile.pivot) == (2, 0.3)
 
 
+@st.composite
+def sorted_magnitudes(draw):
+    """Nonincreasing nonnegative floats on both sides of the fsum cutoff."""
+    n = draw(st.one_of(st.integers(0, 64), st.integers(EXACT_SUM_MIN_SIZE - 64, 10_000)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pools = {
+        "uniform": rng.uniform(0.0, 1.0, n),
+        "tied": rng.integers(0, 33, n) / 32.0,
+        "spread": np.exp(rng.uniform(-745.0, 0.0, n)),
+        "special": rng.choice([0.0, 5e-324, 1e-300, 1.1e-300, 1.0], n),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=4, unique=True))
+    mixed = np.stack([pools[kind] for kind in kinds])[rng.integers(0, len(kinds), n), np.arange(n)]
+    return np.sort(mixed)[::-1]
+
+
+class TestExactSum:
+    @given(magnitudes=sorted_magnitudes(), share=st.sampled_from([0.0, 0.25, 1.0, 1.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_fsum(self, magnitudes, share):
+        assert exact_sum(magnitudes).hex() == fsum(magnitudes).hex()
+        offset = -share * float(magnitudes.sum()) - 1e-300
+        expected = fsum(np.append(magnitudes, offset))
+        assert exact_sum(magnitudes, offset).hex() == expected.hex()
+
+    def test_binade_edges(self):
+        edges = np.sort(np.tile([1.0, np.nextafter(1.0, 0.0), 2.0**-1022, 2.0**-1074, 0.0], 1000))
+        assert exact_sum(edges[::-1]) == fsum(edges)
+        assert exact_sum(np.full(EXACT_SUM_MIN_SIZE, 0.1)) == fsum([0.1] * EXACT_SUM_MIN_SIZE)
+
+
 class TestPayoff:
     def test_perfect_correlation(self):
         assert payoff([1, 1, 1, 1], [1, 1, 1, 1]) == 1.0
@@ -207,35 +238,6 @@ class TestPayoff:
         g = np.array(g)
         z = np.linspace(-1, 1, len(g))
         assert payoff(c * g, z) == pytest.approx(c * payoff(g, z), abs=1e-12)
-
-
-class TestOrdering2Keys:
-    def test_zero_abstain_identity(self):
-        strategy = AbstainStrategy(np.zeros(3), alpha=0.2)
-        keys, order = ordering2_keys([0.4, -0.9, 0.1], strategy)
-        assert np.allclose(keys, [0.4, 0.9, 0.1])
-        assert order.tolist() == [1, 0, 2]
-
-    def test_reweighting(self):
-        strategy = AbstainStrategy(np.array([0, 0, 0, 0.6]), alpha=0.25)
-        keys, _ = ordering2_keys([1.0, 0.8, 0.5, 0.2], strategy)
-        assert np.allclose(keys, [1.0, 0.8, 0.5, 0.5])
-
-    def test_single_element(self):
-        strategy = AbstainStrategy(np.array([0.5]), alpha=0.25)
-        keys, order = ordering2_keys([0.5], strategy)
-        assert np.allclose(keys, [1.0])
-        assert order.tolist() == [0]
-
-    def test_degenerate_probability(self):
-        strategy = AbstainStrategy(np.array([0.0, 1.0]), alpha=0.25)
-        with pytest.raises(DegenerateAbstain):
-            ordering2_keys([0.5, 0.5], strategy)
-
-    def test_dimension_mismatch(self):
-        strategy = AbstainStrategy(np.zeros(2), alpha=0.25)
-        with pytest.raises(DimensionError):
-            ordering2_keys([0.5, 0.5, 0.5], strategy)
 
 
 class TestVectors:

@@ -1,4 +1,4 @@
-"""The threshold rule behind v, w and v2, checked against exact rational sums.
+"""The threshold rule behind v and w, checked against exact rational sums.
 
 Every threshold is the smallest count k whose leading margins sum to at least
 ``target - VALIDATION_TOL``, with the target computed in floats exactly as the
@@ -16,9 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from votebound import sort_profile
-from votebound.abstain import find_w, inner_game_value, p_alg, trivial_check
-from votebound.errors import DegenerateAbstain, InfeasibleConstraint
-from votebound.model import ordering2_keys
+from votebound.abstain import find_w, trivial_check
+from votebound.errors import InfeasibleConstraint
 from votebound.model import VALIDATION_TOL, threshold_index
 
 
@@ -97,22 +96,6 @@ def test_w_matches_exact_rule(data, alpha):
     w, _ = exact_rule(profile.abs_sorted, profile.n * budget, 2.0 * alpha)
     # The rule's search stops at v, where w always lies in exact arithmetic.
     assert find_w(profile, alpha) == min(w, profile.v)
-
-
-@given(data=vote_sets(), alpha=st.floats(min_value=0.01, max_value=0.49))
-@SETTINGS
-def test_v2_matches_exact_rule(data, alpha):
-    votes, lam, _ = data
-    profile = feasible_profile(votes, lam)
-    if profile is None:
-        return
-    strategy = p_alg(profile, alpha)
-    try:
-        _, order = ordering2_keys(votes, strategy)
-    except DegenerateAbstain:
-        return
-    v2, _ = exact_rule(np.abs(profile.votes)[order], profile.n * lam)
-    assert inner_game_value(profile, strategy)[0] == v2
 
 
 @given(data=vote_sets(), step=st.integers(min_value=-2, max_value=2))
