@@ -46,20 +46,22 @@ def as_array(vector) -> np.ndarray:
 
 
 def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
-    """Correctly rounded sum of nonnegative ``magnitudes`` plus ``offset``.
+    """Correctly rounded sum of float64 ``magnitudes`` plus ``offset``.
 
-    The same bits as ``math.fsum``, which it calls below EXACT_SUM_MIN_SIZE
-    elements.  Longer arrays are summed as integers: each float64 is its
-    52-bit fraction field plus the implicit leading bit, scaled by 2**exponent.
-    The fraction fields are split into 26-bit halves, so ``np.add.reduceat``
-    sums each half over a run of equal exponent without overflow.  Sorted
-    input has few runs (one per binade), and Python ints add the run sums
-    exactly; one int true division rounds the result.
+    ``magnitudes`` must have a clear sign bit (no negative value and no
+    -0.0), as ``np.abs`` returns them.  The result has the bits of
+    ``math.fsum``, which it calls below EXACT_SUM_MIN_SIZE elements.  Longer
+    arrays are summed as integers: each float64 is its 52-bit fraction field
+    plus the implicit leading bit, scaled by 2**exponent.  The fraction
+    fields are split into 26-bit halves, so ``np.add.reduceat`` sums each
+    half over a run of equal exponent without overflow.  Sorted input has
+    few runs (one per binade), and Python ints add the run sums exactly; one
+    int true division rounds the result.
     """
     if magnitudes.size < EXACT_SUM_MIN_SIZE:
         return math.fsum(np.append(magnitudes, offset) if offset else magnitudes)
     bits = magnitudes.view(np.int64)
-    biased = bits >> 52  # the sign bit of a nonnegative float is 0
+    biased = bits >> 52
     starts = np.concatenate(([0], np.flatnonzero(biased[1:] != biased[:-1]) + 1))
     high = np.add.reduceat((bits >> 26) & _LOW26, starts).tolist()
     low = np.add.reduceat(bits & _LOW26, starts).tolist()
