@@ -9,19 +9,19 @@ simple near-optimal strategy that abstains only below the threshold margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InvalidCost
+from .errors import DimensionError
 from .game import find_threshold, game_value
 from .model import (
     SOLVER_TOL,
     VALIDATION_TOL,
     AbstainStrategy,
     VoteProfile,
+    _require_cost,
     as_array,
     threshold_index,
 )
@@ -63,12 +63,6 @@ class _Regime:
     w: Optional[int] = None
     head: float = 0.0
     pivot_w: float = 0.0
-
-
-def _require_cost(alpha: float) -> float:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise InvalidCost("abstain cost must be positive and finite")
-    return float(alpha)
 
 
 def trivial_check(profile: VoteProfile, alpha: float) -> bool:
@@ -178,8 +172,9 @@ def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
     alpha = _require_cost(alpha)
     if alpha >= 0.5:
         return AbstainStrategy(probs=np.zeros(profile.n), alpha=alpha)
-    probs = 1.0 - np.minimum(np.abs(profile.votes) / profile.pivot, 1.0)
-    return AbstainStrategy(probs=probs, alpha=alpha)
+    probs = np.abs(profile.votes)
+    np.minimum(np.divide(probs, profile.pivot, out=probs), 1.0, out=probs)
+    return AbstainStrategy(probs=np.subtract(1.0, probs, out=probs), alpha=alpha)
 
 
 def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
@@ -193,6 +188,11 @@ def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
     return float(per_example.sum()) / gv.size
 
 
+def _tail_ratio(profile: VoteProfile) -> float:
+    """sum_{i>v} |a_i| / |a_v|: the mass p_alg commits to below the pivot."""
+    return float(profile.abs_sorted[find_threshold(profile) :].sum()) / profile.pivot
+
+
 def worst_case_loss_formula(profile: VoteProfile, alpha: float) -> float:
     """Stated worst-case loss of the near-optimal strategy.
 
@@ -204,8 +204,7 @@ def worst_case_loss_formula(profile: VoteProfile, alpha: float) -> float:
     v = find_threshold(profile)
     if alpha >= 0.5:
         return 0.5 * (1.0 - v / n)
-    tail_ratio = float(profile.abs_sorted[v:].sum()) / profile.pivot
-    return alpha * (1.0 - v / n) + (0.5 - alpha) * tail_ratio / n
+    return alpha * (1.0 - v / n) + (0.5 - alpha) * _tail_ratio(profile) / n
 
 
 def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:

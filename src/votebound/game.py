@@ -69,7 +69,8 @@ def optimal_predictor(profile: VoteProfile) -> PredictionVector:
     g*_i = clip(a_i / |a_v|, -1, 1): full commitment (the sign of the vote)
     on margins at or above the pivot, the vote scaled by 1/|a_v| below it.
     """
-    return PredictionVector(np.clip(profile.votes / profile.pivot, -1.0, 1.0))
+    g = profile.votes / profile.pivot
+    return PredictionVector(np.clip(g, -1.0, 1.0, out=g))
 
 
 def optimal_nature(profile: VoteProfile) -> LabelVector:
@@ -81,14 +82,12 @@ def optimal_nature(profile: VoteProfile) -> LabelVector:
     order; the fractional label goes to the first tied example not filled
     in full.
     """
-    n = profile.n
-    votes = profile.votes
-    magnitudes = np.abs(votes)
-    above = magnitudes > profile.pivot
-    ties = np.flatnonzero(magnitudes == profile.pivot)
+    n, votes, pivot = profile.n, profile.votes, profile.pivot
+    above = (votes > pivot) | (votes < -pivot)
+    ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
     full = ties[: find_threshold(profile) - 1 - np.count_nonzero(above)]
     at_pivot = ties[full.size]
-    z = np.where(above, np.sign(votes), 0.0)
+    z = np.sign(votes, where=above, out=np.zeros(n))
     z[full] = np.sign(votes[full])
     pivot_label = (n * profile.lam - profile.head) / float(votes[at_pivot])
     if abs(pivot_label) > 1.0 + SOLVER_TOL:

@@ -2,6 +2,8 @@
 
 All values are immutable after construction (numpy arrays are stored
 read-only and must be finite), so instances are safe to share across threads.
+Each domain type copies its input array once; the caller's array is never
+frozen or aliased, so writing to it later leaves the instance unchanged.
 """
 
 from __future__ import annotations
@@ -61,14 +63,16 @@ def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
     if magnitudes.size < EXACT_SUM_MIN_SIZE:
         return math.fsum(np.append(magnitudes, offset) if offset else magnitudes)
     bits = magnitudes.view(np.int64)
-    biased = bits >> 52
-    starts = np.concatenate(([0], np.flatnonzero(biased[1:] != biased[:-1]) + 1))
-    high = np.add.reduceat((bits >> 26) & _LOW26, starts).tolist()
-    low = np.add.reduceat(bits & _LOW26, starts).tolist()
+    part = bits >> 52  # one scratch buffer: the exponents, then each 26-bit half
+    starts = np.concatenate(([0], np.flatnonzero(part[1:] != part[:-1]) + 1))
+    biased = part[starts].tolist()
+    np.bitwise_and(np.right_shift(bits, 26, out=part), _LOW26, out=part)
+    high = np.add.reduceat(part, starts).tolist()
+    low = np.add.reduceat(np.bitwise_and(bits, _LOW26, out=part), starts).tolist()
     ends = starts[1:].tolist() + [bits.size]
     mantissa, exponent = math.frexp(offset)
     terms = [(int(mantissa * 2.0**53), exponent - 53)]
-    for h, lo, e, start, end in zip(high, low, biased[starts].tolist(), starts.tolist(), ends):
+    for h, lo, e, start, end in zip(high, low, biased, starts.tolist(), ends):
         # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
         terms.append(((h << 26) + lo + ((end - start) << 52 if e else 0), max(e, 1) - 1075))
     base = min(scale for _, scale in terms)
@@ -153,10 +157,30 @@ class WeightVector:
         return self.weights.size
 
 
-def _validate_box(values: np.ndarray, what: str) -> np.ndarray:
-    if np.any(np.abs(values) > 1.0 + VALIDATION_TOL):
-        raise ValueError(f"{what} components must lie in [-1, 1]")
-    return np.clip(values, -1.0, 1.0)
+def _require_cost(alpha) -> float:
+    """The abstain cost as a float; it must be positive and finite."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise InvalidCost("abstain cost must be positive and finite")
+    return float(alpha)
+
+
+def _frozen_box(values: np.ndarray, low: float, message: str, alpha=None) -> np.ndarray:
+    """One read-only copy of the 1-D float array ``values``, held to [low, 1].
+
+    Raises on a value past the box by more than VALIDATION_TOL, then on a bad
+    ``alpha`` if given, then on NaN.  Values within the tolerance are clipped.
+    """
+    lo, hi = np.fmin.reduce(values, initial=np.inf), np.fmax.reduce(values, initial=-np.inf)
+    if lo < low - VALIDATION_TOL or hi > 1.0 + VALIDATION_TOL:
+        raise ValueError(message)
+    if alpha is not None:
+        _require_cost(alpha)
+    # Every value is now NaN or bounded, so the sum is NaN exactly when one is.
+    if math.isnan(values.sum()):
+        raise ValueError("values must be finite (no NaN or inf)")
+    frozen = np.clip(values, low, 1.0) if lo < low or hi > 1.0 else values.copy()
+    frozen.setflags(write=False)
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -169,7 +193,8 @@ class PredictionVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError("predictions must form a 1-D vector")
-        object.__setattr__(self, "values", _readonly(_validate_box(values, "prediction")))
+        values = _frozen_box(values, -1.0, "prediction components must lie in [-1, 1]")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.values.size
@@ -185,7 +210,8 @@ class LabelVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise DimensionError("labels must form a 1-D vector")
-        object.__setattr__(self, "values", _readonly(_validate_box(values, "label")))
+        values = _frozen_box(values, -1.0, "label components must lie in [-1, 1]")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.values.size
@@ -202,11 +228,8 @@ class AbstainStrategy:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1:
             raise DimensionError("abstain probabilities must form a 1-D vector")
-        if np.any(probs < -VALIDATION_TOL) or np.any(probs > 1.0 + VALIDATION_TOL):
-            raise ValueError("abstain probabilities must lie in [0, 1]")
-        if not self.alpha > 0:
-            raise InvalidCost("abstain cost must be positive")
-        object.__setattr__(self, "probs", _readonly(np.clip(probs, 0.0, 1.0)))
+        message = "abstain probabilities must lie in [0, 1]"
+        object.__setattr__(self, "probs", _frozen_box(probs, 0.0, message, self.alpha))
         object.__setattr__(self, "alpha", float(self.alpha))
 
     def __len__(self) -> int:
@@ -266,7 +289,7 @@ class VoteProfile:
         votes = np.asarray(self.votes, dtype=float)
         if votes.ndim != 1 or votes.size < 1:
             raise DimensionError("votes must form a non-empty 1-D vector")
-        votes = _readonly(_validate_box(votes, "vote"))
+        votes = _frozen_box(votes, -1.0, "vote components must lie in [-1, 1]")
         lam = float(self.lam)
         if not math.isfinite(lam):
             raise ValueError("correlation bound must be finite")
@@ -277,7 +300,9 @@ class VoteProfile:
             )
         if lam > 1.0 + VALIDATION_TOL:
             raise InfeasibleConstraint("correlation bound cannot exceed 1")
-        abs_sorted = _readonly(np.sort(np.abs(votes))[::-1])
+        abs_sorted = np.abs(votes)
+        np.negative(abs_sorted, out=abs_sorted).sort()  # descending, in one buffer
+        np.negative(abs_sorted, out=abs_sorted).setflags(write=False)
         total = exact_sum(abs_sorted)
         v, head = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .abstain import abstain_value, trivial_check
-from .errors import Infeasible, InvalidCost
+from .errors import Infeasible
 from .game import GameSolution, solve_game
 from .model import (
     SOLVER_TOL,
@@ -30,6 +30,7 @@ from .model import (
     LabelVector,
     VoteProfile,
     _readonly,
+    _require_cost,
     as_array,
     sort_profile,
 )
@@ -195,8 +196,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     or beats on both: exact, as each kept sum is the float a full scan forms
     and float addition rounds monotonically, so a beaten sum stays beaten.
     """
-    if not alpha > 0:
-        raise InvalidCost("abstain cost must be positive")
+    _require_cost(alpha)
     a = np.abs(as_array(votes))
     n = a.size
     if n > GRID_MAX_N:
@@ -274,8 +274,7 @@ def worst_case_abstain_loss(
     The loss is affine in z through -(1/2n) sum (1 - p_i) g_i z_i, so
     maximizing it is the box LP that minimizes that sum.
     """
-    if not alpha > 0:
-        raise InvalidCost("abstain cost must be positive")
+    _require_cost(alpha)
     gv = as_array(g)
     probs = strategy.probs
     commit_costs = (1.0 - probs) * gv

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .abstain import _tail_ratio
 from .errors import DegenerateBound, DimensionError, InfiniteDivergence
 from .game import find_threshold
 from .model import LabeledSample, VoteProfile, WeightVector, exact_sum
@@ -136,14 +137,10 @@ def abstain_mistake_bounds(
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
     v = find_threshold(profile)
-    tail_ratio = float(profile.abs_sorted[v:].sum()) / profile.pivot
     head_disagreement = v - exact_sum(profile.abs_sorted[:v])
-    abstain = (
-        2.0 * report.gibbs_train_error + 2.0 * report.epsilon + delta - tail_ratio / n
-    )
-    mistake = (
-        report.gibbs_train_error + report.epsilon + delta - head_disagreement / (2.0 * n)
-    )
+    err, eps = report.gibbs_train_error, report.epsilon
+    abstain = 2.0 * err + 2.0 * eps + delta - _tail_ratio(profile) / n
+    mistake = err + eps + delta - head_disagreement / (2.0 * n)
     return abstain, mistake
 
 

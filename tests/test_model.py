@@ -1,3 +1,4 @@
+import re
 from math import fsum
 
 import numpy as np
@@ -10,6 +11,7 @@ from votebound.errors import (
     DegenerateBound,
     DimensionError,
     InfeasibleConstraint,
+    InvalidCost,
 )
 from votebound.game import optimal_nature
 from votebound.model import (
@@ -259,3 +261,73 @@ class TestVectors:
         sample = LabeledSample(np.ones((2, 3)), np.ones(2))
         assert sample.num_examples == 2
         assert sample.num_hypotheses == 3
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_abstain_strategy_refuses_non_finite_cost(self, alpha):
+        # An infinite cost would make abstain_loss compute 0 * inf.
+        with pytest.raises(InvalidCost, match="^abstain cost must be positive and finite$"):
+            AbstainStrategy(np.array([0.0, 0.5]), alpha)
+
+
+# The constructor contract shared by every per-example vector.  BOX stands for
+# the constructor's own box message.  Each case gives the stored array's exact
+# bits, or the exception type and message.
+BOX = object()
+NAN, INF = float("nan"), float("inf")
+FINITE = "values must be finite (no NaN or inf)"
+CONSTRUCTORS = [
+    pytest.param(
+        lambda v: PredictionVector(v).values,
+        "prediction components must lie in [-1, 1]",
+        id="PredictionVector",
+    ),
+    pytest.param(
+        lambda v: LabelVector(v).values, "label components must lie in [-1, 1]", id="LabelVector"
+    ),
+    pytest.param(
+        lambda v: AbstainStrategy(v, alpha=0.25).probs,
+        "abstain probabilities must lie in [0, 1]",
+        id="AbstainStrategy",
+    ),
+    pytest.param(
+        lambda v: sort_profile(v, 0.25).votes, "vote components must lie in [-1, 1]", id="sort_profile"
+    ),
+]
+CASES = [
+    pytest.param([NAN], (ValueError, FINITE), id="nan"),
+    pytest.param([INF], (ValueError, BOX), id="inf"),
+    pytest.param([-INF], (ValueError, BOX), id="-inf"),
+    pytest.param([NAN, 5.0], (ValueError, BOX), id="nan-then-out-of-box"),
+    pytest.param([1.0 + 2e-12], (ValueError, BOX), id="past-tolerance"),
+    pytest.param([1.0 + 5e-13], [1.0], id="within-tolerance"),
+    pytest.param([-0.0], [-0.0], id="negative-zero"),
+    pytest.param([1.0, -0.0], [1.0, -0.0], id="negative-zero-with-margin"),
+    pytest.param([], [], id="empty"),
+]
+# A profile also needs a nonzero margin that covers lam.
+PROFILE_REFUSALS = {
+    (-0.0,): (InfeasibleConstraint, "mean |vote| 0 is below the correlation bound 0.25"),
+    (): (DimensionError, "votes must form a non-empty 1-D vector"),
+}
+
+
+@pytest.mark.parametrize("values, expected", CASES)
+@pytest.mark.parametrize("make, box", CONSTRUCTORS)
+def test_constructor_contract(make, box, values, expected):
+    if box.startswith("vote"):
+        expected = PROFILE_REFUSALS.get(tuple(values), expected)
+    caller = np.array(values, dtype=float)
+    if isinstance(expected, tuple):
+        kind, message = expected
+        message = box if message is BOX else message
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
+            make(caller)
+        assert caught.type is kind
+        return
+    stored = make(caller)
+    bits = np.array(expected, dtype=float).view(np.uint64).tolist()
+    assert stored.view(np.uint64).tolist() == bits
+    assert not stored.flags.writeable
+    assert caller.flags.writeable
+    caller[:] = 0.5
+    assert stored.view(np.uint64).tolist() == bits
