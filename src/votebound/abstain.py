@@ -189,7 +189,7 @@ def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
 
 
 def _tail_ratio(profile: VoteProfile) -> float:
-    """sum_{i>v} |a_i| / |a_v|: the mass p_alg commits to below the pivot."""
+    """sum_{i>v} |a_i| / |a_v|: the commitment 1 - p_i that p_alg sums past the top v."""
     return float(profile.abs_sorted[find_threshold(profile) :].sum()) / profile.pivot
 
 
