@@ -19,9 +19,16 @@ import numpy as np
 
 from . import __version__
 from .abstain import abstain_loss, solve_abstain
-from .errors import DimensionError, InvalidCost, VoteboundError
+from .errors import DimensionError, VoteboundError
 from .game import solve_game
-from .model import EnsembleMatrix, LabeledSample, WeightVector, compute_votes, sort_profile
+from .model import (
+    EnsembleMatrix,
+    LabeledSample,
+    WeightVector,
+    _require_cost,
+    compute_votes,
+    sort_profile,
+)
 from .oracle import ENUM_MAX_N, certify_batch, certify_instance, worst_case_abstain_loss
 from .pacbayes import (
     BoundReport,
@@ -178,8 +185,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_abstain(args) -> int:
-    if args.alpha <= 0:
-        raise InvalidCost("abstain cost must be positive")
+    _require_cost(args.alpha)
     profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
@@ -209,6 +215,8 @@ def cmd_abstain(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.alpha is not None:
+        _require_cost(args.alpha)
     sample = LabeledSample(
         predictions=_read_csv(args.train_pred, None, int),
         labels=_read_csv(args.train_labels, ["label"], int)[:, 0],
@@ -220,8 +228,6 @@ def cmd_pipeline(args) -> int:
         )
     if not 0.0 < args.delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    if args.alpha is not None and args.alpha <= 0:
-        raise InvalidCost("abstain cost must be positive")
     posterior, prior = _posterior(args.posterior, sample)
     params = PacBayesParams(m=sample.num_examples, delta=args.delta)
 

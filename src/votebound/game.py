@@ -48,6 +48,16 @@ def find_threshold(profile: VoteProfile) -> int:
     return profile.v
 
 
+def _pivot_slack(profile: VoteProfile) -> float:
+    """Rounding of n*lam - head over |a_v|, the error of nature's label at the pivot.
+
+    ``threshold_index`` lets n*lam pass the exact margin sum by VALIDATION_TOL,
+    and the subtraction rounds by a few ulps of n*lam.
+    """
+    n_lam = profile.n * profile.lam
+    return (VALIDATION_TOL + 4.0 * np.finfo(float).eps * n_lam) / profile.pivot
+
+
 def game_value(profile: VoteProfile) -> float:
     """Minimax value of the game.
 
@@ -58,7 +68,8 @@ def game_value(profile: VoteProfile) -> float:
     n = profile.n
     v = find_threshold(profile)
     value = (v - 1) / n + (profile.lam - profile.head / n) / profile.pivot
-    if value > 1.0 + SOLVER_TOL or value < profile.lam - SOLVER_TOL:
+    tol = SOLVER_TOL + _pivot_slack(profile) / n
+    if value > 1.0 + tol or value < profile.lam - tol:
         raise AssertionError(f"game value {value} escaped [lam, 1]")
     return min(max(value, profile.lam), 1.0)
 
@@ -90,7 +101,7 @@ def optimal_nature(profile: VoteProfile) -> LabelVector:
     z = np.sign(votes, where=above, out=np.zeros(n))
     z[full] = np.sign(votes[full])
     pivot_label = (n * profile.lam - profile.head) / float(votes[at_pivot])
-    if abs(pivot_label) > 1.0 + SOLVER_TOL:
+    if abs(pivot_label) > 1.0 + SOLVER_TOL + _pivot_slack(profile):
         raise AssertionError("fractional label escaped the box")
     z[at_pivot] = min(max(pivot_label, -1.0), 1.0)
     return LabelVector(z)
@@ -117,7 +128,7 @@ def solve_game(profile: VoteProfile) -> GameSolution:
     binding = payoff(z_star, profile.votes)
     if abs(binding - profile.lam) > SOLVER_TOL:
         raise AssertionError("nature's optimum does not bind the constraint")
-    if abs(payoff(g_star, z_star) - value) > SOLVER_TOL:
+    if abs(payoff(g_star, z_star) - value) > SOLVER_TOL + _pivot_slack(profile) / profile.n:
         raise AssertionError("saddle payoff does not match the game value")
     if lower > value + VALIDATION_TOL:
         raise AssertionError("value lower bound exceeds the value")

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .abstain import abstain_value, trivial_check
+from .abstain import solve_abstain
 from .errors import Infeasible
 from .game import GameSolution, solve_game
 from .model import (
@@ -329,9 +329,10 @@ def certify_instance(
     abstain = {}
     grid_excess = -np.inf
     if alpha is not None:
-        exact, lower, upper = abstain_value(profile, alpha)
+        solved = solve_abstain(profile, alpha)
+        exact, lower, upper = solved.value_exact, solved.value_lower, solved.value_upper
         abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
-        if trivial_check(profile, alpha):
+        if solved.trivial:
             deviations["abstain_trivial"] = abs(exact - alpha)
         else:
             deviations["abstain_bounds"] = max(lower - exact, exact - upper, 0.0)

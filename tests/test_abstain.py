@@ -4,57 +4,54 @@ import pytest
 import votebound.abstain
 import votebound.model
 from votebound import solve_abstain, solve_game, sort_profile
-from votebound.abstain import (
-    abstain_loss,
-    abstain_value,
-    closed_form_value,
-    find_w,
-    p_alg,
-    trivial_check,
-    worst_case_loss_formula,
-)
+from votebound.abstain import abstain_loss, p_alg
 from votebound.errors import DimensionError, InvalidCost
 from votebound.game import find_threshold
 from votebound.model import SOLVER_TOL, AbstainStrategy
 from votebound.oracle import grid_abstain_value, random_instances
 
 
+def value_bracket(solution):
+    return solution.value_exact, solution.value_lower, solution.value_upper
+
+
 class TestTrivialCheck:
     def test_fix1_low_cost(self, fix1):
         # Threshold (1/2)(1 - 2/2.5) = 0.1.
-        assert trivial_check(fix1, 0.05) is True
+        assert solve_abstain(fix1, 0.05).trivial is True
 
     def test_fix1_moderate_cost(self, fix1):
-        assert trivial_check(fix1, 0.25) is False
+        assert solve_abstain(fix1, 0.25).trivial is False
 
     def test_threshold_is_inclusive(self, fix1):
-        assert trivial_check(fix1, 0.1) is True
+        assert solve_abstain(fix1, 0.1).trivial is True
 
     def test_zero_threshold_never_trivial(self):
         profile = sort_profile([0.5, 0.3], 0.4)  # lambda equals the mean margin
-        assert trivial_check(profile, 1e-9) is False
+        assert solve_abstain(profile, 1e-9).trivial is False
 
     def test_invalid_cost(self, fix1):
         with pytest.raises(InvalidCost):
-            trivial_check(fix1, 0.0)
+            solve_abstain(fix1, 0.0)
         with pytest.raises(InvalidCost):
-            trivial_check(fix1, -0.1)
+            solve_abstain(fix1, -0.1)
         for cost in (float("inf"), float("nan")):
             with pytest.raises(InvalidCost):
-                trivial_check(fix1, cost)
+                solve_abstain(fix1, cost)
 
 
 class TestFindW:
     def test_fix1(self, fix1):
         # Budget 0.1875; scaled prefixes 0.125, 0.225 cross at the second index.
-        assert find_w(fix1, 0.25) == 2
+        assert solve_abstain(fix1, 0.25).w == 2
 
     def test_matches_direct_definition_on_random_instances(self):
         for votes, lam, alpha in random_instances(count=200, seed=21, nmax=6):
             profile = sort_profile(votes, lam)
-            if trivial_check(profile, alpha):
+            solution = solve_abstain(profile, alpha)
+            if solution.trivial:
                 continue
-            w = find_w(profile, alpha)
+            w = solution.w
             n = profile.n
             sums = np.cumsum(profile.abs_sorted)
             total = sums[-1]
@@ -68,11 +65,11 @@ class TestFindW:
 
     def test_approaches_v_as_cost_nears_half(self, fix1, fix2, fix3):
         for profile in (fix1, fix2, fix3):
-            assert find_w(profile, 0.5 - 1e-9) == find_threshold(profile)
+            assert solve_abstain(profile, 0.5 - 1e-9).w == find_threshold(profile)
 
     def test_fix2(self, fix2):
         # Budget 0.275; scaled prefixes 0.125, 0.225, 0.3 cross at the third index.
-        assert find_w(fix2, 0.25) == 3
+        assert solve_abstain(fix2, 0.25).w == 3
 
     def test_tight_bound_at_large_n_keeps_w_at_v(self):
         # lam is the float mean |vote|, so every margin is needed: w = v = n.
@@ -80,35 +77,36 @@ class TestFindW:
         k = (np.arange(1, 5751, dtype=np.int64) * 48271) % 2147483647
         votes = k / 1073741823.5 - 1.0
         profile = sort_profile(votes, float(np.abs(votes).mean()))
-        assert find_w(profile, 0.01) == find_threshold(profile) == 5750
+        assert solve_abstain(profile, 0.01).w == find_threshold(profile) == 5750
 
 
 class TestAbstainValue:
     def test_fix1_nontrivial(self, fix1):
-        value, lower, upper = abstain_value(fix1, 0.25)
+        value, lower, upper = value_bracket(solve_abstain(fix1, 0.25))
         assert value == pytest.approx(0.1484375, abs=1e-12)
         assert lower == pytest.approx(0.125, abs=1e-12)
         assert upper == pytest.approx(0.1875, abs=1e-12)
 
     def test_fix1_trivial(self, fix1):
-        assert abstain_value(fix1, 0.05) == (0.05, 0.05, 0.05)
+        assert value_bracket(solve_abstain(fix1, 0.05)) == (0.05, 0.05, 0.05)
 
     def test_fix1_high_cost_reduces_to_plain_game(self, fix1):
-        value, lower, upper = abstain_value(fix1, 0.6)
+        value, lower, upper = value_bracket(solve_abstain(fix1, 0.6))
         assert value == pytest.approx((1 - 0.6) / 2, abs=1e-12)
         assert lower == value and upper == value
 
     def test_invalid_cost(self, fix1):
         with pytest.raises(InvalidCost):
-            abstain_value(fix1, 0.0)
+            solve_abstain(fix1, 0.0)
 
     def test_value_never_exceeds_cost(self):
         for votes, lam, alpha in random_instances(count=200, seed=22, nmax=6):
             profile = sort_profile(votes, lam)
-            value, lower, upper = abstain_value(profile, alpha)
+            solution = solve_abstain(profile, alpha)
+            value, lower, upper = value_bracket(solution)
             assert value <= alpha + 1e-12
             assert lower - 1e-9 <= value <= upper + 1e-9
-            if trivial_check(profile, alpha):
+            if solution.trivial:
                 assert value == alpha
             else:
                 margin = alpha - 0.5 * (1 - profile.n * lam / profile.total)
@@ -117,10 +115,11 @@ class TestAbstainValue:
 
     def test_single_example_specializes(self):
         profile = sort_profile([0.8], 0.4)
-        value, lower, upper = abstain_value(profile, 0.3)
+        solution = solve_abstain(profile, 0.3)
+        value, lower, upper = value_bracket(solution)
         # Trivial threshold (1/2)(1 - 0.4/0.8) = 0.25 < 0.3, budget 0.08.
-        assert trivial_check(profile, 0.3) is False
-        assert find_w(profile, 0.3) == 1
+        assert solution.trivial is False
+        assert solution.w == 1
         assert lower == pytest.approx(0.0, abs=1e-12)
         assert upper == pytest.approx(0.3, abs=1e-12)
         assert lower - 1e-9 <= value <= upper + 1e-9
@@ -131,13 +130,13 @@ class TestAbstainValue:
 
     def test_closed_form_matches_greedy_value(self, fix1):
         # (2 alpha S_w - n*budget) / (2 n |a_w|) = (0.9 - 0.75) / 6.4 above alpha(1 - w/n).
-        assert closed_form_value(fix1, 0.25) == 0.1484375 == abstain_value(fix1, 0.25)[0]
+        solution = solve_abstain(fix1, 0.25)
+        assert solution.value_closed_form == 0.1484375 == solution.value_exact
         for votes, lam, alpha in random_instances(count=200, seed=28, nmax=6):
-            profile = sort_profile(votes, lam)
-            if trivial_check(profile, alpha) or alpha >= 0.5:
+            solution = solve_abstain(sort_profile(votes, lam), alpha)
+            if solution.trivial or alpha >= 0.5:
                 continue
-            value = abstain_value(profile, alpha)[0]
-            assert abs(closed_form_value(profile, alpha) - value) <= SOLVER_TOL
+            assert abs(solution.value_closed_form - solution.value_exact) <= SOLVER_TOL
 
 
 class TestPAlg:
@@ -230,14 +229,14 @@ class TestAbstainLoss:
 
 class TestWorstCaseLossFormula:
     def test_fix1(self, fix1):
-        assert worst_case_loss_formula(fix1, 0.25) == pytest.approx(0.0875, abs=1e-12)
+        assert solve_abstain(fix1, 0.25).loss_formula == pytest.approx(0.0875, abs=1e-12)
 
     def test_fix2(self, fix2):
-        assert worst_case_loss_formula(fix2, 0.25) == pytest.approx(1 / 12, abs=1e-12)
+        assert solve_abstain(fix2, 0.25).loss_formula == pytest.approx(1 / 12, abs=1e-12)
 
     def test_boundary_cost_uses_no_abstain_branch(self, fix1):
         v = find_threshold(fix1)
-        assert worst_case_loss_formula(fix1, 0.5) == pytest.approx(
+        assert solve_abstain(fix1, 0.5).loss_formula == pytest.approx(
             0.5 * (1 - v / fix1.n), abs=1e-12
         )
 
@@ -261,7 +260,7 @@ class TestWorstCaseLossFormula:
                 sol = solve_game(profile)
                 strategy = p_alg(profile, alpha)
                 lhs = abstain_loss(sol.g_star, strategy, sol.z_star)
-                rhs = worst_case_loss_formula(profile, alpha)
+                rhs = solve_abstain(profile, alpha).loss_formula
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

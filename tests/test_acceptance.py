@@ -11,14 +11,8 @@ import time
 import numpy as np
 from jsonschema import validate
 
-from votebound import solve_game, sort_profile
-from votebound.abstain import (
-    abstain_loss,
-    abstain_value,
-    p_alg,
-    trivial_check,
-    worst_case_loss_formula,
-)
+from votebound import solve_abstain, solve_game, sort_profile
+from votebound.abstain import abstain_loss, p_alg
 from votebound.cli import main
 from votebound.game import find_threshold, game_value, value_lower_bound
 from votebound.model import WeightVector
@@ -109,8 +103,9 @@ def test_criterion_5_abstain_value_bounds_and_grid():
     grid_checked = 0
     for votes, lam, alpha in BATCH:
         profile = sort_profile(votes, lam)
-        exact, lower, upper = abstain_value(profile, alpha)
-        if trivial_check(profile, alpha):
+        solution = solve_abstain(profile, alpha)
+        exact, lower, upper = solution.value_exact, solution.value_lower, solution.value_upper
+        if solution.trivial:
             ok &= exact == alpha
         else:
             ok &= lower - TOL <= exact <= upper + TOL
@@ -162,13 +157,13 @@ def test_criterion_6_near_optimal_strategy():
             continue
         sol = solve_game(profile)
         loss = abstain_loss(sol.g_star, p_alg(profile, alpha), sol.z_star)
-        formula = worst_case_loss_formula(profile, alpha)
+        formula = solve_abstain(profile, alpha).loss_formula
         ok &= abs(loss - formula) <= TOL
         matched += 1
     fix2 = sort_profile([1.0, 0.8, 0.6, 0.2], 0.6)
     sol2 = solve_game(fix2)
     loss2 = abstain_loss(sol2.g_star, p_alg(fix2, alpha), sol2.z_star)
-    formula2 = worst_case_loss_formula(fix2, alpha)
+    formula2 = solve_abstain(fix2, alpha).loss_formula
     ok &= abs(loss2 - 1 / 12) <= TOL and abs(formula2 - 1 / 12) <= TOL
     report(
         6,
@@ -317,7 +312,7 @@ def test_criterion_10_discrepancy_logging(tmp_path, capsys):
     profile = sort_profile([1.0, 0.8, 0.5, 0.2], 0.5)
     sol = solve_game(profile)
     strategy = p_alg(profile, 0.25)
-    ok &= abs(worst_case_loss_formula(profile, 0.25) - 0.0875) <= TOL
+    ok &= abs(solve_abstain(profile, 0.25).loss_formula - 0.0875) <= TOL
     direct_loss = float(
         np.mean(
             strategy.probs * 0.25
@@ -327,7 +322,7 @@ def test_criterion_10_discrepancy_logging(tmp_path, capsys):
     ok &= abs(direct_loss - 0.1625) <= TOL
     _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy, 0.25)
     ok &= abs(worst - 0.1925) <= TOL
-    value_exact, _, _ = abstain_value(profile, 0.25)
+    value_exact = solve_abstain(profile, 0.25).value_exact
     ok &= abs(value_exact - 0.1484375) <= TOL
     ok &= worst >= value_exact - TOL
     # Deliberately NOT asserted: worst == loss_formula.  The oracle's worst

@@ -169,6 +169,15 @@ class TestSolveCommand:
         assert code == 4
         assert report["error"] == "io_error"
 
+    @pytest.mark.parametrize("command", [["solve"], ["abstain", "--alpha", "0.25"]])
+    def test_lambda_at_the_mean_margin_solves(self, tmp_path, capsys, command):
+        votes = np.random.default_rng(0).uniform(-1.0, 1.0, 1700)
+        text = "vote\n" + "".join(f"{x!r}\n" for x in votes.tolist())
+        lam = repr(float(np.abs(votes).mean()))
+        code, report = run(capsys, *command, "--votes", write_votes(tmp_path, text), "--lambda", lam)
+        assert code == 0
+        assert report["v"] == 1700
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _ = run(
@@ -282,6 +291,12 @@ class TestAbstainCommand:
         code, report = run(capsys, "abstain", "--votes", votes, "--lambda", "0.2", "--alpha", alpha)
         assert code == 2
         assert report["error"] == error
+
+    def test_cost_is_checked_before_the_votes_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        code, report = run(capsys, "abstain", "--votes", missing, "--lambda", "0.5", "--alpha", "nan")
+        assert code == 2
+        assert report["error"] == "invalid_cost"
 
     def test_non_finite_refusal_names_the_field(self, tmp_path, capsys):
         votes = write_votes(tmp_path)
@@ -571,6 +586,14 @@ class TestPipelineInputs:
         weights = tmp_path / "weights.json"
         weights.write_bytes(content)
         assert_parse_error(*run_pipeline(capsys, files, "--posterior", str(weights)))
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_cost_on_fallback_data_exits_2(self, tmp_path, capsys, alpha):
+        files = gen_dataset(tmp_path, capsys, seed=3, m=50, n=20, h=4, base_error=0.45)
+        assert run_pipeline(capsys, files)[1]["fallback"] is True
+        code, report = run_pipeline(capsys, files, "--alpha", alpha)
+        assert code == 2
+        assert report["error"] == "invalid_cost"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eta", ["inf", "nan"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from votebound import payoff, solve_game, sort_profile
+from votebound import payoff, solve_abstain, solve_game, sort_profile
 from votebound.game import (
     find_threshold,
     game_value,
@@ -78,6 +78,30 @@ class TestOptimalNature:
         z = optimal_nature(fix3).values
         assert np.allclose(z, [-1, 0.5])
         assert payoff(z, fix3.votes) == pytest.approx(0.6, abs=1e-12)
+
+
+class TestTieRuleEdge:
+    """lam at the float mean |vote|: n*lam may pass the exact margin sum by VALIDATION_TOL."""
+
+    VOTES = np.random.default_rng(0).uniform(-1.0, 1.0, 1700)
+
+    def test_solvers_accept_lambda_at_the_mean_margin(self):
+        profile = sort_profile(self.VOTES, float(np.abs(self.VOTES).mean()))
+        solution = solve_game(profile)
+        assert solution.v == profile.n
+        assert profile.lam <= solution.value <= 1.0
+        assert np.all(np.abs(solution.z_star.values) <= 1.0)
+        for alpha in (0.01, 0.25, 0.49):
+            abstain = solve_abstain(profile, alpha)
+            assert abstain.w == profile.n
+            assert abstain.value_lower <= abstain.value_exact <= abstain.value_upper
+
+    def test_label_check_still_bites(self):
+        # v = 1 with pivot 1.0; forged to 0.5, the label 0.8/0.5 leaves the box.
+        profile = sort_profile([1.0, 0.5], 0.4)
+        object.__setattr__(profile, "pivot", profile.pivot / 2)
+        with pytest.raises(AssertionError, match="escaped the box"):
+            optimal_nature(profile)
 
 
 class TestNatureGreedy:

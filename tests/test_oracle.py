@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votebound import solve_game, sort_profile
-from votebound.abstain import abstain_value, p_alg
+from votebound import solve_abstain, solve_game, sort_profile
+from votebound.abstain import p_alg
 from votebound.errors import Infeasible
 from votebound.game import game_value
 from votebound.model import VALIDATION_TOL
@@ -312,7 +312,7 @@ class TestGridAbstainValue:
 
     def test_zero_margin_coordinate(self):
         value = grid_abstain_value([0.8, 0.0], 0.3, 0.25, step=0.01)
-        exact, _, _ = abstain_value(sort_profile([0.8, 0.0], 0.3), 0.25)
+        exact = solve_abstain(sort_profile([0.8, 0.0], 0.3), 0.25).value_exact
         assert abs(value - exact) <= 2 * 0.01 / 2 + 1e-9
 
     def test_size_and_step_guards(self):
@@ -325,7 +325,7 @@ class TestGridAbstainValue:
         step = 0.02
         for votes, lam, alpha in random_instances(count=120, seed=33, nmax=4):
             profile = sort_profile(votes, lam)
-            exact, _, _ = abstain_value(profile, alpha)
+            exact = solve_abstain(profile, alpha).value_exact
             grid = grid_abstain_value(votes, lam, alpha, step=step)
             assert abs(grid - exact) <= profile.n * step / 2 + 1e-9
             # The grid is a restricted maximization, so it cannot beat the max.
@@ -379,7 +379,7 @@ class TestWorstCaseAbstainLoss:
             sol = solve_game(profile)
             strategy = p_alg(profile, alpha)
             _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy, alpha)
-            exact, _, _ = abstain_value(profile, alpha)
+            exact = solve_abstain(profile, alpha).value_exact
             assert worst >= exact - 1e-9
 
 

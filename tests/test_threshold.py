@@ -15,8 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from votebound import sort_profile
-from votebound.abstain import find_w, trivial_check
+from votebound import solve_abstain, sort_profile
 from votebound.errors import InfeasibleConstraint
 from votebound.model import VALIDATION_TOL, threshold_index
 
@@ -90,12 +89,15 @@ def test_v_matches_exact_rule(data):
 def test_w_matches_exact_rule(data, alpha):
     votes, lam, _ = data
     profile = feasible_profile(votes, lam)
-    if profile is None or trivial_check(profile, alpha):
+    if profile is None:
+        return
+    solution = solve_abstain(profile, alpha)
+    if solution.trivial:
         return
     budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
     w, _ = exact_rule(profile.abs_sorted, profile.n * budget, 2.0 * alpha)
     # The rule's search stops at v, where w always lies in exact arithmetic.
-    assert find_w(profile, alpha) == min(w, profile.v)
+    assert solution.w == min(w, profile.v)
 
 
 @given(data=vote_sets(), step=st.integers(min_value=-2, max_value=2))
