@@ -21,6 +21,7 @@ from .model import (
     VALIDATION_TOL,
     AbstainStrategy,
     VoteProfile,
+    _pivot_slack,
     _require_cost,
     as_array,
     threshold_index,
@@ -121,11 +122,9 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         if w > v:
             w, head = v, profile.head
         pivot = float(profile.abs_sorted[w - 1])
-        eps = np.finfo(float).eps
-        # n*budget may pass the exact sum by VALIDATION_TOL, as n*lam may, plus its rounding.
-        rounding = VALIDATION_TOL + 4.0 * eps * (n * profile.lam + profile.total)
         raise_w = (n * budget - 2.0 * alpha * head) / pivot
-        slack = SOLVER_TOL + rounding / pivot
+        # n*budget sums terms of size n*lam and total.
+        slack = SOLVER_TOL + _pivot_slack(n * profile.lam + profile.total, pivot)
         if raise_w < -slack or raise_w > 2.0 * alpha + slack:
             raise AssertionError("fractional magnitude raise escaped [0, 2 alpha]")
         t_w = min(max((1.0 - 2.0 * alpha) + raise_w, 0.0), 1.0)
@@ -138,7 +137,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         # The routes round differently, by a few ulps of terms of size
         # (n |budget| + 2 alpha S_w) / (2 n |a_w|): beyond SOLVER_TOL only when |a_w| is tiny.
         terms = (n * abs(budget) + 2.0 * alpha * (head + pivot)) / (2.0 * n * pivot)
-        if abs(closed - value) > SOLVER_TOL + 4.0 * eps * terms:
+        if abs(closed - value) > SOLVER_TOL + 4.0 * np.finfo(float).eps * terms:
             raise AssertionError("closed-form abstain value differs from the greedy value")
     if trivial:
         # The vacuous game is won by abstaining everywhere.

@@ -19,6 +19,7 @@ from .model import (
     LabelVector,
     PredictionVector,
     VoteProfile,
+    _pivot_slack,
     payoff,
 )
 
@@ -48,14 +49,13 @@ def find_threshold(profile: VoteProfile) -> int:
     return profile.v
 
 
-def _pivot_slack(profile: VoteProfile) -> float:
-    """Rounding of n*lam - head over |a_v|, the error of nature's label at the pivot.
+def _value_tol(profile: VoteProfile) -> float:
+    """SOLVER_TOL plus the rounding of lam - head/n, a few ulps of lam, over |a_v|.
 
-    ``threshold_index`` lets n*lam pass the exact margin sum by VALIDATION_TOL,
-    and the subtraction rounds by a few ulps of n*lam.
+    It leaves out the label's VALIDATION_TOL share, so the saddle check still
+    refuses a v the tie rule picked short of the exact one.
     """
-    n_lam = profile.n * profile.lam
-    return (VALIDATION_TOL + 4.0 * np.finfo(float).eps * n_lam) / profile.pivot
+    return SOLVER_TOL + 4.0 * np.finfo(float).eps * profile.lam / profile.pivot
 
 
 def game_value(profile: VoteProfile) -> float:
@@ -68,7 +68,7 @@ def game_value(profile: VoteProfile) -> float:
     n = profile.n
     v = find_threshold(profile)
     value = (v - 1) / n + (profile.lam - profile.head / n) / profile.pivot
-    tol = SOLVER_TOL + _pivot_slack(profile) / n
+    tol = _value_tol(profile)
     if value > 1.0 + tol or value < profile.lam - tol:
         raise AssertionError(f"game value {value} escaped [lam, 1]")
     return min(max(value, profile.lam), 1.0)
@@ -101,7 +101,7 @@ def optimal_nature(profile: VoteProfile) -> LabelVector:
     z = np.sign(votes, where=above, out=np.zeros(n))
     z[full] = np.sign(votes[full])
     pivot_label = (n * profile.lam - profile.head) / float(votes[at_pivot])
-    if abs(pivot_label) > 1.0 + SOLVER_TOL + _pivot_slack(profile):
+    if abs(pivot_label) > 1.0 + SOLVER_TOL + _pivot_slack(n * profile.lam, pivot):
         raise AssertionError("fractional label escaped the box")
     z[at_pivot] = min(max(pivot_label, -1.0), 1.0)
     return LabelVector(z)
@@ -128,7 +128,7 @@ def solve_game(profile: VoteProfile) -> GameSolution:
     binding = payoff(z_star, profile.votes)
     if abs(binding - profile.lam) > SOLVER_TOL:
         raise AssertionError("nature's optimum does not bind the constraint")
-    if abs(payoff(g_star, z_star) - value) > SOLVER_TOL + _pivot_slack(profile) / profile.n:
+    if abs(payoff(g_star, z_star) - value) > _value_tol(profile):
         raise AssertionError("saddle payoff does not match the game value")
     if lower > value + VALIDATION_TOL:
         raise AssertionError("value lower bound exceeds the value")

@@ -106,6 +106,15 @@ def threshold_index(
     return lo + 1, exact_sum(magnitudes[:lo])
 
 
+def _pivot_slack(scale: float, pivot: float) -> float:
+    """Error of a ``threshold_index`` remainder, target - head, divided by its pivot.
+
+    The target may pass the exact prefix sum by VALIDATION_TOL, and the
+    subtraction rounds by a few ulps of ``scale``, the size of its terms.
+    """
+    return (VALIDATION_TOL + 4.0 * np.finfo(float).eps * scale) / pivot
+
+
 @dataclass(frozen=True)
 class EnsembleMatrix:
     """Sign predictions of the base classifiers on the unlabeled examples.

@@ -178,6 +178,16 @@ class TestSolveCommand:
         assert code == 0
         assert report["v"] == 1700
 
+    @pytest.mark.parametrize("command", [["solve"], ["abstain", "--alpha", "0.25"]])
+    def test_tiny_margins_give_no_wrong_report(self, tmp_path, capsys, command):
+        # The absolute tie rule picks v = 1 here, where the exact v is 2.
+        votes = write_votes(tmp_path, "vote\n4.08e-13\n3.33e-13\n")
+        code, report = run(capsys, *command, "--votes", votes, "--lambda", "3.13e-13")
+        if code != 0:
+            assert report["error"] == "internal_error"
+        else:
+            assert report["v"] == 2
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _ = run(

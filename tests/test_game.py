@@ -103,6 +103,18 @@ class TestTieRuleEdge:
         with pytest.raises(AssertionError, match="escaped the box"):
             optimal_nature(profile)
 
+    def test_tiny_margins_raise_or_solve_exactly(self):
+        # n*lam = 6.26e-13 lies below VALIDATION_TOL, so the absolute tie rule picks v = 1
+        # where the exact v is 2, and the label's slack passes 1.  The value and saddle
+        # checks must still refuse the wrong v rather than report its value 0.767.
+        profile = sort_profile([4.08e-13, 3.33e-13], 3.13e-13)
+        try:
+            solution = solve_game(profile)
+        except AssertionError:
+            return
+        assert solution.v == 2
+        assert solution.value == pytest.approx(0.5 + (3.13e-13 - 4.08e-13 / 2) / 3.33e-13)
+
 
 class TestNatureGreedy:
     def test_fix1(self, fix1):
