@@ -31,7 +31,6 @@ from .model import (
 )
 from .oracle import ENUM_MAX_N, certify_batch, certify_instance, worst_case_abstain_loss
 from .pacbayes import (
-    BoundReport,
     PacBayesParams,
     abstain_mistake_bounds,
     epsilon,
@@ -226,66 +225,52 @@ def cmd_pipeline(args) -> int:
         raise DimensionError(
             f"train has {sample.num_hypotheses} hypotheses, test has {test.num_hypotheses}"
         )
-    if not 0.0 < args.delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    posterior, prior = _posterior(args.posterior, sample)
     params = PacBayesParams(m=sample.num_examples, delta=args.delta)
+    posterior, prior = _posterior(args.posterior, sample)
 
     gibbs = gibbs_train_error(sample, posterior)
     divergence = kl_discrete(posterior, prior)
-    eps = epsilon(params, posterior, prior)
+    eps = epsilon(params, divergence)
     lam_hat = lambda_hat(gibbs, eps)
-    budget = kl_bound_train(sample, posterior, prior, args.delta)
-    report = BoundReport(
-        gibbs_train_error=gibbs,
-        kl_posterior_prior=divergence,
-        epsilon=eps,
-        lambda_hat=lam_hat,
-        error_bound=None,
-        abstain_bound=None,
-        mistake_bound=None,
-        degenerate=lam_hat <= 0.0,
-    )
+    degenerate = lam_hat <= 0.0
 
     votes = compute_votes(test, posterior)
     del test  # the n x H matrix is not needed past the votes
-    game_json = abstain_json = None
+    game_json = abstain_json = raw = abstain_bound = mistake_bound = None
     predictions = votes
     probs = np.zeros(votes.size)
 
-    if not report.degenerate:
+    if not degenerate:
         profile = sort_profile(votes, lam_hat)
         solution = solve_game(profile)
         predictions = solution.g_star.values
-        raw = error_probability_bound(profile, report, args.delta)
-        bounds = (None, None)
+        raw = error_probability_bound(profile, gibbs, eps, params.delta)
         if args.alpha is not None:
             abstain = solve_abstain(profile, args.alpha)
             probs = abstain.p_alg.probs
             abstain_json = _record(abstain)
+            # The bounds hold for the abstaining p_alg, not the all-abstain strategy.
             if args.alpha < 0.5:
-                bounds = abstain_mistake_bounds(profile, report, args.delta)
-        report = dataclasses.replace(
-            report, error_bound=raw, abstain_bound=bounds[0], mistake_bound=bounds[1]
-        )
+                abstain_bound, mistake_bound = abstain_mistake_bounds(
+                    profile, gibbs, eps, params.delta
+                )
         game_json = _record(solution)
 
-    raw = report.error_bound
     payload = {
         "bound_report": {
-            "m": sample.num_examples,
-            "delta": args.delta,
+            "m": params.m,
+            "delta": params.delta,
             "posterior": args.posterior,
-            "gibbs_train_error": report.gibbs_train_error,
-            "kl_posterior_prior": report.kl_posterior_prior,
-            "epsilon": report.epsilon,
-            "lambda_hat": report.lambda_hat,
-            "train_kl_budget": budget,
+            "gibbs_train_error": gibbs,
+            "kl_posterior_prior": divergence,
+            "epsilon": eps,
+            "lambda_hat": lam_hat,
+            "train_kl_budget": kl_bound_train(params, divergence),
             "error_bound_raw": raw,
             "error_bound_clipped": None if raw is None else min(max(raw, 0.0), 1.0),
-            "abstain_bound": report.abstain_bound,
-            "mistake_bound": report.mistake_bound,
-            "degenerate": report.degenerate,
+            "abstain_bound": abstain_bound,
+            "mistake_bound": mistake_bound,
+            "degenerate": degenerate,
         },
         "game_solution": game_json,
         "abstain_solution": abstain_json,
@@ -293,7 +278,7 @@ def cmd_pipeline(args) -> int:
             [np.arange(len(votes)), votes, predictions, probs, np.sign(predictions).astype(int)],
             names="index,vote,prediction,abstain_probability,label",
         ),
-        "fallback": report.degenerate,
+        "fallback": degenerate,
         "seed": args.seed,
     }
     _emit(payload, args, args.out)

@@ -3,15 +3,16 @@
 Natural logarithms throughout.  The pipeline route is: Gibbs training error
 plus a complexity radius epsilon gives a test-side error bound, which
 converts to the correlation bound lambda_hat = 1 - 2*err - 2*epsilon fed to
-the game.  A nonpositive lambda_hat is flagged degenerate rather than
-clamped; the caller falls back to the averaged prediction.
+the game.  KL(q||q0) is computed once, by ``kl_discrete``, and passed to
+both ``epsilon`` and ``kl_bound_train``.  A nonpositive lambda_hat is flagged
+degenerate rather than clamped; the caller falls back to the averaged
+prediction, and the bounds refuse it with ``DegenerateBound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, log, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -33,29 +34,6 @@ class PacBayesParams:
             raise ValueError("training size must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """The certified quantities the pipeline attaches to a prediction run."""
-
-    gibbs_train_error: float
-    kl_posterior_prior: float
-    epsilon: float
-    lambda_hat: float
-    error_bound: Optional[float]
-    abstain_bound: Optional[float]
-    mistake_bound: Optional[float]
-    degenerate: bool
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.kl_posterior_prior < 0:
-            raise ValueError("epsilon and KL must be nonnegative")
-        expected = 1.0 - 2.0 * self.gibbs_train_error - 2.0 * self.epsilon
-        if abs(self.lambda_hat - expected) > 1e-9:
-            raise ValueError("lambda_hat must equal 1 - 2*err - 2*epsilon")
-        if self.degenerate != (self.lambda_hat <= 0.0):
-            raise ValueError("degenerate flag must track lambda_hat <= 0")
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -89,12 +67,11 @@ def kl_discrete(q: WeightVector, q0: WeightVector) -> float:
     return max(value, 0.0)
 
 
-def epsilon(params: PacBayesParams, q: WeightVector, q0: WeightVector) -> float:
-    """Complexity radius sqrt((2/m)(KL(q||q0) + log(2(m+1)/delta))).
+def epsilon(params: PacBayesParams, divergence: float) -> float:
+    """Complexity radius sqrt((2/m)(KL + log(2(m+1)/delta))), KL = KL(q||q0).
 
     Strictly decreasing in m and delta, strictly increasing in the KL term.
     """
-    divergence = kl_discrete(q, q0)
     return sqrt((2.0 / params.m) * (divergence + log(2.0 * (params.m + 1) / params.delta)))
 
 
@@ -111,20 +88,20 @@ def lambda_hat(gibbs_error: float, eps: float) -> float:
     return 1.0 - 2.0 * gibbs_error - 2.0 * eps
 
 
-def error_probability_bound(profile: VoteProfile, report: BoundReport, delta: float) -> float:
+def error_probability_bound(profile: VoteProfile, gibbs: float, eps: float, delta: float) -> float:
     """Error probability bound err + eps + delta - (1/2n) sum_{i<v} (1 - |a_i|).
 
     Returned raw; reporting clips to [0, 1] separately so that strong
     ensembles with a negative raw bound stay observable.
     """
-    if report.lambda_hat <= 0.0:
+    if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("error bound undefined for nonpositive lambda_hat")
     disagreement = (find_threshold(profile) - 1) - profile.head
-    return report.gibbs_train_error - disagreement / (2.0 * profile.n) + report.epsilon + delta
+    return gibbs - disagreement / (2.0 * profile.n) + eps + delta
 
 
 def abstain_mistake_bounds(
-    profile: VoteProfile, report: BoundReport, delta: float
+    profile: VoteProfile, gibbs: float, eps: float, delta: float
 ) -> tuple[float, float]:
     """Bounds on the abstain and mistake probabilities of the abstaining rule.
 
@@ -133,14 +110,13 @@ def abstain_mistake_bounds(
 
     Both are independent of the abstain cost in the alpha < 1/2 regime.
     """
-    if report.lambda_hat <= 0.0:
+    if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
     v = find_threshold(profile)
     head_disagreement = v - exact_sum(profile.abs_sorted[:v])
-    err, eps = report.gibbs_train_error, report.epsilon
-    abstain = 2.0 * err + 2.0 * eps + delta - _tail_ratio(profile) / n
-    mistake = err + eps + delta - head_disagreement / (2.0 * n)
+    abstain = 2.0 * gibbs + 2.0 * eps + delta - _tail_ratio(profile) / n
+    mistake = gibbs + eps + delta - head_disagreement / (2.0 * n)
     return abstain, mistake
 
 
@@ -163,14 +139,11 @@ def exp_weights_posterior(sample: LabeledSample, eta: float) -> WeightVector:
     return WeightVector(weights=shifted / shifted.sum())
 
 
-def kl_bound_train(
-    sample: LabeledSample, q: WeightVector, q0: WeightVector, delta: float
-) -> float:
-    """Training-side KL budget (KL(q||q0) + log((m+1)/delta)) / m.
+def kl_bound_train(params: PacBayesParams, divergence: float) -> float:
+    """Training-side KL budget (KL + log((m+1)/delta)) / m, KL = KL(q||q0).
 
     Computed for display next to the square-root route the pipeline actually
     uses; inverting it would give a tighter correlation bound but is out of
     scope here.
     """
-    m = sample.num_examples
-    return (kl_discrete(q, q0) + log((m + 1) / delta)) / m
+    return (divergence + log((params.m + 1) / params.delta)) / params.m

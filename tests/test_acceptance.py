@@ -187,7 +187,7 @@ def test_criterion_7_abstain_fraction_bound():
 def test_criterion_8_pac_bayes_numerics():
     uniform = WeightVector(np.full(8, 0.125))
     prior = WeightVector(np.full(8, 0.125), role="prior")
-    eps_value = epsilon(PacBayesParams(m=2000, delta=0.05), uniform, prior)
+    eps_value = epsilon(PacBayesParams(m=2000, delta=0.05), kl_discrete(uniform, prior))
     ok = abs(eps_value - 0.106254) <= 1e-5
     lam_value = lambda_hat(0.1, eps_value)
     ok &= abs(lam_value - 0.587492) <= 1e-5
@@ -209,15 +209,15 @@ def test_criterion_8_pac_bayes_numerics():
     ]
     q0 = WeightVector(np.full(4, 0.25), role="prior")
     monotone = True
-    for delta, q in itertools.product(deltas, posteriors):
-        values = [epsilon(PacBayesParams(m=m, delta=delta), q, q0) for m in ms]
+    kls = [kl_discrete(q, q0) for q in posteriors]
+    for delta, kl in itertools.product(deltas, kls):
+        values = [epsilon(PacBayesParams(m=m, delta=delta), kl) for m in ms]
         monotone &= all(a > b for a, b in zip(values, values[1:]))
-    for m, q in itertools.product(ms, posteriors):
-        values = [epsilon(PacBayesParams(m=m, delta=d), q, q0) for d in deltas]
+    for m, kl in itertools.product(ms, kls):
+        values = [epsilon(PacBayesParams(m=m, delta=d), kl) for d in deltas]
         monotone &= all(a > b for a, b in zip(values, values[1:]))
     for m, delta in itertools.product(ms, deltas):
-        values = [epsilon(PacBayesParams(m=m, delta=delta), q, q0) for q in posteriors]
-        kls = [kl_discrete(q, q0) for q in posteriors]
+        values = [epsilon(PacBayesParams(m=m, delta=delta), kl) for kl in kls]
         monotone &= kls == sorted(kls) and all(a < b for a, b in zip(values, values[1:]))
     ok &= monotone
     report(

@@ -490,6 +490,30 @@ class TestPipelineCommand:
         assert report["bound_report"]["abstain_bound"] is not None
         assert report["bound_report"]["mistake_bound"] is not None
 
+    def test_kl_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        from votebound import pacbayes
+
+        files = gen_dataset(tmp_path, capsys, m=200, n=16, h=8)
+        kl_discrete, calls = pacbayes.kl_discrete, []
+
+        def counted(q, q0):
+            calls.append(None)
+            return kl_discrete(q, q0)
+
+        for module in ("votebound.cli", "votebound.pacbayes"):
+            monkeypatch.setattr(f"{module}.kl_discrete", counted)
+        code, report = run_pipeline(capsys, files, "--alpha", "0.25")
+        assert code == 0
+        assert report["bound_report"]["kl_posterior_prior"] == 0.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("delta", ["2", "0", "nan"])
+    def test_delta_outside_unit_interval_exits_2(self, tmp_path, capsys, delta):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        code, report = run_pipeline(capsys, files, "--delta", delta)
+        assert code == 2
+        assert report == {"error": "validation_error", "message": "delta must lie in (0, 1)"}
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         files = gen_dataset(tmp_path, capsys, m=50, n=10, h=4)
         other = gen_dataset(tmp_path, capsys, m=50, n=10, h=6, sub="other")

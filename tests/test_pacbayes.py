@@ -9,7 +9,6 @@ from votebound import sort_profile
 from votebound.errors import DegenerateBound, DimensionError, InfiniteDivergence
 from votebound.model import LabeledSample, WeightVector
 from votebound.pacbayes import (
-    BoundReport,
     PacBayesParams,
     abstain_mistake_bounds,
     epsilon,
@@ -100,13 +99,13 @@ class TestKlDiscrete:
 class TestEpsilon:
     def test_m2000(self):
         params = PacBayesParams(m=2000, delta=0.05)
-        assert epsilon(params, uniform(4), uniform(4, "prior")) == pytest.approx(
+        assert epsilon(params, kl_discrete(uniform(4), uniform(4, "prior"))) == pytest.approx(
             EPS_2000, abs=1e-9
         )
 
     def test_m100(self):
         params = PacBayesParams(m=100, delta=0.05)
-        assert epsilon(params, uniform(4), uniform(4, "prior")) == pytest.approx(
+        assert epsilon(params, kl_discrete(uniform(4), uniform(4, "prior"))) == pytest.approx(
             EPS_100, abs=1e-9
         )
 
@@ -115,17 +114,17 @@ class TestEpsilon:
         q0 = uniform(h, "prior")
         qs = [uniform(h), WeightVector(np.array([0.4, 0.3, 0.2, 0.1])), WeightVector(np.array([0.7, 0.1, 0.1, 0.1]))]
         values_m = [
-            epsilon(PacBayesParams(m=m, delta=0.05), uniform(h), q0)
+            epsilon(PacBayesParams(m=m, delta=0.05), kl_discrete(uniform(h), q0))
             for m in (50, 100, 500, 2000, 10000)
         ]
         assert all(a > b for a, b in zip(values_m, values_m[1:]))
         values_delta = [
-            epsilon(PacBayesParams(m=100, delta=d), uniform(h), q0)
+            epsilon(PacBayesParams(m=100, delta=d), kl_discrete(uniform(h), q0))
             for d in (0.01, 0.05, 0.1, 0.3, 0.5)
         ]
         assert all(a > b for a, b in zip(values_delta, values_delta[1:]))
-        values_kl = [epsilon(PacBayesParams(m=100, delta=0.05), q, q0) for q in qs]
         kls = [kl_discrete(q, q0) for q in qs]
+        values_kl = [epsilon(PacBayesParams(m=100, delta=0.05), kl) for kl in kls]
         assert kls == sorted(kls)
         assert all(a < b for a, b in zip(values_kl, values_kl[1:]))
 
@@ -177,78 +176,63 @@ class TestLambdaHat:
         assert lambda_hat(0.0, 1e-6) < 1.0
 
 
-def make_report(gibbs, eps):
-    lam = lambda_hat(gibbs, eps)
-    return BoundReport(
-        gibbs_train_error=gibbs,
-        kl_posterior_prior=0.0,
-        epsilon=eps,
-        lambda_hat=lam,
-        error_bound=None,
-        abstain_bound=None,
-        mistake_bound=None,
-        degenerate=lam <= 0,
-    )
-
-
 class TestErrorProbabilityBound:
     def test_fix1_style_inputs(self, fix1):
-        report = make_report(gibbs=0.14, eps=0.08)
-        assert report.lambda_hat >= fix1.lam  # inputs consistent by construction
-        bound = error_probability_bound(fix1, report, delta=0.05)
+        gibbs, eps = 0.14, 0.08
+        assert lambda_hat(gibbs, eps) >= fix1.lam  # inputs consistent by construction
+        bound = error_probability_bound(fix1, gibbs, eps, delta=0.05)
         assert bound == pytest.approx(0.245, abs=1e-12)
 
     def test_no_voting_gain_with_unit_margins(self):
         profile = sort_profile([1.0, -1.0, 1.0], 0.9)
-        report = make_report(gibbs=0.02, eps=0.01)
-        assert error_probability_bound(profile, report, 0.05) == pytest.approx(
+        gibbs, eps = 0.02, 0.01
+        assert error_probability_bound(profile, gibbs, eps, 0.05) == pytest.approx(
             0.02 + 0.01 + 0.05, abs=1e-12
         )
 
     def test_first_index_threshold_empty_sum(self):
         profile = sort_profile([0.9, 0.1], 0.3)
-        report = make_report(gibbs=0.1, eps=0.05)
-        assert error_probability_bound(profile, report, 0.02) == pytest.approx(
+        gibbs, eps = 0.1, 0.05
+        assert error_probability_bound(profile, gibbs, eps, 0.02) == pytest.approx(
             0.1 + 0.05 + 0.02, abs=1e-12
         )
 
     def test_never_exceeds_unclipped_sum(self):
         for gibbs, eps, delta in [(0.1, 0.05, 0.05), (0.2, 0.01, 0.1)]:
             profile = sort_profile([0.9, 0.6, 0.3], 0.4)
-            report = make_report(gibbs, eps)
-            assert error_probability_bound(profile, report, delta) <= gibbs + eps + delta
+            assert error_probability_bound(profile, gibbs, eps, delta) <= gibbs + eps + delta
 
     def test_degenerate_rejected(self, fix1):
-        report = make_report(gibbs=0.5, eps=0.3)
+        gibbs, eps = 0.5, 0.3
         with pytest.raises(DegenerateBound):
-            error_probability_bound(fix1, report, 0.05)
+            error_probability_bound(fix1, gibbs, eps, 0.05)
 
 
 class TestAbstainMistakeBounds:
     def test_fix1_style_inputs(self, fix1):
-        report = make_report(gibbs=0.14, eps=0.08)
-        abstain, mistake = abstain_mistake_bounds(fix1, report, delta=0.05)
+        gibbs, eps = 0.14, 0.08
+        abstain, mistake = abstain_mistake_bounds(fix1, gibbs, eps, delta=0.05)
         assert abstain == pytest.approx(0.39, abs=1e-12)
         assert mistake == pytest.approx(0.1825, abs=1e-12)
 
     def test_unit_margin_collapse(self):
         profile = sort_profile([1.0, 1.0, -1.0, 1.0], 0.5)
-        report = make_report(gibbs=0.1, eps=0.05)
+        gibbs, eps = 0.1, 0.05
         v = 2  # prefix means 0.25, 0.5
-        abstain, mistake = abstain_mistake_bounds(profile, report, 0.02)
+        abstain, mistake = abstain_mistake_bounds(profile, gibbs, eps, 0.02)
         assert abstain == pytest.approx(0.2 + 0.1 + 0.02 - (4 - v) / 4, abs=1e-12)
         assert mistake == pytest.approx(0.1 + 0.05 + 0.02, abs=1e-12)
 
     def test_threshold_at_n_drops_ratio_sum(self):
         profile = sort_profile([0.6, 0.5], 0.55)
-        report = make_report(gibbs=0.05, eps=0.05)
-        abstain, _ = abstain_mistake_bounds(profile, report, 0.05)
+        gibbs, eps = 0.05, 0.05
+        abstain, _ = abstain_mistake_bounds(profile, gibbs, eps, 0.05)
         assert abstain == pytest.approx(0.1 + 0.1 + 0.05, abs=1e-12)
 
     def test_degenerate_rejected(self, fix1):
-        report = make_report(gibbs=0.45, eps=0.2)
+        gibbs, eps = 0.45, 0.2
         with pytest.raises(DegenerateBound):
-            abstain_mistake_bounds(fix1, report, 0.05)
+            abstain_mistake_bounds(fix1, gibbs, eps, 0.05)
 
 
 class TestExpWeightsPosterior:
@@ -282,19 +266,20 @@ class TestExpWeightsPosterior:
 
 class TestKlBoundTrain:
     def test_uniform_posterior(self):
-        sample = sample_with_errors([0, 0, 0, 0], m=100)
-        value = kl_bound_train(sample, uniform(4), uniform(4, "prior"), delta=0.05)
+        params = PacBayesParams(m=100, delta=0.05)
+        value = kl_bound_train(params, kl_discrete(uniform(4), uniform(4, "prior")))
         assert value == pytest.approx(KL_BUDGET_100, abs=1e-9)
 
     def test_point_mass_posterior(self):
-        sample = sample_with_errors([0, 0, 0, 0], m=100)
+        params = PacBayesParams(m=100, delta=0.05)
         q = WeightVector(np.array([1.0, 0, 0, 0]))
-        value = kl_bound_train(sample, q, uniform(4, "prior"), delta=0.05)
+        value = kl_bound_train(params, kl_discrete(q, uniform(4, "prior")))
         assert value == pytest.approx(KL_BUDGET_100_POINTMASS, abs=1e-9)
 
     def test_vanishes_with_training_size(self):
+        divergence = kl_discrete(uniform(2), uniform(2, "prior"))
         budgets = [
-            kl_bound_train(sample_with_errors([0, 0], m=m), uniform(2), uniform(2, "prior"), 0.05)
+            kl_bound_train(PacBayesParams(m=m, delta=0.05), divergence)
             for m in (10, 100, 1000, 10000)
         ]
         assert all(a > b for a, b in zip(budgets, budgets[1:]))
@@ -306,33 +291,3 @@ class TestParamsAndReport:
             PacBayesParams(m=0, delta=0.05)
         with pytest.raises(ValueError):
             PacBayesParams(m=10, delta=1.0)
-
-    def test_report_degeneracy_flag_tracks_lambda(self):
-        report = make_report(0.45, 0.1)
-        assert report.degenerate == (report.lambda_hat <= 0)
-        report = make_report(0.1, 0.05)
-        assert not report.degenerate
-
-    def test_report_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            BoundReport(
-                gibbs_train_error=0.1,
-                kl_posterior_prior=0.0,
-                epsilon=0.05,
-                lambda_hat=0.9,  # not 1 - 2*0.1 - 2*0.05
-                error_bound=None,
-                abstain_bound=None,
-                mistake_bound=None,
-                degenerate=False,
-            )
-        with pytest.raises(ValueError):
-            BoundReport(
-                gibbs_train_error=0.1,
-                kl_posterior_prior=0.0,
-                epsilon=0.05,
-                lambda_hat=lambda_hat(0.1, 0.05),
-                error_bound=None,
-                abstain_bound=None,
-                mistake_bound=None,
-                degenerate=True,  # contradicts a positive lambda_hat
-            )
