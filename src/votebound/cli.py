@@ -250,7 +250,7 @@ def cmd_pipeline(args) -> int:
             probs = abstain.p_alg.probs
             abstain_json = _record(abstain)
             # The bounds hold for the abstaining p_alg, not the all-abstain strategy.
-            if args.alpha < 0.5:
+            if args.alpha < 0.5 and not abstain.trivial:
                 abstain_bound, mistake_bound = abstain_mistake_bounds(
                     profile, gibbs, eps, params.delta
                 )

@@ -465,7 +465,10 @@ class TestPipelineCommand:
             reports.append(report)
         assert reports[0] == reports[1]
 
-    def test_abstain_outputs_present_with_alpha(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alpha, trivial", [("0.25", True), ("0.4", False)])
+    def test_abstain_outputs_present_with_alpha(self, tmp_path, capsys, alpha, trivial):
+        # The abstain and mistake bounds hold for p_alg; a trivial game plays
+        # the all-abstain strategy instead, so both bounds are null there.
         files = gen_dataset(tmp_path, capsys, m=400, n=16, h=8)
         code, report = run(
             capsys,
@@ -481,14 +484,18 @@ class TestPipelineCommand:
             "--delta",
             "0.05",
             "--alpha",
-            "0.25",
+            alpha,
             "--canonical",
         )
         assert code == 0
         validate(report, PIPELINE_REPORT_SCHEMA)
-        assert report["abstain_solution"] is not None
-        assert report["bound_report"]["abstain_bound"] is not None
-        assert report["bound_report"]["mistake_bound"] is not None
+        assert report["abstain_solution"]["trivial"] is trivial
+        bound = report["bound_report"]
+        if trivial:
+            assert bound["abstain_bound"] is None and bound["mistake_bound"] is None
+            assert all(e["abstain_probability"] == 1.0 for e in report["examples"])
+        else:
+            assert bound["abstain_bound"] is not None and bound["mistake_bound"] is not None
 
     def test_kl_is_computed_once(self, tmp_path, capsys, monkeypatch):
         from votebound import pacbayes
