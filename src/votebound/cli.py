@@ -286,12 +286,16 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.alpha is not None:
+        _require_cost(args.alpha)
     if not 1 <= args.nmax <= ENUM_MAX_N:
         raise ValidationError(f"nmax must lie in [1, {ENUM_MAX_N}]")
     if args.count < 1:
         raise ValidationError("count must be at least 1")
 
     if args.votes is None:
+        if args.alpha is not None or args.lam is not None:
+            raise ValidationError("--alpha and --lambda apply only with --votes")
         payload = certify_batch(count=args.count, seed=args.seed, nmax=args.nmax)
     else:
         if args.lam is None:

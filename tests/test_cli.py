@@ -662,6 +662,24 @@ class TestVerifyCommand:
             assert report["error"] == "validation_error"
             assert "nmax" in report["message"]
 
+    def test_cost_is_checked_before_the_votes_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, report = run(capsys, "verify", "--votes", missing, "--lambda", "0.2", "--alpha", "nan")
+        assert (code, report["error"]) == (2, "invalid_cost")
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--alpha", "nan"], "invalid_cost"),
+            (["--alpha", "0.25"], "validation_error"),
+            (["--lambda", "0.3"], "validation_error"),
+        ],
+    )
+    def test_batch_refuses_instance_flags(self, capsys, flags, error):
+        # A batch draws its own lambda and alpha per instance.
+        code, report = run(capsys, "verify", "--count", "3", *flags)
+        assert (code, report["error"]) == (2, error)
+
     def test_single_instance_above_oracle_cap_exits_2(self, tmp_path, capsys):
         votes = write_votes(tmp_path, "vote\n" + "0.5\n" * 9)
         code, report = run(capsys, "verify", "--votes", votes, "--lambda", "0.2")
