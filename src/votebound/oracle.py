@@ -353,13 +353,7 @@ def certify_instance(
     }
 
 
-def certify_batch(
-    count: int,
-    seed: int = 0,
-    nmax: int = 6,
-    check_abstain: bool = True,
-    grid_step: float = 0.02,
-) -> dict:
+def certify_batch(count: int, seed: int = 0, nmax: int = 6) -> dict:
     """Run ``certify_instance`` over seeded random instances.
 
     Returns an aggregate summary with the worst instance observed.
@@ -372,7 +366,7 @@ def certify_batch(
     grid_checked = 0
     ok = True
     for votes, lam, alpha in random_instances(count, seed, nmax):
-        check = certify_instance(votes, lam, alpha if check_abstain else None, grid_step)
+        check = certify_instance(votes, lam, alpha, grid_step=0.02)
         ok &= check["ok"]
         grid_checked += "abstain_grid_value" in check
         max_grid_excess = max(max_grid_excess, check["grid_excess"])
