@@ -581,6 +581,38 @@ class TestPipelineCommand:
         assert report["bound_report"]["kl_posterior_prior"] > 0
 
 
+class TestBoundsAgainstMeasuredRates:
+    """Each pipeline bound against the rate it bounds on the test labels.
+
+    ``gen`` does not write the test labels; its generator draws the train
+    labels, then the test labels, so they are drawn again here.  The seed 7
+    set is the committed golden data.  The bounds hold with probability
+    1 - delta over the training draw, so a fixed seed is a regression pin,
+    not a proof.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, base_error, alpha", [(7, 0.1, "0.25"), (1, 0.3, "0.4")], ids=["golden", "weak"]
+    )
+    def test_rates_stay_below_their_bounds(self, tmp_path, capsys, seed, base_error, alpha):
+        m, n = 1000, 400
+        files = gen_dataset(tmp_path, capsys, seed=seed, m=m, n=n, h=12, base_error=base_error)
+        rng = np.random.default_rng(seed)
+        train_labels = rng.integers(0, 2, m) * 2 - 1
+        y = rng.integers(0, 2, n) * 2 - 1
+        assert np.array_equal(np.loadtxt(files["train_labels"], skiprows=1), train_labels)
+
+        code, report = run_pipeline(capsys, files, "--alpha", alpha)
+        assert code == 0
+        assert report["abstain_solution"]["trivial"] is False
+        p = np.array([e["abstain_probability"] for e in report["examples"]])
+        g = np.array([e["prediction"] for e in report["examples"]])
+        bound = report["bound_report"]
+        assert p.mean() <= bound["abstain_bound"]
+        assert np.mean((1 - p) * (1 - g * y) / 2) <= bound["mistake_bound"]
+        assert np.mean((1 - g * y) / 2) <= bound["error_bound_raw"]
+
+
 class TestPipelineInputs:
     """Every malformed input file ends as a parse error, never as a report."""
 
