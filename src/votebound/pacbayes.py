@@ -108,7 +108,8 @@ def abstain_mistake_bounds(
     abstain <= 2*err + 2*eps + delta - (1/n) sum_{i>v} |a_i|/|a_v|
     mistake <=   err +   eps + delta - (1/2n) sum_{i<=v} (1 - |a_i|)
 
-    Both are independent of the abstain cost in the alpha < 1/2 regime.
+    Both bound p_alg in the nontrivial alpha < 1/2 regime and are independent
+    of the cost there; they say nothing of the trivial all-abstain strategy.
     """
     if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
