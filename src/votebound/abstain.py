@@ -33,8 +33,8 @@ class AbstainSolution:
     """Everything the abstain solver knows about one (profile, alpha) instance.
 
     Margins |a_i| run in nonincreasing order, S_k is the sum of the k largest
-    and v, |a_v| are the profile's threshold record.  ``w`` and
-    ``value_closed_form`` are set only when neither trivial nor alpha >= 1/2.
+    and v, |a_v| are the profile's threshold record.  ``w`` is set only when
+    neither trivial nor alpha >= 1/2.
 
     - alpha: the cost of abstaining, positive and finite.
     - trivial: alpha <= (1/2)(1 - n*lam / S_n), inclusive: always abstaining is optimal.
@@ -43,8 +43,6 @@ class AbstainSolution:
     - value_exact: alpha if trivial; (1 - V)/2 for alpha >= 1/2, V the game value; otherwise
       ((1 - t_w)/2 + (n - w) alpha)/n with t_w = 1 - 2 alpha + (n*budget - 2 alpha S_{w-1})/|a_w|.
     - value_lower, value_upper: alpha(1 - w/n) and alpha(1 - (w-1)/n), or value_exact without w.
-    - value_closed_form: alpha(1 - w/n) + (2 alpha S_w - n*budget)/(2 n |a_w|), the greedy
-      solved in one line; held to value_exact within SOLVER_TOL plus its rounding.
     - p_alg: all ones if trivial, else ``p_alg(profile, alpha)``.
     - loss_formula: (1/2)(1 - v/n) for alpha >= 1/2, else alpha(1 - v/n) + (1/2 - alpha)(1/n)
       sum_{i>v} |a_i|/|a_v|, the loss of p_alg and g* against z* when S_v = n*lam.  It can
@@ -60,7 +58,6 @@ class AbstainSolution:
     value_exact: float
     value_lower: float
     value_upper: float
-    value_closed_form: Optional[float]
     p_alg: AbstainStrategy
     loss_formula: float
     loss_no_abstain: float
@@ -110,7 +107,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     n, v = profile.n, find_threshold(profile)
     budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / n
     trivial = alpha <= 0.5 * (1.0 - n * profile.lam / profile.total) + VALIDATION_TOL
-    w = closed = None
+    w = None
     if trivial:
         value = lower = upper = alpha
     elif alpha >= 0.5:
@@ -133,12 +130,6 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         upper = alpha * (1.0 - (w - 1) / n)
         if not (lower - SOLVER_TOL <= value <= upper + SOLVER_TOL):
             raise AssertionError("abstain value escaped its bracketing bounds")
-        closed = lower + (2.0 * alpha * (head + pivot) - n * budget) / (2.0 * n * pivot)
-        # The routes round differently, by a few ulps of terms of size
-        # (n |budget| + 2 alpha S_w) / (2 n |a_w|): beyond SOLVER_TOL only when |a_w| is tiny.
-        terms = (n * abs(budget) + 2.0 * alpha * (head + pivot)) / (2.0 * n * pivot)
-        if abs(closed - value) > SOLVER_TOL + 4.0 * np.finfo(float).eps * terms:
-            raise AssertionError("closed-form abstain value differs from the greedy value")
     if trivial:
         # The vacuous game is won by abstaining everywhere.
         strategy = AbstainStrategy(probs=np.ones(n), alpha=alpha)
@@ -156,7 +147,6 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         value_exact=value,
         value_lower=lower,
         value_upper=upper,
-        value_closed_form=closed,
         p_alg=strategy,
         loss_formula=loss_formula,
         loss_no_abstain=0.5 * (1.0 - (v - 1) / n),

@@ -188,7 +188,6 @@ def cmd_abstain(args) -> int:
     profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
-    loss_vs_z_star = abstain_loss(solution.g_star, abstain.p_alg, solution.z_star)
     record = _record(abstain)
     payload = {
         "n": profile.n,
@@ -196,11 +195,9 @@ def cmd_abstain(args) -> int:
         "alpha": record.pop("alpha"),
         "v": solution.v,
         "game_value": solution.value,
+        **record,
+        "loss_vs_z_star": abstain_loss(solution.g_star, abstain.p_alg, solution.z_star),
     }
-    for key, value in record.items():
-        payload[key] = value
-        if key == "loss_formula":
-            payload["loss_vs_z_star"] = loss_vs_z_star
     if profile.n <= ENUM_MAX_N:
         z_worst, payload["oracle_worst_case_loss"] = worst_case_abstain_loss(
             profile, solution.g_star, abstain.p_alg, abstain.alpha

@@ -40,26 +40,6 @@ GRID_MAX_N = 4
 
 
 @dataclass(frozen=True)
-class BoxLpProblem:
-    """minimize costs . z  over z in [-1, 1]^n  with coeffs . z >= rhs."""
-
-    costs: np.ndarray
-    constraint_coeffs: np.ndarray
-    constraint_rhs: float
-
-    def __post_init__(self):
-        costs = as_array(self.costs)
-        coeffs = as_array(self.constraint_coeffs)
-        if costs.size != coeffs.size or costs.size < 1:
-            raise ValueError("costs and constraint coefficients must match and be non-empty")
-        if not (np.all(np.isfinite(costs)) and np.all(np.isfinite(coeffs))):
-            raise ValueError("problem data must be finite")
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "constraint_coeffs", coeffs)
-        object.__setattr__(self, "constraint_rhs", float(self.constraint_rhs))
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     """Closed form vs oracle, with the raw deviation always recorded."""
 
@@ -69,8 +49,8 @@ class CertificationReport:
     details: dict = field(default_factory=dict)
 
 
-def lp_best_response(problem: BoxLpProblem) -> tuple[np.ndarray, float]:
-    """Exact optimum of a single-constraint box LP by greedy exchange.
+def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
+    """Minimize costs . z over z in [-1, 1]^n with coeffs . z >= rhs, by greedy exchange.
 
     Start from the unconstrained optimum z_i = -sign(c_i), placing zero-cost
     coordinates at sign(a_i) since their constraint progress is free.  If the
@@ -79,9 +59,13 @@ def lp_best_response(problem: BoxLpProblem) -> tuple[np.ndarray, float]:
     step.  Exact because the objective and constraint are both linear and the
     box has a single side constraint.
     """
-    c = problem.costs
-    a = problem.constraint_coeffs
-    rhs = problem.constraint_rhs
+    c = as_array(costs)
+    a = as_array(coeffs)
+    if c.size != a.size or c.size < 1:
+        raise ValueError("costs and constraint coefficients must match and be non-empty")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
+        raise ValueError("problem data must be finite")
+    rhs = float(rhs)
     best_possible = float(np.abs(a).sum())
     if best_possible < rhs - VALIDATION_TOL:
         raise Infeasible("constraint unreachable even at z = sign(coeffs)")
@@ -244,14 +228,7 @@ def certify_saddle(profile: VoteProfile, solution: GameSolution) -> Certificatio
     recover it as the mean |z_star|.
     """
     n = profile.n
-    target = n * profile.lam
-    _, objective = lp_best_response(
-        BoxLpProblem(
-            costs=solution.g_star.values,
-            constraint_coeffs=profile.votes,
-            constraint_rhs=target,
-        )
-    )
+    _, objective = lp_best_response(solution.g_star.values, profile.votes, n * profile.lam)
     nature_side = objective / n
     predictor_side = float(np.abs(solution.z_star.values).mean())
     deviation = max(abs(nature_side - solution.value), abs(predictor_side - solution.value))
@@ -277,15 +254,8 @@ def worst_case_abstain_loss(
     _require_cost(alpha)
     gv = as_array(g)
     probs = strategy.probs
-    commit_costs = (1.0 - probs) * gv
-    z, objective = lp_best_response(
-        BoxLpProblem(
-            costs=commit_costs,
-            constraint_coeffs=profile.votes,
-            constraint_rhs=profile.n * profile.lam,
-        )
-    )
     n = profile.n
+    z, objective = lp_best_response((1.0 - probs) * gv, profile.votes, n * profile.lam)
     loss = 0.5 + float(probs.sum()) * (alpha - 0.5) / n - objective / (2.0 * n)
     return LabelVector(z), loss
 

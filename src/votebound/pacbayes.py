@@ -19,7 +19,7 @@ import numpy as np
 from .abstain import _tail_ratio
 from .errors import DegenerateBound, DimensionError, InfiniteDivergence
 from .game import find_threshold
-from .model import LabeledSample, VoteProfile, WeightVector, exact_sum
+from .model import LabeledSample, VoteProfile, WeightVector
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def abstain_mistake_bounds(
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
     v = find_threshold(profile)
-    head_disagreement = v - exact_sum(profile.abs_sorted[:v])
+    head_disagreement = (v - 1 - profile.head) + (1.0 - profile.pivot)
     abstain = 2.0 * gibbs + 2.0 * eps + delta - _tail_ratio(profile) / n
     mistake = gibbs + eps + delta - head_disagreement / (2.0 * n)
     return abstain, mistake

@@ -72,7 +72,6 @@ PIPELINE_REPORT_SCHEMA = {
                         "value_exact",
                         "value_lower",
                         "value_upper",
-                        "value_closed_form",
                         "p_alg",
                         "loss_formula",
                         "loss_no_abstain",
@@ -85,7 +84,6 @@ PIPELINE_REPORT_SCHEMA = {
                         "value_exact": {"type": "number"},
                         "value_lower": {"type": "number"},
                         "value_upper": {"type": "number"},
-                        "value_closed_form": _NUMBER_OR_NULL,
                         "p_alg": {"type": "array", "items": {"type": "number"}},
                         "loss_formula": {"type": "number"},
                         "loss_no_abstain": {"type": "number"},

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import abstain_loss, p_alg
 from votebound.errors import DimensionError, InvalidCost
 from votebound.game import find_threshold
-from votebound.model import SOLVER_TOL, AbstainStrategy
+from votebound.model import AbstainStrategy
 from votebound.oracle import grid_abstain_value, random_instances
 
 
@@ -128,15 +131,45 @@ class TestAbstainValue:
         grid = grid_abstain_value([0.8], 0.4, 0.3, step=0.005)
         assert abs(grid - value) <= 0.005 / 2 + 1e-9
 
-    def test_closed_form_matches_greedy_value(self, fix1):
-        # (2 alpha S_w - n*budget) / (2 n |a_w|) = (0.9 - 0.75) / 6.4 above alpha(1 - w/n).
-        solution = solve_abstain(fix1, 0.25)
-        assert solution.value_closed_form == 0.1484375 == solution.value_exact
-        for votes, lam, alpha in random_instances(count=200, seed=28, nmax=6):
-            solution = solve_abstain(sort_profile(votes, lam), alpha)
-            if solution.trivial or alpha >= 0.5:
+    def test_value_matches_exact_greedy(self):
+        # The greedy in exact arithmetic on the float inputs: with S_k the sum of the
+        # k largest margins, w = min { i : 2 alpha S_i >= n*budget } and the value is
+        # alpha(1 - w/n) + (2 alpha S_w - n*budget) / (2 n |a_w|).
+        rng = np.random.default_rng(41)
+        eps = np.finfo(float).eps
+        checked = 0
+        for draw in range(300):
+            n = int(rng.integers(2, 2001))
+            if draw % 2:
+                votes = rng.integers(-20, 21, n) / 20.0  # tie-heavy
+            else:
+                votes = rng.uniform(-1.0, 1.0, n)
+            mean_abs = float(np.abs(votes).mean())
+            if mean_abs == 0.0:
                 continue
-            assert abs(solution.value_closed_form - solution.value_exact) <= SOLVER_TOL
+            lam = float(rng.uniform(0.1 * mean_abs, mean_abs))
+            alpha = float(rng.uniform(0.05, 0.45))
+            solution = solve_abstain(sort_profile(votes, lam), alpha)
+            if solution.trivial:
+                continue
+            cost = Fraction(alpha)
+            margins = sorted((Fraction(abs(x)) for x in votes), reverse=True)
+            sums = list(accumulate(margins))
+            budget = Fraction(lam) - (1 - 2 * cost) * sums[-1] / n
+            w = next(i for i, s in enumerate(sums, 1) if 2 * cost * s >= n * budget)
+            if w != solution.w:
+                continue  # a near-tie of the w rule
+            pivot = margins[w - 1]
+            exact = cost * (1 - Fraction(w, n))
+            exact += (2 * cost * sums[w - 1] - n * budget) / (2 * n * pivot)
+            unit = (n * lam + float(sums[-1]) + 2 * alpha * float(sums[w - 1])) / (
+                2 * n * float(pivot)
+            )
+            assert abs(Fraction(solution.value_exact) - exact) <= 4 * eps * unit
+            checked += 1
+            if checked == 100:
+                break
+        assert checked == 100
 
 
 class TestPAlg:
@@ -298,12 +331,11 @@ class TestSolveAbstain:
         assert solution.value_exact == 0.05
         assert np.all(solution.p_alg.probs == 1.0)
         assert solution.w is None
-        assert solution.value_closed_form is None
     def test_fix1_fields(self, fix1):
         solution = solve_abstain(fix1, 0.25)
         assert solution.w == 2
         assert solution.budget == pytest.approx(0.1875, abs=1e-12)
-        assert solution.value_closed_form == solution.value_exact == 0.1484375
+        assert solution.value_exact == 0.1484375
         assert solution.loss_formula == pytest.approx(0.0875, abs=1e-12)
         assert solution.loss_no_abstain == pytest.approx(0.25, abs=1e-12)
 
@@ -314,7 +346,6 @@ class TestSolveAbstain:
         # reweighting by 1 - p_i could order it.
         assert solution.p_alg.probs[1] == 1.0
         assert solution.p_alg.probs[0] == 0.0
-        assert solution.value_closed_form == pytest.approx(solution.value_exact, abs=1e-12)
 
     def test_threshold_rule_runs_once_below_half_and_never_otherwise(self, monkeypatch):
         votes = (np.arange(5000) * 37) % 41 / 20.0 - 1.0

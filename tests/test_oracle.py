@@ -12,7 +12,6 @@ from votebound.game import game_value
 from votebound.model import VALIDATION_TOL
 from votebound.oracle import (
     ENUM_MAX_N,
-    BoxLpProblem,
     _pareto_frontier,
     _ternary_grid,
     certify_batch,
@@ -222,29 +221,25 @@ class TestLpBestResponse:
     def test_fix1_nature_response(self, fix1):
         # min z.g* subject to the correlation constraint recovers n*V = 2.4.
         g_star = np.array([1.0, 1.0, 1.0, 0.4])
-        problem = BoxLpProblem(
-            costs=g_star, constraint_coeffs=fix1.votes, constraint_rhs=2.0
-        )
-        _, objective = lp_best_response(problem)
+        _, objective = lp_best_response(g_star, fix1.votes, 2.0)
         assert objective == pytest.approx(2.4, abs=1e-12)
 
     def test_inactive_constraint(self):
         costs = np.array([1.0, -2.0])
         coeffs = np.array([0.5, 0.5])
-        problem = BoxLpProblem(costs, coeffs, constraint_rhs=-1.0)
-        z, objective = lp_best_response(problem)
+        z, objective = lp_best_response(costs, coeffs, -1.0)
         assert np.allclose(z, [-1.0, 1.0])
         assert objective == -3.0
 
     def test_zero_costs(self):
-        problem = BoxLpProblem(np.zeros(3), np.array([0.5, -0.2, 0.1]), 0.3)
-        z, objective = lp_best_response(problem)
+        coeffs = np.array([0.5, -0.2, 0.1])
+        z, objective = lp_best_response(np.zeros(3), coeffs, 0.3)
         assert objective == 0.0
-        assert np.asarray(problem.constraint_coeffs) @ z >= 0.3 - 1e-12
+        assert coeffs @ z >= 0.3 - 1e-12
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
-            lp_best_response(BoxLpProblem(np.ones(2), np.array([0.3, 0.2]), 1.0))
+            lp_best_response(np.ones(2), np.array([0.3, 0.2]), 1.0)
 
     def test_matches_vertex_enumeration(self):
         rng = np.random.default_rng(31)
@@ -254,7 +249,7 @@ class TestLpBestResponse:
             coeffs = rng.uniform(-1, 1, n)
             slack = float(np.abs(coeffs).sum())
             rhs = float(rng.uniform(-slack, slack))
-            z, objective = lp_best_response(BoxLpProblem(costs, coeffs, rhs))
+            z, objective = lp_best_response(costs, coeffs, rhs)
             assert coeffs @ z >= rhs - 1e-9
             assert np.all(np.abs(z) <= 1 + 1e-12)
             assert objective == pytest.approx(vertex_lp_optimum(costs, coeffs, rhs), abs=1e-9)
@@ -264,9 +259,25 @@ class TestLpBestResponse:
         # coordinates move less.
         costs = np.array([0.0, 1.0])
         coeffs = np.array([0.5, 0.5])
-        z, objective = lp_best_response(BoxLpProblem(costs, coeffs, 0.4))
+        z, objective = lp_best_response(costs, coeffs, 0.4)
         assert z[0] == 1.0
         assert objective == pytest.approx(vertex_lp_optimum(costs, coeffs, 0.4), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "costs, coeffs",
+        [
+            ([1.0, 2.0], [0.5]),
+            ([], []),
+            ([1.0, float("nan")], [0.5, 0.5]),
+            ([float("inf"), 1.0], [0.5, 0.5]),
+            ([1.0, 2.0], [0.5, float("nan")]),
+            ([1.0, 2.0], [float("-inf"), 0.5]),
+        ],
+        ids=["mismatched", "empty", "nan_cost", "inf_cost", "nan_coeff", "inf_coeff"],
+    )
+    def test_refuses_bad_data(self, costs, coeffs):
+        with pytest.raises(ValueError):
+            lp_best_response(np.array(costs), np.array(coeffs), 0.0)
 
 
 class TestEnumerateGameValue:
