@@ -124,8 +124,13 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         slack = SOLVER_TOL + _pivot_slack(n * profile.lam + profile.total, pivot)
         if raise_w < -slack or raise_w > 2.0 * alpha + slack:
             raise AssertionError("fractional magnitude raise escaped [0, 2 alpha]")
-        t_w = min(max((1.0 - 2.0 * alpha) + raise_w, 0.0), 1.0)
-        value = (0.5 * (1.0 - t_w) + (n - w) * alpha) / n
+        t_w = (1.0 - 2.0 * alpha) + raise_w
+        clipped = min(max(t_w, 0.0), 1.0)
+        # The slack above lets a tie-rule w overshoot by VALIDATION_TOL/|a_w|, which is
+        # large for tiny margins; the clip may absorb only SOLVER_TOL of value.
+        if abs(clipped - t_w) > 2.0 * n * SOLVER_TOL:
+            raise AssertionError("fractional magnitude at w left [0, 1] by more than SOLVER_TOL")
+        value = (0.5 * (1.0 - clipped) + (n - w) * alpha) / n
         lower = alpha * (1.0 - w / n)
         upper = alpha * (1.0 - (w - 1) / n)
         if not (lower - SOLVER_TOL <= value <= upper + SOLVER_TOL):

@@ -188,6 +188,21 @@ class TestSolveCommand:
         else:
             assert report["v"] == 2
 
+    def test_tiny_margins_give_no_wrong_abstain_value(self, tmp_path, capsys):
+        # v = 2 is exact here, but the absolute tie rule picks w = 1 where the exact w
+        # is 2; clipping that w's raise would report 0.1083 against the exact 0.0654.
+        votes = write_votes(
+            tmp_path, "vote\n1.6644481460689967e-13\n1.9322455253755075e-12\n1.6567271708743744e-12\n"
+        )
+        code, report = run(
+            capsys, "abstain", "--votes", votes,
+            "--lambda", "1.196324232083294e-12", "--alpha", "0.16241895838214684",
+        )
+        if code != 0:
+            assert report["error"] == "internal_error"
+        else:
+            assert report["value_exact"] == pytest.approx(0.06544479602557511, abs=1e-9)
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _ = run(
