@@ -145,8 +145,6 @@ class TestAbstainValue:
             else:
                 votes = rng.uniform(-1.0, 1.0, n)
             mean_abs = float(np.abs(votes).mean())
-            if mean_abs == 0.0:
-                continue
             lam = float(rng.uniform(0.1 * mean_abs, mean_abs))
             alpha = float(rng.uniform(0.05, 0.45))
             solution = solve_abstain(sort_profile(votes, lam), alpha)
