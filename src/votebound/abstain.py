@@ -17,11 +17,9 @@ import numpy as np
 from .errors import DimensionError
 from .game import find_threshold, game_value
 from .model import (
-    SOLVER_TOL,
     VALIDATION_TOL,
     AbstainStrategy,
     VoteProfile,
-    _pivot_slack,
     _require_cost,
     as_array,
     threshold_index,
@@ -38,10 +36,12 @@ class AbstainSolution:
 
     - alpha: the cost of abstaining, positive and finite.
     - trivial: alpha <= (1/2)(1 - n*lam / S_n), inclusive: always abstaining is optimal.
-    - w: min { i : 2 alpha S_i >= n*budget }, the index where nature's raises stop; w <= v.
+    - w: min { i : 2 alpha S_i covers n*budget }, the index where nature's raises stop;
+      w <= v.  Covering is ``model.cover_floor``'s rule, as for v.
     - budget: lam - (1 - 2 alpha) S_n / n, what nature must cover once every |z_i| is 1 - 2 alpha.
     - value_exact: alpha if trivial; (1 - V)/2 for alpha >= 1/2, V the game value; otherwise
-      ((1 - t_w)/2 + (n - w) alpha)/n with t_w = 1 - 2 alpha + (n*budget - 2 alpha S_{w-1})/|a_w|.
+      alpha (n - w + 1 - f)/n, where f = (n*budget/(2 alpha) - S_{w-1})/|a_w| in [0, 1] is the
+      share of the raise nature takes at w (its magnitude there is 1 - 2 alpha (1 - f)).
     - value_lower, value_upper: alpha(1 - w/n) and alpha(1 - (w-1)/n), or value_exact without w.
     - p_alg: all ones if trivial, else ``p_alg(profile, alpha)``.
     - loss_formula: (1/2)(1 - v/n) for alpha >= 1/2, else alpha(1 - v/n) + (1/2 - alpha)(1/n)
@@ -113,28 +113,13 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     elif alpha >= 0.5:
         value = lower = upper = (1.0 - game_value(profile)) / 2.0
     else:
-        w, head = threshold_index(profile.abs_sorted[:v], n * budget, 2.0 * alpha)
         # w <= v holds exactly.  A rounded target past the v-th prefix sum lies
-        # within rounding of it, above the (v-1)-th, so w = v.
-        if w > v:
-            w, head = v, profile.head
-        pivot = float(profile.abs_sorted[w - 1])
-        raise_w = (n * budget - 2.0 * alpha * head) / pivot
-        # n*budget sums terms of size n*lam and total.
-        slack = SOLVER_TOL + _pivot_slack(n * profile.lam + profile.total, pivot)
-        if raise_w < -slack or raise_w > 2.0 * alpha + slack:
-            raise AssertionError("fractional magnitude raise escaped [0, 2 alpha]")
-        t_w = (1.0 - 2.0 * alpha) + raise_w
-        clipped = min(max(t_w, 0.0), 1.0)
-        # The slack above lets a tie-rule w overshoot by VALIDATION_TOL/|a_w|, which is
-        # large for tiny margins; the clip may absorb only SOLVER_TOL of value.
-        if abs(clipped - t_w) > 2.0 * n * SOLVER_TOL:
-            raise AssertionError("fractional magnitude at w left [0, 1] by more than SOLVER_TOL")
-        value = (0.5 * (1.0 - clipped) + (n - w) * alpha) / n
+        # within rounding of it, so w = v + 1 with fraction 1 is a full raise at v.
+        w, _, f = threshold_index(profile.abs_sorted[:v], n * budget, 2.0 * alpha)
+        w = min(w, v)
+        value = alpha * (n - w + 1 - f) / n
         lower = alpha * (1.0 - w / n)
         upper = alpha * (1.0 - (w - 1) / n)
-        if not (lower - SOLVER_TOL <= value <= upper + SOLVER_TOL):
-            raise AssertionError("abstain value escaped its bracketing bounds")
     if trivial:
         # The vacuous game is won by abstaining everywhere.
         strategy = AbstainStrategy(probs=np.ones(n), alpha=alpha)

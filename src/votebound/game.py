@@ -3,8 +3,10 @@
 The predictor maximizes, and nature minimizes, the average correlation
 (1/n) z.g over the box [-1,1]^n, with nature constrained to keep the votes'
 average correlation (1/n) z.a at least lam.  Every closed form below reads
-the profile's threshold record (v, the pivot |a_v| and the head sum of the
-v - 1 larger margins) and works directly in original example order.
+the profile's threshold record (v, the pivot |a_v|, the head sum of the
+v - 1 larger margins and the fraction f of the pivot nature takes) and works
+directly in original example order.  f is the only non-integer in the
+solution, and ``model.threshold_index`` keeps it in [0, 1].
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    SOLVER_TOL,
-    VALIDATION_TOL,
-    LabelVector,
-    PredictionVector,
-    VoteProfile,
-    _pivot_slack,
-    payoff,
-)
+from .model import SOLVER_TOL, LabelVector, PredictionVector, VoteProfile, payoff
 
 
 @dataclass(frozen=True)
@@ -49,29 +43,14 @@ def find_threshold(profile: VoteProfile) -> int:
     return profile.v
 
 
-def _value_tol(profile: VoteProfile) -> float:
-    """SOLVER_TOL plus the rounding of lam - head/n, a few ulps of lam, over |a_v|.
-
-    It leaves out the label's VALIDATION_TOL share, so the saddle check still
-    refuses a v the tie rule picked short of the exact one.
-    """
-    return SOLVER_TOL + 4.0 * np.finfo(float).eps * profile.lam / profile.pivot
-
-
 def game_value(profile: VoteProfile) -> float:
     """Minimax value of the game.
 
-    V = (v-1)/n + (lam - (1/n) sum_{i<v} |a_i|) / |a_v|, which lies in
-    [lam, 1] and equals v/n exactly when the margin prefix sum hits n*lam
+    V = (v - 1 + f)/n with f = (n*lam - sum_{i<v} |a_i|) / |a_v|, which lies
+    in [lam, 1] and equals v/n exactly when the margin prefix sum hits n*lam
     at index v.
     """
-    n = profile.n
-    v = find_threshold(profile)
-    value = (v - 1) / n + (profile.lam - profile.head / n) / profile.pivot
-    tol = _value_tol(profile)
-    if value > 1.0 + tol or value < profile.lam - tol:
-        raise AssertionError(f"game value {value} escaped [lam, 1]")
-    return min(max(value, profile.lam), 1.0)
+    return (find_threshold(profile) - 1 + profile.fraction) / profile.n
 
 
 def optimal_predictor(profile: VoteProfile) -> PredictionVector:
@@ -87,23 +66,20 @@ def optimal_predictor(profile: VoteProfile) -> PredictionVector:
 def optimal_nature(profile: VoteProfile) -> LabelVector:
     """Nature's optimal labels, in original example order.
 
-    The sign of the vote on the v - 1 largest margins, the fractional value
-    that makes the correlation constraint bind exactly on the v-th, and zero
-    elsewhere.  Margins tied with the pivot are filled in ascending example
-    order; the fractional label goes to the first tied example not filled
-    in full.
+    The sign of the vote on the v - 1 largest margins, the sign times the
+    profile's fraction f on the v-th (so the correlation constraint binds),
+    and zero elsewhere.  Margins tied with the pivot are filled in ascending
+    example order; the fractional label goes to the first tied example not
+    filled in full.
     """
-    n, votes, pivot = profile.n, profile.votes, profile.pivot
+    votes, pivot = profile.votes, profile.pivot
     above = (votes > pivot) | (votes < -pivot)
     ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
     full = ties[: find_threshold(profile) - 1 - np.count_nonzero(above)]
     at_pivot = ties[full.size]
-    z = np.sign(votes, where=above, out=np.zeros(n))
+    z = np.sign(votes, where=above, out=np.zeros(profile.n))
     z[full] = np.sign(votes[full])
-    pivot_label = (n * profile.lam - profile.head) / float(votes[at_pivot])
-    if abs(pivot_label) > 1.0 + SOLVER_TOL + _pivot_slack(n * profile.lam, pivot):
-        raise AssertionError("fractional label escaped the box")
-    z[at_pivot] = min(max(pivot_label, -1.0), 1.0)
+    z[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
     return LabelVector(z)
 
 
@@ -118,18 +94,21 @@ def value_lower_bound(profile: VoteProfile) -> float:
 
 
 def solve_game(profile: VoteProfile) -> GameSolution:
-    """Assemble the full solution and sanity-check the saddle identities."""
+    """Assemble the full solution and sanity-check the saddle identities.
+
+    The checks are relative to lam and to the value: each payoff sums
+    nonnegative products, so its rounding is a small share of its size.
+    """
     v = find_threshold(profile)
     value = game_value(profile)
     g_star = optimal_predictor(profile)
     z_star = optimal_nature(profile)
     lower = value_lower_bound(profile)
 
-    binding = payoff(z_star, profile.votes)
-    if abs(binding - profile.lam) > SOLVER_TOL:
+    if abs(payoff(z_star, profile.votes) - profile.lam) > SOLVER_TOL * profile.lam:
         raise AssertionError("nature's optimum does not bind the constraint")
-    if abs(payoff(g_star, z_star) - value) > _value_tol(profile):
+    if abs(payoff(g_star, z_star) - value) > SOLVER_TOL * value:
         raise AssertionError("saddle payoff does not match the game value")
-    if lower > value + VALIDATION_TOL:
+    if lower > value * (1.0 + SOLVER_TOL):
         raise AssertionError("value lower bound exceeds the value")
     return GameSolution(v=v, value=value, g_star=g_star, z_star=z_star, lower_bound=lower)

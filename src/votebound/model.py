@@ -20,9 +20,11 @@ from .errors import (
     InvalidCost,
 )
 
-# Input validation slack; solver-side assertions use SOLVER_TOL.
+# Slack of the checks on O(1) inputs (boxes, weight sums, lam <= 1, the trivial-alpha
+# edge); coverage uses cover_floor and solver-side assertions use SOLVER_TOL.
 VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # exact_sum hands shorter arrays to math.fsum, which is faster at small sizes.
 EXACT_SUM_MIN_SIZE = 4096
 _LOW26 = (1 << 26) - 1
@@ -80,39 +82,50 @@ def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
     return total / (1 << -base) if base < 0 else float(total << base)
 
 
+def cover_floor(target: float) -> float:
+    """The least sum that covers ``target``: four ulps of ``target`` below it.
+
+    Every "do these margins cover the target" decision, in the solvers and
+    the oracles, compares a sum with this floor.  The floor is relative to
+    the target, so a target formed in floats from an exact prefix sum (lam at
+    a float prefix mean, times n) still counts as covered by that prefix.
+    """
+    return target - 4.0 * _EPS * abs(target)
+
+
 def threshold_index(
     magnitudes: np.ndarray, target: float, scale: float = 1.0
-) -> tuple[int, float]:
-    """Smallest count k with scale * sum(magnitudes[:k]) >= target - VALIDATION_TOL.
+) -> tuple[int, float, float]:
+    """The threshold k, the head sum before it, and the fraction taken at k.
 
-    The one threshold rule behind v and w.  The bound
-    (target - VALIDATION_TOL) / scale is rounded once; the comparison with
-    each prefix sum is exact.  ``magnitudes`` are nonnegative and
-    nonincreasing, so prefix sums only grow: the float cumsum brackets k
-    within its rounding error, and exact ``exact_sum`` comparisons bisect the
-    bracket.  Returns k (1-based, n + 1 when even the full sum falls short)
-    and the correctly rounded sum of the first k - 1 magnitudes.
+    k is the smallest count with sum(magnitudes[:k]) >= cover_floor(need),
+    for need = target / scale rounded once; the comparison with each prefix
+    sum is exact.  ``magnitudes`` are nonnegative and nonincreasing, so
+    prefix sums only grow: the float cumsum brackets k within its rounding
+    error, and exact ``exact_sum`` comparisons bisect the bracket.  Returns k
+    (1-based, size + 1 when even the full sum falls short), the correctly
+    rounded sum of the first k - 1 magnitudes, and the fraction
+    (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
+    clipped to [0, 1].  The remainder need - head is rounded once, so for
+    need > 0 the clip acts only when the k-th prefix sum lies between the
+    floor and need.  The fraction is 1 when k = size + 1.
     """
-    need = (target - VALIDATION_TOL) / scale
+    need = target / scale
+    floor = cover_floor(need)
     sums = np.cumsum(magnitudes)
-    slack = 4.0 * (sums.size + 1) * np.finfo(float).eps * float(sums[-1])
-    lo, hi = (int(i) for i in np.searchsorted(sums, (need - slack, need + slack)))
+    slack = 4.0 * (sums.size + 1) * _EPS * float(sums[-1])
+    lo, hi = (int(i) for i in np.searchsorted(sums, (floor - slack, floor + slack)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_sum(magnitudes[: mid + 1], -need) >= 0.0:
+        if exact_sum(magnitudes[: mid + 1], -floor) >= 0.0:
             hi = mid
         else:
             lo = mid + 1
-    return lo + 1, exact_sum(magnitudes[:lo])
-
-
-def _pivot_slack(scale: float, pivot: float) -> float:
-    """Error of a ``threshold_index`` remainder, target - head, divided by its pivot.
-
-    The target may pass the exact prefix sum by VALIDATION_TOL, and the
-    subtraction rounds by a few ulps of ``scale``, the size of its terms.
-    """
-    return (VALIDATION_TOL + 4.0 * np.finfo(float).eps * scale) / pivot
+    head = exact_sum(magnitudes[:lo])
+    if lo == magnitudes.size:
+        return lo + 1, head, 1.0
+    remainder = -exact_sum(magnitudes[:lo], -need)
+    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -281,9 +294,11 @@ class VoteProfile:
 
     ``abs_sorted`` holds the margins |a_i| in nonincreasing order and
     ``total`` their exact sum.  ``v`` is the smallest count of top margins
-    whose sum covers n*lam, ``pivot`` is |a_v| and ``head`` the exact sum of
-    the v - 1 larger margins.  Construction fails unless the margins cover
-    the correlation bound with a nonzero pivot.
+    whose sum reaches ``cover_floor(n*lam)``, ``pivot`` is |a_v|, ``head``
+    the exact sum of the v - 1 larger margins and ``fraction`` the share of
+    the pivot nature takes, (n*lam - head) / |a_v| clipped to [0, 1].  The
+    record is exact for some lam' within four ulps of lam.  Construction
+    fails unless the margins reach the floor; the pivot is then nonzero.
     """
 
     votes: np.ndarray
@@ -293,6 +308,7 @@ class VoteProfile:
     v: int = field(init=False)
     pivot: float = field(init=False)
     head: float = field(init=False)
+    fraction: float = field(init=False)
 
     def __post_init__(self):
         votes = np.asarray(self.votes, dtype=float)
@@ -313,22 +329,20 @@ class VoteProfile:
         np.negative(abs_sorted, out=abs_sorted).sort()  # descending, in one buffer
         np.negative(abs_sorted, out=abs_sorted).setflags(write=False)
         total = exact_sum(abs_sorted)
-        v, head = threshold_index(abs_sorted, votes.size * lam)
+        v, head, fraction = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:
             raise InfeasibleConstraint(
                 f"mean |vote| {total / votes.size:.6g} is below the "
                 f"correlation bound {lam:.6g}"
             )
-        pivot = float(abs_sorted[v - 1])
-        if pivot == 0.0:
-            raise InfeasibleConstraint("all votes are zero, so no margin can carry the bound")
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "abs_sorted", abs_sorted)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "pivot", float(abs_sorted[v - 1]))
         object.__setattr__(self, "head", head)
+        object.__setattr__(self, "fraction", fraction)
 
     @property
     def n(self) -> int:

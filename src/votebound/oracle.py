@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from math import fsum
 from typing import Optional
 
@@ -25,28 +24,18 @@ from .errors import Infeasible
 from .game import GameSolution, solve_game
 from .model import (
     SOLVER_TOL,
-    VALIDATION_TOL,
     AbstainStrategy,
     LabelVector,
     VoteProfile,
     _readonly,
     _require_cost,
     as_array,
+    cover_floor,
     sort_profile,
 )
 
 ENUM_MAX_N = 8
 GRID_MAX_N = 4
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    """Closed form vs oracle, with the raw deviation always recorded."""
-
-    closed_form_value: float
-    oracle_value: float
-    max_deviation: float
-    details: dict = field(default_factory=dict)
 
 
 def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
@@ -57,7 +46,8 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     constraint is still violated, move coordinates toward sign(a_i) in
     ascending cost-per-progress c_i*sign(a_i)/|a_i| with a fractional final
     step.  Exact because the objective and constraint are both linear and the
-    box has a single side constraint.
+    box has a single side constraint.  ``model.cover_floor`` decides when the
+    constraint is met, as in the solvers.
     """
     c = as_array(costs)
     a = as_array(coeffs)
@@ -66,25 +56,27 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
         raise ValueError("problem data must be finite")
     rhs = float(rhs)
-    best_possible = float(np.abs(a).sum())
-    if best_possible < rhs - VALIDATION_TOL:
+    floor = cover_floor(rhs)
+    if float(np.abs(a).sum()) < floor:
         raise Infeasible("constraint unreachable even at z = sign(coeffs)")
 
     z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, np.sign(a)))
     lhs = float(a @ z)
-    if lhs < rhs - VALIDATION_TOL:
+    if lhs < floor:
         movable = [i for i in range(c.size) if a[i] != 0.0 and z[i] != np.sign(a[i])]
-        movable.sort(key=lambda i: (c[i] * np.sign(a[i]) / abs(a[i]), i))
-        for i in movable:
-            gain_full = abs(a[i]) * abs(np.sign(a[i]) - z[i])
-            if lhs + gain_full < rhs - VALIDATION_TOL:
-                lhs += gain_full
-                z[i] = np.sign(a[i])
-                continue
-            step = min((rhs - lhs) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
-            z[i] += np.sign(a[i]) * max(step, 0.0)
-            lhs = rhs
-            break
+        # A subnormal a_i overflows its ratio to inf, which sorts it last, and its step, clipped below.
+        with np.errstate(over="ignore"):
+            movable.sort(key=lambda i: (c[i] * np.sign(a[i]) / abs(a[i]), i))
+            for i in movable:
+                gain_full = abs(a[i]) * abs(np.sign(a[i]) - z[i])
+                if lhs + gain_full < floor:
+                    lhs += gain_full
+                    z[i] = np.sign(a[i])
+                    continue
+                step = min((rhs - lhs) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
+                z[i] += np.sign(a[i]) * max(step, 0.0)
+                lhs = rhs
+                break
     return z, float(c @ z)
 
 
@@ -108,7 +100,7 @@ def nature_greedy(profile: VoteProfile) -> LabelVector:
         remaining.discard(pick)
         chosen.append(pick)
         selected_sum = fsum(abs(votes[j]) for j in chosen)
-        if selected_sum < target - VALIDATION_TOL:
+        if selected_sum < cover_floor(target):
             z[pick] = np.sign(votes[pick])
             continue
         fill = np.sign(votes[pick]) - (selected_sum - target) / votes[pick]
@@ -134,20 +126,21 @@ def enumerate_game_value(votes, lam: float) -> float:
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
-    if float(np.abs(a).sum()) < target - VALIDATION_TOL:
+    if float(np.abs(a).sum()) < cover_floor(target):
         raise Infeasible("no feasible label vector for this bound")
 
     grid = _ternary_grid(n)
-    feasible = grid @ a >= target - VALIDATION_TOL
+    feasible = grid @ a >= cover_floor(target)
     best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
 
     sub = _ternary_grid(n - 1)
     for k in range(n):
         if a[k] == 0.0:
             continue
-        with np.errstate(over="ignore"):  # a subnormal a_k: the box test drops the inf
+        with np.errstate(over="ignore"):  # a subnormal a_k: the cover test drops the inf
             z_k = (target - sub @ np.delete(a, k)) / a[k]
-        inside = np.abs(z_k) <= 1.0 + VALIDATION_TOL
+        # Clipped to the box, z_k misses the target by (|z_k| - 1)|a_k|; the floor allows that much.
+        inside = (np.abs(z_k) - 1.0) * abs(a[k]) <= target - cover_floor(target)
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
             best = min(best, float(totals.min()))
@@ -190,7 +183,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    if float(a.sum()) < target - VALIDATION_TOL:
+    if float(a.sum()) < cover_floor(target):
         raise Infeasible("no feasible label vector for this bound")
 
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
@@ -212,7 +205,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
         sums = (tail_gain[:, None] + g).ravel(), (tail_pay[:, None] + payoffs).ravel()
         tail_gain, tail_pay = _pareto_frontier(*sums)
     # Pay falls as gain rises: each first-coordinate level's best tail is the first that meets it.
-    first = np.searchsorted(tail_gain, target - gains[0] - VALIDATION_TOL)
+    first = np.searchsorted(tail_gain, cover_floor(target) - gains[0])
     met = first < tail_gain.size
     if not met.any():
         raise Infeasible("grid found no feasible assignment")
@@ -220,27 +213,20 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     return (best + base) / n
 
 
-def certify_saddle(profile: VoteProfile, solution: GameSolution) -> CertificationReport:
+def certify_saddle(profile: VoteProfile, solution: GameSolution) -> tuple[float, float, float]:
     """Check both best responses against the claimed value; never raises.
 
     Nature's exact LP best response to g_star must pay exactly the value,
     and the predictor's best response to z_star (componentwise signs) must
-    recover it as the mean |z_star|.
+    recover it as the mean |z_star|.  Returns the larger deviation from the
+    value, then the nature and predictor best-response values.
     """
     n = profile.n
     _, objective = lp_best_response(solution.g_star.values, profile.votes, n * profile.lam)
     nature_side = objective / n
     predictor_side = float(np.abs(solution.z_star.values).mean())
     deviation = max(abs(nature_side - solution.value), abs(predictor_side - solution.value))
-    return CertificationReport(
-        closed_form_value=solution.value,
-        oracle_value=nature_side,
-        max_deviation=deviation,
-        details={
-            "nature_best_response": nature_side,
-            "predictor_best_response": predictor_side,
-        },
-    )
+    return deviation, nature_side, predictor_side
 
 
 def worst_case_abstain_loss(
@@ -291,11 +277,8 @@ def certify_instance(
     profile = sort_profile(votes, lam)
     solution = solve_game(profile)
     enumerated = enumerate_game_value(votes, lam)
-    saddle = certify_saddle(profile, solution)
-    deviations = {
-        "value_vs_enumeration": abs(solution.value - enumerated),
-        "saddle": saddle.max_deviation,
-    }
+    saddle, nature_side, predictor_side = certify_saddle(profile, solution)
+    deviations = {"value_vs_enumeration": abs(solution.value - enumerated), "saddle": saddle}
     abstain = {}
     grid_excess = -np.inf
     if alpha is not None:
@@ -314,7 +297,10 @@ def certify_instance(
     return {
         "closed_form_value": solution.value,
         "oracle_value": enumerated,
-        "saddle": saddle.details,
+        "saddle": {
+            "nature_best_response": nature_side,
+            "predictor_best_response": predictor_side,
+        },
         "max_deviation": max_deviation,
         **abstain,
         "ok": bool(max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),

@@ -13,6 +13,10 @@ from votebound.cli import main
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
 FIX1_CSV = "vote\n1.0\n0.8\n0.5\n0.2\n"
+# Margins far below 1e-12: the threshold rule must hold relative to n*lam.
+TINY_TWO = "vote\n4.08e-13\n3.33e-13\n"
+TINY_THREE = "vote\n1.6644481460689967e-13\n1.9322455253755075e-12\n1.6567271708743744e-12\n"
+TINY_THREE_ARGS = ["--lambda", "1.196324232083294e-12", "--alpha", "0.16241895838214684"]
 
 
 def write_votes(tmp_path, text=FIX1_CSV, name="votes.csv"):
@@ -180,28 +184,38 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", [["solve"], ["abstain", "--alpha", "0.25"]])
     def test_tiny_margins_give_no_wrong_report(self, tmp_path, capsys, command):
-        # The absolute tie rule picks v = 1 here, where the exact v is 2.
-        votes = write_votes(tmp_path, "vote\n4.08e-13\n3.33e-13\n")
+        # An absolute tie slack of 1e-12 would pick v = 1 here, where the exact v is 2.
+        votes = write_votes(tmp_path, TINY_TWO)
         code, report = run(capsys, *command, "--votes", votes, "--lambda", "3.13e-13")
-        if code != 0:
-            assert report["error"] == "internal_error"
-        else:
-            assert report["v"] == 2
+        assert code == 0
+        assert report["v"] == 2
+        assert report.get("game_value", report.get("value")) == 0.827327327327
+        if "value_exact" in report:
+            assert (report["w"], report["value_exact"]) == (2, 0.0863363363363)
 
     def test_tiny_margins_give_no_wrong_abstain_value(self, tmp_path, capsys):
-        # v = 2 is exact here, but the absolute tie rule picks w = 1 where the exact w
-        # is 2; clipping that w's raise would report 0.1083 against the exact 0.0654.
-        votes = write_votes(
-            tmp_path, "vote\n1.6644481460689967e-13\n1.9322455253755075e-12\n1.6567271708743744e-12\n"
-        )
-        code, report = run(
-            capsys, "abstain", "--votes", votes,
-            "--lambda", "1.196324232083294e-12", "--alpha", "0.16241895838214684",
-        )
-        if code != 0:
-            assert report["error"] == "internal_error"
-        else:
-            assert report["value_exact"] == pytest.approx(0.06544479602557511, abs=1e-9)
+        # v = 2 is exact here, but an absolute tie slack of 1e-12 would pick w = 1 where
+        # the exact w is 2; clipping that w's raise would report 0.1083.
+        votes = write_votes(tmp_path, TINY_THREE)
+        code, report = run(capsys, "abstain", "--votes", votes, *TINY_THREE_ARGS)
+        assert code == 0
+        assert (report["v"], report["w"]) == (2, 2)
+        assert report["value_exact"] == pytest.approx(0.06544479602557511, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            (TINY_TWO, ["--lambda", "3.13e-13"]),
+            (TINY_TWO, ["--lambda", "3.13e-13", "--alpha", "0.25"]),
+            (TINY_THREE, TINY_THREE_ARGS),
+            # The LP moves a subnormal vote: its cost ratio overflows to inf.
+            ("vote\n0\n1e-310\n", ["--lambda", "5e-324", "--alpha", "0.3"]),
+        ],
+    )
+    def test_tiny_margins_verify(self, tmp_path, capsys, text, args):
+        code, report = run(capsys, "verify", "--votes", write_votes(tmp_path, text), *args)
+        assert code == 0
+        assert report["ok"] is True
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

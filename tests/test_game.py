@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from votebound.game import (
     value_lower_bound,
 )
 from votebound.oracle import nature_greedy, random_instances
+
+EPS = np.finfo(float).eps
 
 
 class TestFindThreshold:
@@ -81,7 +85,7 @@ class TestOptimalNature:
 
 
 class TestTieRuleEdge:
-    """lam at the float mean |vote|: n*lam may pass the exact margin sum by VALIDATION_TOL."""
+    """lam at the float mean |vote|: n*lam may pass the exact margin sum by a few ulps."""
 
     VOTES = np.random.default_rng(0).uniform(-1.0, 1.0, 1700)
 
@@ -96,24 +100,23 @@ class TestTieRuleEdge:
             assert abstain.w == profile.n
             assert abstain.value_lower <= abstain.value_exact <= abstain.value_upper
 
-    def test_label_check_still_bites(self):
-        # v = 1 with pivot 1.0; forged to 0.5, the label 0.8/0.5 leaves the box.
-        profile = sort_profile([1.0, 0.5], 0.4)
-        object.__setattr__(profile, "pivot", profile.pivot / 2)
-        with pytest.raises(AssertionError, match="escaped the box"):
-            optimal_nature(profile)
-
     def test_tiny_margins_raise_or_solve_exactly(self):
-        # n*lam = 6.26e-13 lies below VALIDATION_TOL, so the absolute tie rule picks v = 1
-        # where the exact v is 2, and the label's slack passes 1.  The value and saddle
-        # checks must still refuse the wrong v rather than report its value 0.767.
+        # n*lam = 6.26e-13: an absolute tie slack of 1e-12 would pick v = 1 here.  The
+        # relative floor picks the exact v = 2 and its fraction (n*lam - 4.08e-13)/3.33e-13.
         profile = sort_profile([4.08e-13, 3.33e-13], 3.13e-13)
-        try:
-            solution = solve_game(profile)
-        except AssertionError:
-            return
+        solution = solve_game(profile)
+        fraction = (Fraction(2 * 3.13e-13) - Fraction(4.08e-13)) / Fraction(3.33e-13)
         assert solution.v == 2
-        assert solution.value == pytest.approx(0.5 + (3.13e-13 - 4.08e-13 / 2) / 3.33e-13)
+        assert solution.value == pytest.approx(float((1 + fraction) / 2), rel=0, abs=2 * EPS)
+        assert solution.z_star.values[1] == pytest.approx(float(fraction), rel=0, abs=2 * EPS)
+
+    def test_binding_check_bites_at_tiny_lambda(self):
+        # A pivot fraction off by 0.1 moves the binding by 1.7e-14, far below an
+        # absolute 1e-9; the check relative to lam must still refuse it.
+        profile = sort_profile([4.08e-13, 3.33e-13], 3.13e-13)
+        object.__setattr__(profile, "fraction", profile.fraction - 0.1)
+        with pytest.raises(AssertionError, match="does not bind"):
+            solve_game(profile)
 
 
 class TestNatureGreedy:

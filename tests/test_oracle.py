@@ -9,7 +9,7 @@ from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
 from votebound.errors import Infeasible
 from votebound.game import game_value
-from votebound.model import VALIDATION_TOL
+from votebound.model import cover_floor
 from votebound.oracle import (
     ENUM_MAX_N,
     _pareto_frontier,
@@ -34,10 +34,10 @@ def reference_enumerate_game_value(votes, lam):
     a = np.asarray(votes, dtype=float)
     n = a.size
     target = n * lam
-    if float(np.abs(a).sum()) < target - VALIDATION_TOL:
+    if float(np.abs(a).sum()) < cover_floor(target):
         raise Infeasible("no feasible label vector for this bound")
     grid = product_grid(n)
-    feasible = grid @ a >= target - VALIDATION_TOL
+    feasible = grid @ a >= cover_floor(target)
     best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
     for k in range(n):
         if a[k] == 0.0:
@@ -45,7 +45,7 @@ def reference_enumerate_game_value(votes, lam):
         rest = [j for j in range(n) if j != k]
         sub = product_grid(n - 1) if n > 1 else np.zeros((1, 0))
         z_k = (target - sub @ a[rest]) / a[k]
-        inside = np.abs(z_k) <= 1.0 + VALIDATION_TOL
+        inside = (np.abs(z_k) - 1.0) * abs(a[k]) <= target - cover_floor(target)
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
             best = min(best, float(totals.min()))
@@ -63,7 +63,7 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     a = np.abs(np.asarray(votes, dtype=float))
     n = a.size
     target = n * lam
-    if float(a.sum()) < target - VALIDATION_TOL:
+    if float(a.sum()) < cover_floor(target):
         raise Infeasible("no feasible label vector for this bound")
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
     levels[-1] = min(levels[-1], 1.0)
@@ -82,7 +82,7 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
         tail_pay = (tail_pay[:, None] + payoffs[None, :]).ravel()
     best = -np.inf
     for g0, p0 in zip(gains[0], payoffs):
-        mask = tail_gain >= target - g0 - VALIDATION_TOL
+        mask = tail_gain >= cover_floor(target) - g0
         if mask.any():
             best = max(best, p0 + float(tail_pay[mask].max()))
     if not np.isfinite(best):
@@ -345,19 +345,20 @@ class TestGridAbstainValue:
 
 class TestCertifySaddle:
     def test_fix1(self, fix1):
-        report = certify_saddle(fix1, solve_game(fix1))
-        assert report.max_deviation < 1e-9
-        assert report.closed_form_value == pytest.approx(0.6, abs=1e-12)
+        deviation, nature_side, predictor_side = certify_saddle(fix1, solve_game(fix1))
+        assert deviation < 1e-9
+        assert nature_side == pytest.approx(0.6, abs=1e-12)
+        assert predictor_side == pytest.approx(0.6, abs=1e-12)
 
     def test_fix2_integral_binding(self, fix2):
-        report = certify_saddle(fix2, solve_game(fix2))
-        assert report.max_deviation < 1e-9
+        deviation, _, _ = certify_saddle(fix2, solve_game(fix2))
+        assert deviation < 1e-9
 
     def test_batch_random_instances(self):
         for votes, lam, _ in random_instances(count=200, seed=34, nmax=6):
             profile = sort_profile(votes, lam)
-            report = certify_saddle(profile, solve_game(profile))
-            assert report.max_deviation < 1e-9
+            deviation, _, _ = certify_saddle(profile, solve_game(profile))
+            assert deviation < 1e-9
 
 
 class TestWorstCaseAbstainLoss:

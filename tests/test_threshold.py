@@ -1,9 +1,11 @@
 """The threshold rule behind v and w, checked against exact rational sums.
 
 Every threshold is the smallest count k whose leading margins sum to at least
-``target - VALIDATION_TOL``, with the target computed in floats exactly as the
-solvers compute it.  Here the sums are evaluated with ``fractions.Fraction``,
-so a fast prefix sum that rounds the wrong way at a near-tie would show.
+``cover_floor(need)``, four ulps below need = target / scale, with the target
+computed in floats exactly as the solvers compute it; the fraction at k is
+(need - head) / |a_k| clipped to [0, 1].  Here the sums are evaluated with
+``fractions.Fraction``, so a fast prefix sum that rounds the wrong way at a
+near-tie would show.
 """
 
 from bisect import bisect_left
@@ -15,17 +17,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from votebound import solve_abstain, sort_profile
+from votebound import solve_abstain, solve_game, sort_profile
 from votebound.errors import InfeasibleConstraint
-from votebound.model import VALIDATION_TOL, threshold_index
+from votebound.model import cover_floor, threshold_index
+
+EPS = np.finfo(float).eps
 
 
-def exact_rule(magnitudes, target: float, scale: float = 1.0) -> tuple[int, Fraction]:
-    """(k, exact head sum) by the rule, over Fraction prefix sums."""
-    need = Fraction((target - VALIDATION_TOL) / scale)
+def exact_rule(magnitudes, target: float, scale: float = 1.0) -> tuple[int, Fraction, Fraction]:
+    """(k, exact head sum, exact fraction at k) by the rule, over Fraction prefix sums."""
+    need = target / scale
     prefix = list(accumulate(map(Fraction, magnitudes)))
-    k = bisect_left(prefix, need) + 1
-    return k, prefix[k - 2] if k > 1 else Fraction(0)
+    k = bisect_left(prefix, Fraction(cover_floor(need))) + 1
+    head = prefix[k - 2] if k > 1 else Fraction(0)
+    if k > len(prefix):
+        return k, head, Fraction(1)
+    return k, head, min(max((Fraction(need) - head) / Fraction(magnitudes[k - 1]), 0), 1)
+
+
+def exact_abstain(profile, alpha: float) -> tuple[int, Fraction]:
+    """(w, exact value_exact) by the rule, for the budget the solver forms in floats."""
+    budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
+    w, _, fraction = exact_rule(profile.abs_sorted, profile.n * budget, 2.0 * alpha)
+    if w > profile.v:
+        # The rule's search stops at v, where w always lies in exact arithmetic.
+        w, fraction = profile.v, Fraction(1)
+    return w, Fraction(alpha) * (profile.n - w + 1 - fraction) / profile.n
 
 
 @st.composite
@@ -72,7 +89,7 @@ SETTINGS = settings(
 @SETTINGS
 def test_v_matches_exact_rule(data):
     votes, lam, _ = data
-    v, head = exact_rule(np.sort(np.abs(votes))[::-1], votes.size * lam)
+    v, head, fraction = exact_rule(np.sort(np.abs(votes))[::-1], votes.size * lam)
     if v > votes.size:
         # lam at the float mean |vote| can sit above the exact one.
         with pytest.raises(InfeasibleConstraint):
@@ -81,6 +98,7 @@ def test_v_matches_exact_rule(data):
     profile = sort_profile(votes, lam)
     assert profile.v == v
     assert profile.head == float(head)
+    assert abs(profile.fraction - fraction) <= EPS
     assert profile.total == float(sum(map(Fraction, profile.abs_sorted)))
 
 
@@ -94,27 +112,76 @@ def test_w_matches_exact_rule(data, alpha):
     solution = solve_abstain(profile, alpha)
     if solution.trivial:
         return
-    budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / profile.n
-    w, _ = exact_rule(profile.abs_sorted, profile.n * budget, 2.0 * alpha)
-    # The rule's search stops at v, where w always lies in exact arithmetic.
-    assert solution.w == min(w, profile.v)
+    w, value = exact_abstain(profile, alpha)
+    assert solution.w == w
+    assert abs(solution.value_exact - value) <= 4 * EPS
 
 
-@given(data=vote_sets(), step=st.integers(min_value=-2, max_value=2))
+@given(data=vote_sets(), step=st.integers(min_value=-12, max_value=12))
 @SETTINGS
-def test_helper_decides_targets_one_ulp_around_a_prefix_sum(data, step):
+def test_helper_decides_targets_a_few_ulps_around_a_prefix_sum(data, step):
     votes, _, hit = data
     magnitudes = np.sort(np.abs(votes))[::-1]
-    need = hit
+    target = hit
     for _ in range(abs(step)):
-        need = np.nextafter(need, np.inf if step > 0 else -np.inf)
-    target = float(need) + VALIDATION_TOL
-    k, head = threshold_index(magnitudes, target)
-    expected_k, expected_head = exact_rule(magnitudes, target)
+        target = float(np.nextafter(target, np.inf if step > 0 else -np.inf))
+    k, head, fraction = threshold_index(magnitudes, target)
+    expected_k, expected_head, expected_fraction = exact_rule(magnitudes, target)
     assert k == expected_k
     assert head == float(expected_head)
+    assert abs(fraction - expected_fraction) <= EPS
 
 
 def test_helper_reports_uncovered_target():
-    assert threshold_index(np.array([0.5, 0.25]), 0.75 + 1e-9)[0] == 3
-    assert threshold_index(np.array([0.5, 0.25]), 0.75) == (2, 0.5)
+    magnitudes = np.array([0.5, 0.25])
+    assert threshold_index(magnitudes, 0.75 + 1e-9) == (3, 0.75, 1.0)
+    assert threshold_index(magnitudes, 0.75) == (2, 0.5, 1.0)
+    assert threshold_index(magnitudes, 0.625) == (2, 0.5, 0.5)
+    # Within four ulps above the sum the target is covered, with a full pivot.
+    assert threshold_index(magnitudes, 0.75 + 4 * EPS * 0.75) == (2, 0.5, 1.0)
+    assert threshold_index(magnitudes, 0.75 + 16 * EPS * 0.75)[0] == 3
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lambda_on_a_float_prefix_mean_picks_that_prefix(seed):
+    # lam = (float sum of the top k)/n misses the exact prefix sum by a few ulps at
+    # n = 10^5; a rule relative to n*lam must still pick v = k.
+    rng = np.random.default_rng(seed)
+    n = 100_000
+    votes = rng.uniform(-1.0, 1.0, n)
+    k = int(rng.integers(1, n + 1))
+    lam = float(np.sort(np.abs(votes))[::-1][:k].sum()) / n
+    assert sort_profile(votes, lam).v == k
+
+
+def tiny_margin_profiles(count, seed):
+    """Margins uniform(-1, 1) x 10^U(-12, 0), n = 2..200, lam on a prefix sum or below it.
+
+    n*lam often lies far below 1e-12, where an absolute tie slack swamps the sums.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 201))
+        votes = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+        magnitudes = np.sort(np.abs(votes))[::-1]
+        hit = float(sum(map(Fraction, magnitudes[: int(rng.integers(1, n + 1))])))
+        yield sort_profile(votes, hit / n * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0)))
+
+
+def test_tiny_margin_games_solve_exactly():
+    for profile in tiny_margin_profiles(500, seed=21):
+        solution = solve_game(profile)
+        v, _, fraction = exact_rule(profile.abs_sorted, profile.n * profile.lam)
+        assert solution.v == v
+        assert abs(solution.value - (v - 1 + fraction) / profile.n) <= 4 * EPS
+
+
+def test_tiny_margin_abstain_solves_exactly():
+    for profile in tiny_margin_profiles(250, seed=13):
+        for alpha in (0.01, 0.1, 0.25, 0.4, 0.49, 0.4999):
+            solution = solve_abstain(profile, alpha)
+            if solution.trivial:
+                continue
+            w, value = exact_abstain(profile, alpha)
+            assert solution.w == w
+            assert abs(solution.value_exact - value) <= 4 * EPS
