@@ -160,14 +160,14 @@ def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None]:
 def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVector]:
     """Resolve a posterior spec; the prior defaults to uniform."""
     h = sample.num_hypotheses
-    uniform_prior = WeightVector(np.full(h, 1.0 / h), role="prior")
+    uniform_prior = WeightVector(np.full(h, 1.0 / h))
     if spec == "uniform":
         return WeightVector(np.full(h, 1.0 / h)), uniform_prior
     if spec.startswith("exp:"):
         return exp_weights_posterior(sample, float(spec[4:])), uniform_prior
     weights, prior = _read_weights(spec)
     posterior = WeightVector(weights)
-    return posterior, uniform_prior if prior is None else WeightVector(prior, role="prior")
+    return posterior, uniform_prior if prior is None else WeightVector(prior)
 
 
 def _record(solution) -> dict:
@@ -188,6 +188,7 @@ def cmd_abstain(args) -> int:
     profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
+    _, worst = worst_case_abstain_loss(profile, solution.g_star, abstain.p_alg)
     record = _record(abstain)
     payload = {
         "n": profile.n,
@@ -197,15 +198,8 @@ def cmd_abstain(args) -> int:
         "game_value": solution.value,
         **record,
         "loss_vs_z_star": abstain_loss(solution.g_star, abstain.p_alg, solution.z_star),
+        "oracle_worst_case_loss": worst,
     }
-    if profile.n <= ENUM_MAX_N:
-        z_worst, payload["oracle_worst_case_loss"] = worst_case_abstain_loss(
-            profile, solution.g_star, abstain.p_alg, abstain.alpha
-        )
-        payload["z_worst"] = z_worst.values
-    else:
-        note = f"exact nature best response is computed only for n <= {ENUM_MAX_N}"
-        payload.update(oracle_worst_case_loss=None, oracle_note=note)
     _emit(payload, args, args.out)
     return 0
 

@@ -39,9 +39,3 @@ class InfiniteDivergence(VoteboundError):
     """KL divergence is infinite for the given pair of distributions."""
 
     code = "infinite_divergence"
-
-
-class Infeasible(VoteboundError):
-    """A box-constrained LP instance has an empty feasible region."""
-
-    code = "infeasible"

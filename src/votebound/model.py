@@ -161,7 +161,6 @@ class WeightVector:
     """A distribution over the hypotheses (posterior or prior)."""
 
     weights: np.ndarray
-    role: str = "posterior"
 
     def __post_init__(self):
         weights = _readonly(self.weights)
@@ -171,8 +170,6 @@ class WeightVector:
             raise ValueError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > VALIDATION_TOL:
             raise ValueError("weights must sum to 1")
-        if self.role not in ("posterior", "prior"):
-            raise ValueError("role must be 'posterior' or 'prior'")
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:

@@ -4,8 +4,9 @@ These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
 admits, the sequential greedy builds nature's optimum one pick at a time,
-and the grid search is structure-free.  Desk scale only: n <= ENUM_MAX_N = 8,
-grids n <= GRID_MAX_N = 4.  Each {-1, 0, 1}^n grid is built once, read-only;
+and the grid search is structure-free.  The LP has no size cap: one sort and
+one cumsum, O(n log n).  The enumeration is capped at n <= ENUM_MAX_N = 8 and
+the grid at n <= GRID_MAX_N = 4.  Each {-1, 0, 1}^n grid is built once, read-only;
 the abstain grid keeps only the partial sums no other beats on both, which is
 exact because float addition rounds monotonically (see grid_abstain_value).
 """
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .abstain import solve_abstain
-from .errors import Infeasible
+from .errors import InfeasibleConstraint
 from .game import GameSolution, solve_game
 from .model import (
     SOLVER_TOL,
@@ -31,6 +32,7 @@ from .model import (
     _require_cost,
     as_array,
     cover_floor,
+    exact_sum,
     sort_profile,
 )
 
@@ -44,10 +46,13 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     Start from the unconstrained optimum z_i = -sign(c_i), placing zero-cost
     coordinates at sign(a_i) since their constraint progress is free.  If the
     constraint is still violated, move coordinates toward sign(a_i) in
-    ascending cost-per-progress c_i*sign(a_i)/|a_i| with a fractional final
-    step.  Exact because the objective and constraint are both linear and the
-    box has a single side constraint.  ``model.cover_floor`` decides when the
-    constraint is met, as in the solvers.
+    ascending cost-per-progress c_i*sign(a_i)/|a_i| (ties by index), each by
+    its full gain 2|a_i| while the running float sum stays short of the
+    floor, and the first that reaches it by the clipped fractional step.
+    Exact because the objective and constraint are both linear and the box
+    has a single side constraint.  ``model.cover_floor`` decides when the
+    constraint is met, and the instance is feasible when the exact sum of
+    |a_i| reaches that floor, as in the solvers.
     """
     c = as_array(costs)
     a = as_array(coeffs)
@@ -57,26 +62,28 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
         raise ValueError("problem data must be finite")
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    if float(np.abs(a).sum()) < floor:
-        raise Infeasible("constraint unreachable even at z = sign(coeffs)")
+    # Sorted, the margins fall into one exponent run per binade for exact_sum.
+    if exact_sum(np.sort(np.abs(a))) < floor:
+        raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
 
-    z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, np.sign(a)))
+    sign = np.sign(a)
+    z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, sign))
     lhs = float(a @ z)
     if lhs < floor:
-        movable = [i for i in range(c.size) if a[i] != 0.0 and z[i] != np.sign(a[i])]
+        # Each movable coordinate sits at -sign(a_i), so a full move gains 2|a_i|.
+        movable = np.flatnonzero((a != 0.0) & (z != sign))
         # A subnormal a_i overflows its ratio to inf, which sorts it last, and its step, clipped below.
         with np.errstate(over="ignore"):
-            movable.sort(key=lambda i: (c[i] * np.sign(a[i]) / abs(a[i]), i))
-            for i in movable:
-                gain_full = abs(a[i]) * abs(np.sign(a[i]) - z[i])
-                if lhs + gain_full < floor:
-                    lhs += gain_full
-                    z[i] = np.sign(a[i])
-                    continue
-                step = min((rhs - lhs) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
-                z[i] += np.sign(a[i]) * max(step, 0.0)
-                lhs = rhs
-                break
+            ratio = c[movable] * sign[movable] / np.abs(a[movable])
+            order = movable[np.argsort(ratio, kind="stable")]  # ties by index
+            # lhs plus the gains, added one at a time in that order: the first k stay short.
+            sums = np.cumsum(np.concatenate(([lhs], 2.0 * np.abs(a[order]))))
+            k = int(np.searchsorted(sums[1:], floor))
+            z[order[:k]] = sign[order[:k]]
+            if k < order.size:
+                i = order[k]
+                step = min((rhs - sums[k]) / abs(a[i]), 2.0)
+                z[i] += sign[i] * max(step, 0.0)
     return z, float(c @ z)
 
 
@@ -126,12 +133,13 @@ def enumerate_game_value(votes, lam: float) -> float:
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
-    if float(np.abs(a).sum()) < cover_floor(target):
-        raise Infeasible("no feasible label vector for this bound")
+    if exact_sum(np.abs(a)) < cover_floor(target):
+        raise InfeasibleConstraint("no feasible label vector for this bound")
 
     grid = _ternary_grid(n)
     feasible = grid @ a >= cover_floor(target)
-    best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
+    # z = sign(a) is feasible by the exact-sum rule even where its float dot falls short.
+    best = float(np.abs(grid[feasible]).sum(axis=1).min(initial=np.count_nonzero(a)))
 
     sub = _ternary_grid(n - 1)
     for k in range(n):
@@ -144,8 +152,6 @@ def enumerate_game_value(votes, lam: float) -> float:
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
             best = min(best, float(totals.min()))
-    if not np.isfinite(best):
-        raise Infeasible("no feasible candidate found")
     return best / n
 
 
@@ -183,8 +189,8 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    if float(a.sum()) < cover_floor(target):
-        raise Infeasible("no feasible label vector for this bound")
+    if exact_sum(a) < cover_floor(target):
+        raise InfeasibleConstraint("no feasible label vector for this bound")
 
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
     levels[-1] = min(levels[-1], 1.0)
@@ -197,7 +203,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     # maximized at t = 0.
     base = (n - active.size) * min(alpha, 0.5)
     if active.size == 0:
-        raise Infeasible("no feasible label vector for this bound")
+        raise InfeasibleConstraint("no feasible label vector for this bound")
 
     gains = [levels * a[i] for i in active]
     tail_gain = tail_pay = np.zeros(1)
@@ -206,9 +212,9 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
         tail_gain, tail_pay = _pareto_frontier(*sums)
     # Pay falls as gain rises: each first-coordinate level's best tail is the first that meets it.
     first = np.searchsorted(tail_gain, cover_floor(target) - gains[0])
+    # Every t_i = 1 is feasible by the exact-sum rule even where its float sum falls short.
+    first[-1] = min(first[-1], tail_gain.size - 1)
     met = first < tail_gain.size
-    if not met.any():
-        raise Infeasible("grid found no feasible assignment")
     best = (payoffs[met] + tail_pay[first[met]]).max()
     return (best + base) / n
 
@@ -230,19 +236,19 @@ def certify_saddle(profile: VoteProfile, solution: GameSolution) -> tuple[float,
 
 
 def worst_case_abstain_loss(
-    profile: VoteProfile, g, strategy: AbstainStrategy, alpha: float
+    profile: VoteProfile, g, strategy: AbstainStrategy
 ) -> tuple[LabelVector, float]:
     """Nature's exact best response to a fixed (g, p) in the abstain game.
 
     The loss is affine in z through -(1/2n) sum (1 - p_i) g_i z_i, so
-    maximizing it is the box LP that minimizes that sum.
+    maximizing it is the box LP that minimizes that sum.  The cost is the
+    strategy's own ``alpha``.
     """
-    _require_cost(alpha)
     gv = as_array(g)
     probs = strategy.probs
     n = profile.n
     z, objective = lp_best_response((1.0 - probs) * gv, profile.votes, n * profile.lam)
-    loss = 0.5 + float(probs.sum()) * (alpha - 0.5) / n - objective / (2.0 * n)
+    loss = 0.5 + float(probs.sum()) * (strategy.alpha - 0.5) / n - objective / (2.0 * n)
     return LabelVector(z), loss
 
 

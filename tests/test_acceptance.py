@@ -186,7 +186,7 @@ def test_criterion_7_abstain_fraction_bound():
 
 def test_criterion_8_pac_bayes_numerics():
     uniform = WeightVector(np.full(8, 0.125))
-    prior = WeightVector(np.full(8, 0.125), role="prior")
+    prior = WeightVector(np.full(8, 0.125))
     eps_value = epsilon(PacBayesParams(m=2000, delta=0.05), kl_discrete(uniform, prior))
     ok = abs(eps_value - 0.106254) <= 1e-5
     lam_value = lambda_hat(0.1, eps_value)
@@ -207,7 +207,7 @@ def test_criterion_8_pac_bayes_numerics():
         WeightVector(w / w.sum())
         for w in (np.ones(4), np.array([2.0, 1, 1, 1]), np.array([5.0, 1, 1, 1]))
     ]
-    q0 = WeightVector(np.full(4, 0.25), role="prior")
+    q0 = WeightVector(np.full(4, 0.25))
     monotone = True
     kls = [kl_discrete(q, q0) for q in posteriors]
     for delta, kl in itertools.product(deltas, kls):
@@ -320,7 +320,7 @@ def test_criterion_10_discrepancy_logging(tmp_path, capsys):
         )
     )
     ok &= abs(direct_loss - 0.1625) <= TOL
-    _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy, 0.25)
+    _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
     ok &= abs(worst - 0.1925) <= TOL
     value_exact = solve_abstain(profile, 0.25).value_exact
     ok &= abs(value_exact - 0.1484375) <= TOL

@@ -10,6 +10,7 @@ from jsonschema import validate
 
 import votebound
 from votebound.cli import main
+from votebound.model import cover_floor
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
 FIX1_CSV = "vote\n1.0\n0.8\n0.5\n0.2\n"
@@ -17,6 +18,13 @@ FIX1_CSV = "vote\n1.0\n0.8\n0.5\n0.2\n"
 TINY_TWO = "vote\n4.08e-13\n3.33e-13\n"
 TINY_THREE = "vote\n1.6644481460689967e-13\n1.9322455253755075e-12\n1.6567271708743744e-12\n"
 TINY_THREE_ARGS = ["--lambda", "1.196324232083294e-12", "--alpha", "0.16241895838214684"]
+# The float sum of these |votes| falls short of the cover floor at this lambda;
+# the exact sum does not, so the solver accepts them.
+EDGE_SIX = [
+    0.003222713434299089, 0.1197001712117459, 0.0025156210395981806,
+    0.014174951423983735, -0.011640950290500584, 0.005864828020407865,
+]
+EDGE_SIX_LAMBDA = 0.026186539236755915
 
 
 def write_votes(tmp_path, text=FIX1_CSV, name="votes.csv"):
@@ -330,6 +338,18 @@ class TestAbstainCommand:
         code, report = run(capsys, "abstain", "--votes", votes, "--lambda", "0.2", "--alpha", alpha)
         assert code == 2
         assert report["error"] == error
+
+    def test_worst_case_loss_past_the_enumeration_cap(self, tmp_path, capsys):
+        # 64 votes on k/8, with lambda on an exact tie of the top-20 prefix sum.
+        k = (np.arange(64) * 5) % 17 - 8
+        lam = float(np.sort(np.abs(k))[::-1][:20].sum()) / 8.0 / 64.0
+        votes = write_votes(tmp_path, "vote\n" + "".join(f"{x / 8.0!r}\n" for x in k.tolist()))
+        argv = ["abstain", "--votes", votes, "--lambda", repr(lam), "--alpha", "0.25"]
+        code, report = run(capsys, *argv)
+        assert code == 0
+        assert isinstance(report["oracle_worst_case_loss"], float)
+        assert report["oracle_worst_case_loss"] >= report["value_exact"] - 1e-9
+        assert "oracle_note" not in report and "z_worst" not in report
 
     def test_cost_is_checked_before_the_votes_are_read(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
@@ -746,6 +766,19 @@ class TestVerifyCommand:
         code, report = run(capsys, "verify", "--votes", votes, "--lambda", "0.2")
         assert code == 2
         assert report["error"] == "validation_error"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["abstain", "--alpha", "0.25"], ["verify"], ["verify", "--alpha", "0.25"]],
+    )
+    def test_float_sum_short_of_the_floor_is_feasible(self, tmp_path, capsys, command):
+        assert float(np.abs(EDGE_SIX).sum()) < cover_floor(6 * EDGE_SIX_LAMBDA)
+        text = "vote\n" + "".join(f"{x!r}\n" for x in EDGE_SIX)
+        votes = write_votes(tmp_path, text)
+        code, report = run(capsys, *command, "--votes", votes, "--lambda", repr(EDGE_SIX_LAMBDA))
+        assert code == 0
+        assert report.get("ok", True) is True
+        assert report.get("value", report.get("closed_form_value", report.get("game_value"))) == 1.0
 
     def test_single_instance_echo(self, tmp_path, capsys):
         code, report = run(

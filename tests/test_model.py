@@ -63,11 +63,6 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([np.nan, 0.5]))
 
-    def test_roles(self):
-        WeightVector(np.array([1.0]), role="prior")
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0]), role="posterior_prior")
-
 
 class TestComputeVotes:
     def test_unanimity_and_split(self):

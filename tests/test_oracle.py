@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
-from votebound.errors import Infeasible
+from votebound.errors import InfeasibleConstraint
 from votebound.game import game_value
-from votebound.model import cover_floor
+from votebound.model import cover_floor, exact_sum
 from votebound.oracle import (
     ENUM_MAX_N,
     _pareto_frontier,
     _ternary_grid,
     certify_batch,
+    certify_instance,
     certify_saddle,
     enumerate_game_value,
     grid_abstain_value,
@@ -34,11 +36,13 @@ def reference_enumerate_game_value(votes, lam):
     a = np.asarray(votes, dtype=float)
     n = a.size
     target = n * lam
-    if float(np.abs(a).sum()) < cover_floor(target):
-        raise Infeasible("no feasible label vector for this bound")
+    if exact_sum(np.abs(a)) < cover_floor(target):
+        raise InfeasibleConstraint("no feasible label vector for this bound")
     grid = product_grid(n)
     feasible = grid @ a >= cover_floor(target)
-    best = float(np.abs(grid[feasible]).sum(axis=1).min()) if feasible.any() else np.inf
+    best = float(np.count_nonzero(a))  # z = sign(a), feasible by the exact-sum rule
+    if feasible.any():
+        best = min(best, float(np.abs(grid[feasible]).sum(axis=1).min()))
     for k in range(n):
         if a[k] == 0.0:
             continue
@@ -49,8 +53,6 @@ def reference_enumerate_game_value(votes, lam):
         if inside.any():
             totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
             best = min(best, float(totals.min()))
-    if not np.isfinite(best):
-        raise Infeasible("no feasible candidate found")
     return best / n
 
 
@@ -63,8 +65,8 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     a = np.abs(np.asarray(votes, dtype=float))
     n = a.size
     target = n * lam
-    if float(a.sum()) < cover_floor(target):
-        raise Infeasible("no feasible label vector for this bound")
+    if exact_sum(a) < cover_floor(target):
+        raise InfeasibleConstraint("no feasible label vector for this bound")
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
     levels[-1] = min(levels[-1], 1.0)
     if levels[-1] < 1.0:
@@ -73,21 +75,55 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     active = np.nonzero(a > 0.0)[0]
     base = (n - active.size) * min(alpha, 0.5)
     if active.size == 0:
-        raise Infeasible("no feasible label vector for this bound")
+        raise InfeasibleConstraint("no feasible label vector for this bound")
     gains = [levels * a[i] for i in active]
     tail_gain = np.zeros(1)
     tail_pay = np.zeros(1)
     for g in gains[1:]:
         tail_gain = (tail_gain[:, None] + g[None, :]).ravel()
         tail_pay = (tail_pay[:, None] + payoffs[None, :]).ravel()
-    best = -np.inf
+    # Every t_i = 1, feasible by the exact-sum rule even where its float sum falls short.
+    best = payoffs[-1] + float(tail_pay[tail_gain == tail_gain.max()].max())
     for g0, p0 in zip(gains[0], payoffs):
         mask = tail_gain >= cover_floor(target) - g0
         if mask.any():
             best = max(best, p0 + float(tail_pay[mask].max()))
-    if not np.isfinite(best):
-        raise Infeasible("grid found no feasible assignment")
     return (best + base) / n
+
+
+def reference_lp_best_response(costs, coeffs, rhs):
+    """``lp_best_response`` as the per-coordinate greedy loop it replaced."""
+    c = np.asarray(costs, dtype=float)
+    a = np.asarray(coeffs, dtype=float)
+    rhs = float(rhs)
+    floor = cover_floor(rhs)
+    if exact_sum(np.abs(a)) < floor:
+        raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
+    z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, np.sign(a)))
+    lhs = float(a @ z)
+    if lhs < floor:
+        movable = [i for i in range(c.size) if a[i] != 0.0 and z[i] != np.sign(a[i])]
+        with np.errstate(over="ignore"):
+            movable.sort(key=lambda i: (c[i] * np.sign(a[i]) / abs(a[i]), i))
+            for i in movable:
+                gain_full = abs(a[i]) * abs(np.sign(a[i]) - z[i])
+                if lhs + gain_full < floor:
+                    lhs += gain_full
+                    z[i] = np.sign(a[i])
+                    continue
+                step = min((rhs - lhs) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
+                z[i] += np.sign(a[i]) * max(step, 0.0)
+                break
+    return z, float(c @ z)
+
+
+def lp_outcome(solver, costs, coeffs, rhs):
+    """The LP's z bytes and objective as exact hex, or the type of what it raised."""
+    try:
+        z, objective = solver(costs, coeffs, rhs)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+    return z.tobytes(), objective.hex()
 
 
 def outcome(oracle, *args):
@@ -217,7 +253,52 @@ def vertex_lp_optimum(costs, coeffs, rhs):
     return best
 
 
+@st.composite
+def lp_cells(draw, scale):
+    """Reals of magnitude up to ``scale``: uniform, mixed-scale, tied, zero or subnormal."""
+    kind = draw(st.sampled_from(["uniform", "mixed", "quarters", "zeros", "subnormal"]))
+    if kind == "uniform":
+        return draw(st.floats(-scale, scale))
+    if kind == "mixed":  # margins down to 1e-14
+        return draw(st.floats(-scale, scale)) * 10.0 ** -draw(st.floats(0.0, 14.0))
+    if kind == "quarters":
+        return scale * draw(st.integers(-4, 4)) / 4
+    if kind == "zeros":
+        return draw(st.sampled_from([0.0, -0.0]))
+    return draw(st.sampled_from([5e-324, -5e-324, 1e-310, -2.5e-309]))
+
+
+@st.composite
+def lp_instances(draw):
+    n = draw(st.integers(1, 11))
+    coeffs = np.array(draw(st.lists(lp_cells(1.0), min_size=n, max_size=n)))
+    costs = np.array(draw(st.lists(lp_cells(2.0), min_size=n, max_size=n)))
+    total = exact_sum(np.abs(coeffs))
+    ulps = st.integers(-6, 6).map(lambda k: total + k * float(np.spacing(total)))
+    rhs = draw(ulps | st.floats(-1.05, 1.05).map(lambda f: f * total))
+    return costs, coeffs, rhs
+
+
 class TestLpBestResponse:
+    @settings(max_examples=500, deadline=None)
+    @given(lp_instances())
+    def test_matches_the_greedy_loop_bit_for_bit(self, instance):
+        assert lp_outcome(lp_best_response, *instance) == lp_outcome(
+            reference_lp_best_response, *instance
+        )
+
+    def test_random_instances_match_the_greedy_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            coeffs = rng.uniform(-1, 1, n) * 10.0 ** -rng.uniform(0, 14, n)
+            costs = rng.integers(-2, 3, n) / 2.0
+            total = exact_sum(np.abs(coeffs))
+            rhs = total * (1.0 + int(rng.integers(-4, 5)) * 2.0**-52) * rng.choice([1.0, 0.5])
+            assert lp_outcome(lp_best_response, costs, coeffs, rhs) == lp_outcome(
+                reference_lp_best_response, costs, coeffs, rhs
+            )
+
     def test_fix1_nature_response(self, fix1):
         # min z.g* subject to the correlation constraint recovers n*V = 2.4.
         g_star = np.array([1.0, 1.0, 1.0, 0.4])
@@ -238,7 +319,7 @@ class TestLpBestResponse:
         assert coeffs @ z >= 0.3 - 1e-12
 
     def test_infeasible(self):
-        with pytest.raises(Infeasible):
+        with pytest.raises(InfeasibleConstraint):
             lp_best_response(np.ones(2), np.array([0.3, 0.2]), 1.0)
 
     def test_matches_vertex_enumeration(self):
@@ -296,7 +377,7 @@ class TestEnumerateGameValue:
             enumerate_game_value(np.full(9, 0.5), 0.1)
 
     def test_infeasible(self):
-        with pytest.raises(Infeasible):
+        with pytest.raises(InfeasibleConstraint):
             enumerate_game_value([0.1, 0.1], 0.5)
 
     def test_matches_closed_form_on_random_instances(self):
@@ -366,7 +447,7 @@ class TestWorstCaseAbstainLoss:
         from votebound.model import AbstainStrategy
 
         strategy = AbstainStrategy(np.ones(4), alpha=0.3)
-        _, loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy, 0.3)
+        _, loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy)
         assert loss == pytest.approx(0.3, abs=1e-12)
 
     def test_fix1_exceeds_stated_formula(self, fix1):
@@ -374,25 +455,54 @@ class TestWorstCaseAbstainLoss:
         # (0.0875); both are reported, the gap is expected.
         sol = solve_game(fix1)
         strategy = p_alg(fix1, 0.25)
-        z, loss = worst_case_abstain_loss(fix1, sol.g_star, strategy, 0.25)
+        z, loss = worst_case_abstain_loss(fix1, sol.g_star, strategy)
         assert loss == pytest.approx(0.1925, abs=1e-12)
         assert np.allclose(z.values, [1, 1, 0, 1])
 
     def test_fix2(self, fix2):
         sol = solve_game(fix2)
         strategy = p_alg(fix2, 0.25)
-        z, loss = worst_case_abstain_loss(fix2, sol.g_star, strategy, 0.25)
+        z, loss = worst_case_abstain_loss(fix2, sol.g_star, strategy)
         assert loss == pytest.approx(1 / 9, abs=1e-9)
         assert np.allclose(z.values, [1, 1, 2 / 3, 1], atol=1e-9)
 
     def test_dominates_minimax_value_on_random_instances(self):
-        for votes, lam, alpha in random_instances(count=200, seed=35, nmax=6):
+        # Past the enumeration cap too: 10^4 uniform votes and 10^4 votes tied on k/20.
+        uniform = np.random.default_rng(35).uniform(-1.0, 1.0, 10_000)
+        tied = ((np.arange(10_000) * 37) % 41 - 20) / 20.0
+        large = [(votes, 0.3, alpha) for votes in (uniform, tied) for alpha in (0.1, 0.25, 0.45)]
+        for votes, lam, alpha in [*random_instances(count=200, seed=35, nmax=6), *large]:
             profile = sort_profile(votes, lam)
             sol = solve_game(profile)
             strategy = p_alg(profile, alpha)
-            _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy, alpha)
+            _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
             exact = solve_abstain(profile, alpha).value_exact
             assert worst >= exact - 1e-9
+
+
+def feasibility_edge_family(count=20_000, seed=0):
+    """lam within a few ulps of the mean |vote|, n in 2..8, margins across three decades."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        votes = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        k = int(rng.integers(-2, 5))
+        yield votes, math.fsum(np.abs(votes)) / n * (1.0 + k * 2.0**-52)
+
+
+def test_oracles_accept_every_instance_the_solver_accepts():
+    # The float sum of |votes| can fall ulps short of the exact sum the solver decides by.
+    accepted = 0
+    for votes, lam in feasibility_edge_family():
+        try:
+            profile = sort_profile(votes, lam)
+        except InfeasibleConstraint:
+            continue
+        accepted += 1
+        g_star = solve_game(profile).g_star
+        worst_case_abstain_loss(profile, g_star, solve_abstain(profile, 0.25).p_alg)
+        assert certify_instance(votes, lam, 0.25, grid_step=0.02)["ok"], (votes, lam)
+    assert accepted == 18_628
 
 
 class TestCertifyBatch:

@@ -33,8 +33,8 @@ KL_BUDGET_100 = 0.076108527904
 KL_BUDGET_100_POINTMASS = 0.089971471515
 
 
-def uniform(h, role="posterior"):
-    return WeightVector(np.full(h, 1.0 / h), role=role)
+def uniform(h):
+    return WeightVector(np.full(h, 1.0 / h))
 
 
 def sample_with_errors(error_counts, m):
@@ -75,43 +75,43 @@ class TestKlBernoulli:
 
 class TestKlDiscrete:
     def test_identity(self):
-        assert kl_discrete(uniform(5), uniform(5, "prior")) == 0.0
+        assert kl_discrete(uniform(5), uniform(5)) == 0.0
 
     def test_point_mass(self):
         q = WeightVector(np.array([1.0, 0, 0, 0]))
-        assert kl_discrete(q, uniform(4, "prior")) == pytest.approx(math.log(4), abs=1e-12)
+        assert kl_discrete(q, uniform(4)) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_half_support(self):
         q = WeightVector(np.array([0.5, 0.5, 0, 0]))
-        assert kl_discrete(q, uniform(4, "prior")) == pytest.approx(math.log(2), abs=1e-12)
+        assert kl_discrete(q, uniform(4)) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_support_violation(self):
         q = WeightVector(np.array([0.5, 0.5]))
-        q0 = WeightVector(np.array([1.0, 0.0]), role="prior")
+        q0 = WeightVector(np.array([1.0, 0.0]))
         with pytest.raises(InfiniteDivergence):
             kl_discrete(q, q0)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            kl_discrete(uniform(3), uniform(4, "prior"))
+            kl_discrete(uniform(3), uniform(4))
 
 
 class TestEpsilon:
     def test_m2000(self):
         params = PacBayesParams(m=2000, delta=0.05)
-        assert epsilon(params, kl_discrete(uniform(4), uniform(4, "prior"))) == pytest.approx(
+        assert epsilon(params, kl_discrete(uniform(4), uniform(4))) == pytest.approx(
             EPS_2000, abs=1e-9
         )
 
     def test_m100(self):
         params = PacBayesParams(m=100, delta=0.05)
-        assert epsilon(params, kl_discrete(uniform(4), uniform(4, "prior"))) == pytest.approx(
+        assert epsilon(params, kl_discrete(uniform(4), uniform(4))) == pytest.approx(
             EPS_100, abs=1e-9
         )
 
     def test_monotone_grids(self):
         h = 4
-        q0 = uniform(h, "prior")
+        q0 = uniform(h)
         qs = [uniform(h), WeightVector(np.array([0.4, 0.3, 0.2, 0.1])), WeightVector(np.array([0.7, 0.1, 0.1, 0.1]))]
         values_m = [
             epsilon(PacBayesParams(m=m, delta=0.05), kl_discrete(uniform(h), q0))
@@ -267,17 +267,17 @@ class TestExpWeightsPosterior:
 class TestKlBoundTrain:
     def test_uniform_posterior(self):
         params = PacBayesParams(m=100, delta=0.05)
-        value = kl_bound_train(params, kl_discrete(uniform(4), uniform(4, "prior")))
+        value = kl_bound_train(params, kl_discrete(uniform(4), uniform(4)))
         assert value == pytest.approx(KL_BUDGET_100, abs=1e-9)
 
     def test_point_mass_posterior(self):
         params = PacBayesParams(m=100, delta=0.05)
         q = WeightVector(np.array([1.0, 0, 0, 0]))
-        value = kl_bound_train(params, kl_discrete(q, uniform(4, "prior")))
+        value = kl_bound_train(params, kl_discrete(q, uniform(4)))
         assert value == pytest.approx(KL_BUDGET_100_POINTMASS, abs=1e-9)
 
     def test_vanishes_with_training_size(self):
-        divergence = kl_discrete(uniform(2), uniform(2, "prior"))
+        divergence = kl_discrete(uniform(2), uniform(2))
         budgets = [
             kl_bound_train(PacBayesParams(m=m, delta=0.05), divergence)
             for m in (10, 100, 1000, 10000)
