@@ -13,6 +13,8 @@ from votebound.cli import main
 from votebound.model import cover_floor
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
+from test_golden import VOTE_SETS
+
 FIX1_CSV = "vote\n1.0\n0.8\n0.5\n0.2\n"
 # Margins far below 1e-12: the threshold rule must hold relative to n*lam.
 TINY_TWO = "vote\n4.08e-13\n3.33e-13\n"
@@ -737,7 +739,7 @@ class TestVerifyCommand:
         assert report["max_deviation"] < 1e-9
 
     def test_nmax_guard_exits_2(self, capsys):
-        for nmax in ("9", "0", "-1"):
+        for nmax in ("0", "-1"):
             code, report = run(capsys, "verify", "--nmax", nmax)
             assert code == 2
             assert report["error"] == "validation_error"
@@ -761,11 +763,34 @@ class TestVerifyCommand:
         code, report = run(capsys, "verify", "--count", "3", *flags)
         assert (code, report["error"]) == (2, error)
 
-    def test_single_instance_above_oracle_cap_exits_2(self, tmp_path, capsys):
-        votes = write_votes(tmp_path, "vote\n" + "0.5\n" * 9)
-        code, report = run(capsys, "verify", "--votes", votes, "--lambda", "0.2")
-        assert code == 2
-        assert report["error"] == "validation_error"
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.25"]], ids=["game", "abstain"])
+    @pytest.mark.parametrize("name", ["nine", "tied", "mid", "uniform_1e5"])
+    def test_single_instance_above_oracle_caps_certifies(self, tmp_path, capsys, name, alpha):
+        votes, lam = {
+            "nine": (np.full(9, 0.5), 0.2),
+            "tied": VOTE_SETS["tied"],
+            "mid": VOTE_SETS["mid"],
+            "uniform_1e5": (np.random.default_rng(5).uniform(-1.0, 1.0, 100_000), 0.3),
+        }[name]
+        text = "vote\n" + "".join(f"{x!r}\n" for x in map(float, votes))
+        argv = ["verify", "--votes", write_votes(tmp_path, text), "--lambda", repr(lam), *alpha]
+        code, report = run(capsys, *argv)
+        assert (code, report["ok"]) == (0, True)
+        # Above the caps the enumeration and the grid do not run; the LP saddle check does.
+        assert report["oracle_value"] is None
+        assert report.get("abstain_grid_value", None) is None
+        assert report["max_deviation"] < 1e-12
+
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.25"]], ids=["game", "abstain"])
+    def test_single_instance_keys_do_not_depend_on_n(self, tmp_path, capsys, alpha):
+        keys = []
+        for n in (4, 12):
+            text = "vote\n" + "".join(f"{(k * 5 % 17 - 8) / 8}\n" for k in range(n))
+            argv = ["verify", "--votes", write_votes(tmp_path, text), "--lambda", "0.2", *alpha]
+            code, report = run(capsys, *argv)
+            assert code == 0
+            keys.append(list(report))
+        assert keys[0] == keys[1]
 
     @pytest.mark.parametrize(
         "command",

@@ -13,6 +13,7 @@ from votebound.game import game_value
 from votebound.model import cover_floor, exact_sum
 from votebound.oracle import (
     ENUM_MAX_N,
+    GRID_MAX_N,
     _pareto_frontier,
     _ternary_grid,
     certify_batch,
@@ -509,6 +510,11 @@ class TestCertifyBatch:
         b = certify_batch(count=50, seed=9, nmax=5)
         assert a == b
 
-    def test_nmax_guard(self):
-        with pytest.raises(ValueError):
-            certify_batch(count=1, seed=0, nmax=9)
+    def test_nmax_above_the_enumeration_cap(self):
+        # The LP saddle check alone certifies the instances above ENUM_MAX_N.
+        sizes = [votes.size for votes, _, _ in random_instances(count=100, seed=3, nmax=12)]
+        assert sum(n > ENUM_MAX_N for n in sizes) > 0
+        summary = certify_batch(count=100, seed=3, nmax=12)
+        assert summary["ok"] is True
+        assert summary["max_deviation"] < 1e-9
+        assert summary["grid_instances_checked"] == sum(n <= GRID_MAX_N for n in sizes)
