@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def _emit(payload: dict, args, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as stream:
             print(text, file=stream)  # text, then "\n": the report is never copied
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main, not at exit
 
 
 def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
@@ -188,7 +189,6 @@ def cmd_abstain(args) -> int:
     profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
-    _, worst = worst_case_abstain_loss(profile, solution.g_star, abstain.p_alg)
     record = _record(abstain)
     payload = {
         "n": profile.n,
@@ -198,7 +198,7 @@ def cmd_abstain(args) -> int:
         "game_value": solution.value,
         **record,
         "loss_vs_z_star": abstain_loss(solution.g_star, abstain.p_alg, solution.z_star),
-        "oracle_worst_case_loss": worst,
+        "oracle_worst_case_loss": worst_case_abstain_loss(profile, solution.g_star, abstain.p_alg),
     }
     _emit(payload, args, args.out)
     return 0
@@ -425,6 +425,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # Domain-invalid numeric input (votes outside the box, bad weights).
         return _fail("validation_error", exc, 2)
+    except BrokenPipeError:
+        # The reader closed stdout: nothing more can be written, and exit's flush must not retry.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except OSError as exc:
         return _fail("io_error", exc, 4)
     except Exception as exc:  # a defect: still one JSON error line, never a traceback

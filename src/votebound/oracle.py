@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import fsum
+from math import frexp, fsum, ldexp
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,8 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     constraint is still violated, move coordinates toward sign(a_i) in
     ascending cost-per-progress c_i*sign(a_i)/|a_i| (ties by index), each by
     its full gain 2|a_i| while the running float sum stays short of the
-    floor, and the first that reaches it by the clipped fractional step.
+    floor, and the first that reaches it by the clipped fractional step,
+    taken from the exact remainder rhs - a . z.
     Exact because the objective and constraint are both linear and the box
     has a single side constraint.  ``model.cover_floor`` decides when the
     constraint is met, and the instance is feasible when the exact sum of
@@ -83,7 +84,8 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
             z[order[:k]] = sign[order[:k]]
             if k < order.size:
                 i = order[k]
-                step = min((rhs - sums[k]) / abs(a[i]), 2.0)
+                # Each z_j is now -1, 0 or 1, so a_j z_j is exact: the remainder rounds once.
+                step = min(fsum(np.append(-a * z, rhs)) / abs(a[i]), 2.0)
                 z[i] += sign[i] * max(step, 0.0)
     return z, float(c @ z)
 
@@ -192,6 +194,10 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     target = n * lam
     if exact_sum(a) < cover_floor(target):
         raise InfeasibleConstraint("no feasible label vector for this bound")
+    # An exact shift up by a power of two puts the largest margin in [0.5, 1],
+    # so the gains of subnormal margins round relatively (2.0**-e overflows).
+    shift = -min(frexp(a.max(initial=0.0))[1], 0)
+    a, target = np.ldexp(a, shift), ldexp(target, shift)
 
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
     levels[-1] = min(levels[-1], 1.0)
@@ -236,21 +242,17 @@ def certify_saddle(profile: VoteProfile, solution: GameSolution) -> tuple[float,
     return deviation, nature_side, predictor_side
 
 
-def worst_case_abstain_loss(
-    profile: VoteProfile, g, strategy: AbstainStrategy
-) -> tuple[LabelVector, float]:
-    """Nature's exact best response to a fixed (g, p) in the abstain game.
+def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) -> float:
+    """The loss of a fixed (g, p) against nature's exact best response.
 
     The loss is affine in z through -(1/2n) sum (1 - p_i) g_i z_i, so
     maximizing it is the box LP that minimizes that sum.  The cost is the
     strategy's own ``alpha``.
     """
-    gv = as_array(g)
     probs = strategy.probs
     n = profile.n
-    z, objective = lp_best_response((1.0 - probs) * gv, profile.votes, n * profile.lam)
-    loss = 0.5 + float(probs.sum()) * (strategy.alpha - 0.5) / n - objective / (2.0 * n)
-    return LabelVector(z), loss
+    _, objective = lp_best_response((1.0 - probs) * as_array(g), profile.votes, n * profile.lam)
+    return 0.5 + float(probs.sum()) * (strategy.alpha - 0.5) / n - objective / (2.0 * n)
 
 
 def random_instances(count: int, seed: int, nmax: int):

@@ -320,7 +320,7 @@ def test_criterion_10_discrepancy_logging(tmp_path, capsys):
         )
     )
     ok &= abs(direct_loss - 0.1625) <= TOL
-    _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
+    worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
     ok &= abs(worst - 0.1925) <= TOL
     value_exact = solve_abstain(profile, 0.25).value_exact
     ok &= abs(value_exact - 0.1484375) <= TOL

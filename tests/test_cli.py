@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 import votebound
@@ -27,6 +33,7 @@ EDGE_SIX = [
     0.014174951423983735, -0.011640950290500584, 0.005864828020407865,
 ]
 EDGE_SIX_LAMBDA = 0.026186539236755915
+LP_STEP = "vote\n-1.0\n2.2250738585072014e-308\n-1.0\n1e-13\n0.5\n"
 
 
 def write_votes(tmp_path, text=FIX1_CSV, name="votes.csv"):
@@ -220,6 +227,11 @@ class TestSolveCommand:
             (TINY_THREE, TINY_THREE_ARGS),
             # The LP moves a subnormal vote: its cost ratio overflows to inf.
             ("vote\n0\n1e-310\n", ["--lambda", "5e-324", "--alpha", "0.3"]),
+            # The LP's fractional step divides its remainder by the 1e-13 margin.
+            (LP_STEP, ["--lambda", "0.50000000000002"]),
+            (LP_STEP, ["--lambda", "0.50000000000002", "--alpha", "0.25"]),
+            # The grid's gains at a subnormal margin: nature must take the whole margin.
+            ("vote\n5e-324\n", ["--lambda", "5e-324", "--alpha", "0.25"]),
         ],
     )
     def test_tiny_margins_verify(self, tmp_path, capsys, text, args):
@@ -260,6 +272,18 @@ class TestSolveCommand:
         assert code == 5
         assert json.loads(out) == {"error": "internal_error", "message": "RuntimeError: boom"}
         assert err == ""
+
+    def test_closed_stdout_exits_4_without_a_traceback(self, tmp_path):
+        votes = np.random.default_rng(1).uniform(-1.0, 1.0, 20_000)
+        path = write_votes(tmp_path, "vote\n" + "".join(f"{x!r}\n" for x in votes.tolist()))
+        env = dict(os.environ, PYTHONPATH=str(Path(votebound.__file__).parents[1]))
+        argv = [sys.executable, "-m", "votebound.cli", "solve", "--votes", path, "--lambda", "0.3"]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        # The report is far larger than a pipe's buffer, so the child is still writing.
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        assert (child.wait(timeout=120), child.stderr.read()) == (4, b"")
+        child.stderr.close()
 
 
 class TestAbstainCommand:
@@ -847,3 +871,64 @@ class TestVerifyCommand:
         assert report["abstain_grid_value"] == 0.25
         assert report["max_deviation"] < 1e-9
         assert report["ok"] is False
+
+
+# Special floats the vote files carry: non-finite, signed zeros, subnormals and 1 +- 1 ulp.
+SPECIAL_VOTES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.0, -1.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+    1e-13, 0.5,
+]
+
+
+@st.composite
+def edge_instances(draw):
+    """A vote list of n <= 40 (special, all tied or mixed-scale) and a lambda near its mean."""
+    n = draw(st.integers(1, 40))
+    vote = st.sampled_from(SPECIAL_VOTES) | st.floats(-1.0, 1.0)
+    mixed = st.builds(
+        lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.floats(-300.0, 0.0)
+    )
+    kind = draw(st.sampled_from(["special", "tied", "mixed"]))
+    if kind == "tied":
+        votes = [draw(vote)] * n
+    else:
+        votes = draw(st.lists(vote if kind == "special" else mixed, min_size=n, max_size=n))
+    mean = math.fsum(abs(x) for x in votes if math.isfinite(x)) / n
+    lam = draw(
+        st.builds(lambda f: mean * f, st.sampled_from([1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52]))
+        | st.builds(lambda f: mean * f, st.floats(0.0, 1.0))
+        | st.sampled_from([math.nan, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0)])
+    )
+    return votes, lam
+
+
+def _finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(map(_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_instances(), st.sampled_from([0.05, 0.25, 0.45, 0.7]))
+def test_edge_votes_give_one_json_object_and_a_documented_exit(instance, alpha):
+    # Exit 1 stays possible for verify: the oracles can lose precision the solver keeps.
+    votes, lam = instance
+    commands = [
+        (["solve"], {0, 2, 3}),
+        (["abstain", "--alpha", repr(alpha)], {0, 2, 3}),
+        (["verify"], {0, 1, 2, 3}),
+        (["verify", "--alpha", repr(alpha)], {0, 1, 2, 3}),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_votes(Path(tmp), "vote\n" + "".join(f"{x!r}\n" for x in votes))
+        for command, codes in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([*command, "--votes", path, "--lambda", repr(lam), "--canonical"])
+            report = json.loads(out.getvalue())  # exactly one JSON value, nothing after it
+            assert isinstance(report, dict)
+            assert code in codes, (command, code, report)
+            assert code != 0 or _finite(report), (command, report)

@@ -112,7 +112,7 @@ def reference_lp_best_response(costs, coeffs, rhs):
                     lhs += gain_full
                     z[i] = np.sign(a[i])
                     continue
-                step = min((rhs - lhs) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
+                step = min(math.fsum([rhs, *(-a * z)]) / abs(a[i]), abs(np.sign(a[i]) - z[i]))
                 z[i] += np.sign(a[i]) * max(step, 0.0)
                 break
     return z, float(c @ z)
@@ -438,7 +438,7 @@ class TestWorstCaseAbstainLoss:
         from votebound.model import AbstainStrategy
 
         strategy = AbstainStrategy(np.ones(4), alpha=0.3)
-        _, loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy)
+        loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy)
         assert loss == pytest.approx(0.3, abs=1e-12)
 
     def test_fix1_exceeds_stated_formula(self, fix1):
@@ -446,16 +446,18 @@ class TestWorstCaseAbstainLoss:
         # (0.0875); both are reported, the gap is expected.
         sol = solve_game(fix1)
         strategy = p_alg(fix1, 0.25)
-        z, loss = worst_case_abstain_loss(fix1, sol.g_star, strategy)
+        loss = worst_case_abstain_loss(fix1, sol.g_star, strategy)
         assert loss == pytest.approx(0.1925, abs=1e-12)
-        assert np.allclose(z.values, [1, 1, 0, 1])
+        z, _ = lp_best_response((1.0 - strategy.probs) * sol.g_star.values, fix1.votes, 4 * fix1.lam)
+        assert np.allclose(z, [1, 1, 0, 1])
 
     def test_fix2(self, fix2):
         sol = solve_game(fix2)
         strategy = p_alg(fix2, 0.25)
-        z, loss = worst_case_abstain_loss(fix2, sol.g_star, strategy)
+        loss = worst_case_abstain_loss(fix2, sol.g_star, strategy)
         assert loss == pytest.approx(1 / 9, abs=1e-9)
-        assert np.allclose(z.values, [1, 1, 2 / 3, 1], atol=1e-9)
+        z, _ = lp_best_response((1.0 - strategy.probs) * sol.g_star.values, fix2.votes, 4 * fix2.lam)
+        assert np.allclose(z, [1, 1, 2 / 3, 1], atol=1e-9)
 
     def test_dominates_minimax_value_on_random_instances(self):
         # Past the enumeration cap too: 10^4 uniform votes and 10^4 votes tied on k/20.
@@ -466,7 +468,7 @@ class TestWorstCaseAbstainLoss:
             profile = sort_profile(votes, lam)
             sol = solve_game(profile)
             strategy = p_alg(profile, alpha)
-            _, worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
+            worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
             exact = solve_abstain(profile, alpha).value_exact
             assert worst >= exact - 1e-9
 
