@@ -412,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(error: str, exc: Exception | str, code: int) -> int:
-    sys.stdout.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+    print(json.dumps({"error": error, "message": str(exc)}), flush=True)
     return code
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
+    """The command's exit code; an error it raises is reported as one JSON line."""
     try:
         return args.func(args)
     except VoteboundError as exc:
@@ -425,14 +425,20 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # Domain-invalid numeric input (votes outside the box, bad weights).
         return _fail("validation_error", exc, 2)
-    except BrokenPipeError:
-        # The reader closed stdout: nothing more can be written, and exit's flush must not retry.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 4
     except OSError as exc:
         return _fail("io_error", exc, 4)
     except Exception as exc:  # a defect: still one JSON error line, never a traceback
         return _fail("internal_error", f"{type(exc).__name__}: {exc}", 5)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:  # from the report or from the error line
+        # The reader closed stdout: nothing more can be written, and exit's flush must not retry.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
 
 
 if __name__ == "__main__":

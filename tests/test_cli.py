@@ -273,14 +273,17 @@ class TestSolveCommand:
         assert json.loads(out) == {"error": "internal_error", "message": "RuntimeError: boom"}
         assert err == ""
 
-    def test_closed_stdout_exits_4_without_a_traceback(self, tmp_path):
+    @pytest.mark.parametrize("report", ["large", "error"])
+    def test_closed_stdout_exits_4_without_a_traceback(self, tmp_path, report):
         votes = np.random.default_rng(1).uniform(-1.0, 1.0, 20_000)
         path = write_votes(tmp_path, "vote\n" + "".join(f"{x!r}\n" for x in votes.tolist()))
+        lam = {"large": "0.3", "error": "nan"}[report]
         env = dict(os.environ, PYTHONPATH=str(Path(votebound.__file__).parents[1]))
-        argv = [sys.executable, "-m", "votebound.cli", "solve", "--votes", path, "--lambda", "0.3"]
+        argv = [sys.executable, "-m", "votebound.cli", "solve", "--votes", path, "--lambda", lam]
         child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        # The report is far larger than a pipe's buffer, so the child is still writing.
-        assert child.stdout.readline() == b"{\n"
+        if report == "large":
+            # The report is far larger than a pipe's buffer, so the child is still writing.
+            assert child.stdout.readline() == b"{\n"
         child.stdout.close()
         assert (child.wait(timeout=120), child.stderr.read()) == (4, b"")
         child.stderr.close()

@@ -68,6 +68,8 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     target = n * lam
     if exact_sum(a) < cover_floor(target):
         raise InfeasibleConstraint("no feasible label vector for this bound")
+    shift = -min(math.frexp(a.max(initial=0.0))[1], 0)  # the same exact power-of-two shift
+    a, target = np.ldexp(a, shift), math.ldexp(target, shift)
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
     levels[-1] = min(levels[-1], 1.0)
     if levels[-1] < 1.0:
@@ -182,6 +184,7 @@ class TestAgainstFormerRoutes:
 
     @settings(max_examples=120, deadline=None)
     @given(grid_instances())
+    @example((np.array([5e-324]), 5e-324, 0.5, 0.005))  # a subnormal margin's gains
     def test_grid_matches_full_tail_scan(self, instance):
         assert outcome(grid_abstain_value, *instance) == outcome(
             reference_grid_abstain_value, *instance
