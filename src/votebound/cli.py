@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 certification failure, 2 domain/validation error
 (including a result that is not a finite real), 3 parse/dimension error, 4 I/O
 error, 5 internal error.  Errors are reported as JSON objects with ``error``
-(a stable slug) and ``message``.
+(a stable slug) and ``message``; a stdout closed by its reader gives 4 and no
+output at all.
 """
 
 from __future__ import annotations
@@ -435,8 +436,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except BrokenPipeError:  # from the report or from the error line
-        # The reader closed stdout: nothing more can be written, and exit's flush must not retry.
+    except BrokenPipeError:
+        # The reader closed stdout, during the report or the error line: nothing more can
+        # be written, and the flush at exit must not try again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4
 

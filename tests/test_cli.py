@@ -805,7 +805,7 @@ class TestVerifyCommand:
         assert (code, report["ok"]) == (0, True)
         # Above the caps the enumeration and the grid do not run; the LP saddle check does.
         assert report["oracle_value"] is None
-        assert report.get("abstain_grid_value", None) is None
+        assert report.get("abstain_grid_value") is None
         assert report["max_deviation"] < 1e-12
 
     @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.25"]], ids=["game", "abstain"])
@@ -889,9 +889,7 @@ def edge_instances(draw):
     """A vote list of n <= 40 (special, all tied or mixed-scale) and a lambda near its mean."""
     n = draw(st.integers(1, 40))
     vote = st.sampled_from(SPECIAL_VOTES) | st.floats(-1.0, 1.0)
-    mixed = st.builds(
-        lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.floats(-300.0, 0.0)
-    )
+    mixed = st.builds(lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.floats(-300.0, 0.0))
     kind = draw(st.sampled_from(["special", "tied", "mixed"]))
     if kind == "tied":
         votes = [draw(vote)] * n

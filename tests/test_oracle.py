@@ -451,7 +451,9 @@ class TestWorstCaseAbstainLoss:
         strategy = p_alg(fix1, 0.25)
         loss = worst_case_abstain_loss(fix1, sol.g_star, strategy)
         assert loss == pytest.approx(0.1925, abs=1e-12)
-        z, _ = lp_best_response((1.0 - strategy.probs) * sol.g_star.values, fix1.votes, 4 * fix1.lam)
+        # Nature's best response, as worst_case_abstain_loss poses it.
+        costs = (1.0 - strategy.probs) * sol.g_star.values
+        z, _ = lp_best_response(costs, fix1.votes, 4 * fix1.lam)
         assert np.allclose(z, [1, 1, 0, 1])
 
     def test_fix2(self, fix2):
@@ -459,7 +461,9 @@ class TestWorstCaseAbstainLoss:
         strategy = p_alg(fix2, 0.25)
         loss = worst_case_abstain_loss(fix2, sol.g_star, strategy)
         assert loss == pytest.approx(1 / 9, abs=1e-9)
-        z, _ = lp_best_response((1.0 - strategy.probs) * sol.g_star.values, fix2.votes, 4 * fix2.lam)
+        # Nature's best response, as worst_case_abstain_loss poses it.
+        costs = (1.0 - strategy.probs) * sol.g_star.values
+        z, _ = lp_best_response(costs, fix2.votes, 4 * fix2.lam)
         assert np.allclose(z, [1, 1, 2 / 3, 1], atol=1e-9)
 
     def test_dominates_minimax_value_on_random_instances(self):
