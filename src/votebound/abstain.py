@@ -10,6 +10,7 @@ simple near-optimal strategy that abstains only below the threshold margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ldexp
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .model import (
     AbstainStrategy,
     VoteProfile,
     _require_cost,
+    _unit_shift,
     as_array,
     threshold_index,
 )
@@ -38,7 +40,8 @@ class AbstainSolution:
     - trivial: alpha <= (1/2)(1 - n*lam / S_n), inclusive: always abstaining is optimal.
     - w: min { i : 2 alpha S_i covers n*budget }, the index where nature's raises stop;
       w <= v.  Covering is ``model.cover_floor``'s rule, as for v.
-    - budget: lam - (1 - 2 alpha) S_n / n, what nature must cover once every |z_i| is 1 - 2 alpha.
+    - budget: lam - (1 - 2 alpha) S_n / n, what nature must cover once every |z_i| is 1 - 2 alpha;
+      formed, like w, on margins shifted up by an exact power of two, so it does not underflow.
     - value_exact: alpha if trivial; (1 - V)/2 for alpha >= 1/2, V the game value; otherwise
       alpha (n - w + 1 - f)/n, where f = (n*budget/(2 alpha) - S_{w-1})/|a_w| in [0, 1] is the
       share of the raise nature takes at w (its magnitude there is 1 - 2 alpha (1 - f)).
@@ -105,7 +108,11 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     """
     alpha = _require_cost(alpha)
     n, v = profile.n, find_threshold(profile)
-    budget = profile.lam - (1.0 - 2.0 * alpha) * profile.total / n
+    # The budget and w's rule run on margins shifted up by an exact power of two, so a
+    # subnormal budget does not underflow; the shift is 0 once the largest margin is 0.5.
+    shift = _unit_shift(profile.abs_sorted[0])
+    lam, total = ldexp(profile.lam, shift), ldexp(profile.total, shift)
+    budget = lam - (1.0 - 2.0 * alpha) * total / n
     trivial = alpha <= 0.5 * (1.0 - n * profile.lam / profile.total) + VALIDATION_TOL
     w = None
     if trivial:
@@ -115,7 +122,9 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     else:
         # w <= v holds exactly.  A rounded target past the v-th prefix sum lies
         # within rounding of it, so w = v + 1 with fraction 1 is a full raise at v.
-        w, _, f = threshold_index(profile.abs_sorted[:v], n * budget, 2.0 * alpha)
+        margins = profile.abs_sorted[:v]
+        margins = np.ldexp(margins, shift) if shift else margins
+        w, _, f = threshold_index(margins, n * budget, 2.0 * alpha)
         w = min(w, v)
         value = alpha * (n - w + 1 - f) / n
         lower = alpha * (1.0 - w / n)
@@ -133,7 +142,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         alpha=alpha,
         trivial=trivial,
         w=w,
-        budget=budget,
+        budget=ldexp(budget, -shift),
         value_exact=value,
         value_lower=lower,
         value_upper=upper,

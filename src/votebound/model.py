@@ -82,6 +82,15 @@ def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
     return total / (1 << -base) if base < 0 else float(total << base)
 
 
+def _unit_shift(largest: float) -> int:
+    """The exponent s >= 0 that puts ``largest`` * 2**s in [0.5, 1]; 0 from 0.5 up.
+
+    The shift is exact, and it makes the sums of subnormal margins round
+    relative to their size instead of underflowing.
+    """
+    return -min(math.frexp(largest)[1], 0)
+
+
 def cover_floor(target: float) -> float:
     """The least sum that covers ``target``: four ulps of ``target`` below it.
 

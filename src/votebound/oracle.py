@@ -7,16 +7,21 @@ admits, the sequential greedy builds nature's optimum one pick at a time,
 and the grid search is structure-free.  The LP has no size cap: one sort and
 one cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8 and the
 grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which oracle
-runs at which size.  Each {-1, 0, 1}^n grid is built once, read-only;
-the abstain grid keeps only the partial sums no other beats on both, which is
-exact because float addition rounds monotonically (see grid_abstain_value).
+runs at which size.  The enumeration reads a per-n table, built once on
+first use and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, each
+row's nonzero count and each coordinate's list of the others.  It handles
+every fractional coordinate in one stacked matrix-vector product, which keeps
+the bits of one product per coordinate (see enumerate_game_value).  The
+abstain grid keeps only the levels and partial sums no other beats on both,
+which is exact because float addition rounds monotonically (see
+grid_abstain_value).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from math import frexp, fsum, ldexp
+from math import fsum, ldexp
 from typing import Optional
 
 import numpy as np
@@ -31,6 +36,7 @@ from .model import (
     VoteProfile,
     _readonly,
     _require_cost,
+    _unit_shift,
     as_array,
     cover_floor,
     exact_sum,
@@ -123,39 +129,54 @@ def _ternary_grid(n: int) -> np.ndarray:
     return _readonly(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
 
 
+@functools.cache
+def _enumeration_table(n: int) -> tuple[np.ndarray, ...]:
+    """The enumeration's read-only arrays for one n, built on first use.
+
+    The {-1, 0, 1}^n grid and the nonzero count of each of its rows, the
+    {-1, 0, 1}^(n-1) grid and its row counts, and an (n, n-1) index array
+    whose row k lists the coordinates other than k.
+    """
+    grid, sub = _ternary_grid(n), _ternary_grid(n - 1)
+    rest = np.array([[j for j in range(n) if j != k] for k in range(n)], dtype=np.intp)
+    rest.setflags(write=False)
+    return grid, _readonly(np.abs(grid).sum(axis=1)), sub, _readonly(np.abs(sub).sum(axis=1)), rest
+
+
 def enumerate_game_value(votes, lam: float) -> float:
     """Brute-force dual value: minimize (1/n) sum |z_i| over the polytope.
 
     Candidate optima have at most one fractional coordinate, so scan every
     assignment in {-1, 0, 1}^n plus, for every candidate fractional
-    coordinate, every {-1, 0, 1} assignment of the rest with that coordinate
-    solved from the binding constraint.
+    coordinate k, every {-1, 0, 1} assignment of the rest with z_k solved
+    from the binding constraint.  The grids, their row counts and each k's
+    other coordinates come from the per-n ``_enumeration_table``.  All k run
+    in one stacked product, sub @ a[rest[k]] for each k: numpy runs the same
+    matrix-vector product on each slab, so each slab has the bits of the
+    per-k product ``sub @ np.delete(a, k)``.  A 2-D ``sub @ a[rest].T`` would
+    not: it is a matrix-matrix product, which rounds its sums differently.
     """
     a = as_array(votes)
     n = a.size
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
-    if exact_sum(np.abs(a)) < cover_floor(target):
+    floor = cover_floor(target)
+    if exact_sum(np.abs(a)) < floor:
         raise InfeasibleConstraint("no feasible label vector for this bound")
 
-    grid = _ternary_grid(n)
-    feasible = grid @ a >= cover_floor(target)
+    grid, counts, sub, sub_counts, rest = _enumeration_table(n)
     # z = sign(a) is feasible by the exact-sum rule even where its float dot falls short.
-    best = float(np.abs(grid[feasible]).sum(axis=1).min(initial=np.count_nonzero(a)))
+    best = counts.min(initial=np.count_nonzero(a), where=grid @ a >= floor)
 
-    sub = _ternary_grid(n - 1)
-    for k in range(n):
-        if a[k] == 0.0:
-            continue
-        with np.errstate(over="ignore"):  # a subnormal a_k: the cover test drops the inf
-            z_k = (target - sub @ np.delete(a, k)) / a[k]
-        # Clipped to the box, z_k misses the target by (|z_k| - 1)|a_k|; the floor allows that much.
-        inside = (np.abs(z_k) - 1.0) * abs(a[k]) <= target - cover_floor(target)
-        if inside.any():
-            totals = np.abs(sub[inside]).sum(axis=1) + np.minimum(np.abs(z_k[inside]), 1.0)
-            best = min(best, float(totals.min()))
-    return best / n
+    moved = np.flatnonzero(a)
+    pivots = a[moved, None]
+    with np.errstate(over="ignore"):  # a subnormal a_k: the cover test drops the inf
+        z = (target - np.matmul(sub, a[rest[moved]][:, :, None])[:, :, 0]) / pivots
+    # Clipped to the box, z_k misses the target by (|z_k| - 1)|a_k|; the floor allows that much.
+    inside = (np.abs(z) - 1.0) * np.abs(pivots) <= target - floor
+    totals = sub_counts + np.minimum(np.abs(z), 1.0)
+    return float(totals.min(initial=best, where=inside)) / n
 
 
 def _default_grid_step(n: int) -> float:
@@ -178,9 +199,11 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     nothing because the objective depends only on |z_i| and matching signs
     loosens the constraint the most.  Accurate to n*step/2 by the
     objective's 1/2-Lipschitz dependence on each coordinate.  The tail over
-    the other coordinates keeps only the (gain, pay) sums no other sum matches
-    or beats on both: exact, as each kept sum is the float a full scan forms
-    and float addition rounds monotonically, so a beaten sum stays beaten.
+    the other coordinates keeps only the (gain, pay) levels of each coordinate,
+    and the (gain, pay) sums, that no other matches or beats on both: exact,
+    as each kept sum is the float a full scan forms and float addition rounds
+    monotonically, so a sum that uses a beaten level or a beaten partial sum
+    is beaten or tied by the sum that uses the better one.
     """
     _require_cost(alpha)
     a = np.abs(as_array(votes))
@@ -196,7 +219,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
         raise InfeasibleConstraint("no feasible label vector for this bound")
     # An exact shift up by a power of two puts the largest margin in [0.5, 1],
     # so the gains of subnormal margins round relatively (2.0**-e overflows).
-    shift = -min(frexp(a.max(initial=0.0))[1], 0)
+    shift = _unit_shift(a.max(initial=0.0))
     a, target = np.ldexp(a, shift), ldexp(target, shift)
 
     levels = np.arange(0.0, 1.0 + step / 2.0, step)
@@ -212,13 +235,13 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     if active.size == 0:
         raise InfeasibleConstraint("no feasible label vector for this bound")
 
-    gains = [levels * a[i] for i in active]
     tail_gain = tail_pay = np.zeros(1)
-    for g in gains[1:]:
-        sums = (tail_gain[:, None] + g).ravel(), (tail_pay[:, None] + payoffs).ravel()
+    for i in active[1:]:
+        gain, pay = _pareto_frontier(levels * a[i], payoffs)
+        sums = (tail_gain[:, None] + gain).ravel(), (tail_pay[:, None] + pay).ravel()
         tail_gain, tail_pay = _pareto_frontier(*sums)
     # Pay falls as gain rises: each first-coordinate level's best tail is the first that meets it.
-    first = np.searchsorted(tail_gain, cover_floor(target) - gains[0])
+    first = np.searchsorted(tail_gain, cover_floor(target) - levels * a[active[0]])
     # Every t_i = 1 is feasible by the exact-sum rule even where its float sum falls short.
     first[-1] = min(first[-1], tail_gain.size - 1)
     met = first < tail_gain.size

@@ -34,6 +34,9 @@ EDGE_SIX = [
 ]
 EDGE_SIX_LAMBDA = 0.026186539236755915
 LP_STEP = "vote\n-1.0\n2.2250738585072014e-308\n-1.0\n1e-13\n0.5\n"
+# Nature must take both subnormal margins in full: the abstain value is 0, not alpha.
+SUBNORMAL_PAIR = "vote\n-5e-324\n-5e-324\n"
+SUBNORMAL_PAIR_ARGS = ["--lambda", "5e-324", "--alpha", "0.05"]
 
 
 def write_votes(tmp_path, text=FIX1_CSV, name="votes.csv"):
@@ -232,12 +235,20 @@ class TestSolveCommand:
             (LP_STEP, ["--lambda", "0.50000000000002", "--alpha", "0.25"]),
             # The grid's gains at a subnormal margin: nature must take the whole margin.
             ("vote\n5e-324\n", ["--lambda", "5e-324", "--alpha", "0.25"]),
+            # The abstain budget of subnormal margins, formed unshifted, underflows to 0.
+            (SUBNORMAL_PAIR, SUBNORMAL_PAIR_ARGS),
         ],
     )
     def test_tiny_margins_verify(self, tmp_path, capsys, text, args):
         code, report = run(capsys, "verify", "--votes", write_votes(tmp_path, text), *args)
         assert code == 0
         assert report["ok"] is True
+
+    def test_subnormal_budget_gives_the_exact_abstain_value(self, tmp_path, capsys):
+        votes = write_votes(tmp_path, SUBNORMAL_PAIR)
+        code, report = run(capsys, "abstain", "--votes", votes, *SUBNORMAL_PAIR_ARGS)
+        assert code == 0
+        assert report["value_exact"] == pytest.approx(0.0, rel=0, abs=1e-9)
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

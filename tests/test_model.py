@@ -1,3 +1,4 @@
+import math
 import re
 from math import fsum
 
@@ -12,6 +13,7 @@ from votebound.errors import (
     DimensionError,
     InfeasibleConstraint,
     InvalidCost,
+    VoteboundError,
 )
 from votebound.game import optimal_nature
 from votebound.model import (
@@ -326,3 +328,53 @@ def test_constructor_contract(make, box, values, expected):
     assert caller.flags.writeable
     caller[:] = 0.5
     assert stored.view(np.uint64).tolist() == bits
+
+
+# Cells at the edges the constructors guard: non-finite, signed zeros, subnormals, 1 +- 1 ulp.
+EDGE_CELLS = st.sampled_from(
+    [NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 0.25,
+     1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -math.nextafter(1.0, 2.0)]
+) | st.floats(-1.0, 1.0)
+EDGE_SCALARS = st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 5e-324, 0.25, 1.0, math.nextafter(1.0, 2.0)])
+
+
+@st.composite
+def edge_arrays(draw, shape):
+    """All-tied arrays, arrays of edge cells, or signs with +-1 ulp among them."""
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["tied", "edge", "signs"]))
+    if kind == "tied":
+        return np.full(shape, draw(st.sampled_from([1.0 / max(size, 1), 1.0, -1.0]) | EDGE_CELLS))
+    cells = EDGE_CELLS
+    if kind == "signs":
+        cells = st.sampled_from([1.0, -1.0]) | st.sampled_from([math.nextafter(1.0, 2.0), -0.0])
+    return np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+
+
+VECTORS = st.integers(0, 6).flatmap(lambda n: edge_arrays((n,)))
+MATRICES = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(edge_arrays)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        pytest.param(sort_profile, st.tuples(VECTORS, EDGE_SCALARS | st.floats(0.0, 1.0)), id="sort_profile"),
+        pytest.param(PredictionVector, st.tuples(VECTORS), id="PredictionVector"),
+        pytest.param(LabelVector, st.tuples(VECTORS), id="LabelVector"),
+        pytest.param(AbstainStrategy, st.tuples(VECTORS, EDGE_SCALARS), id="AbstainStrategy"),
+        pytest.param(WeightVector, st.tuples(VECTORS), id="WeightVector"),
+        pytest.param(EnsembleMatrix, st.tuples(MATRICES), id="EnsembleMatrix"),
+        pytest.param(LabeledSample, st.tuples(MATRICES, VECTORS), id="LabeledSample"),
+    ],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constructors_refuse_or_hold_finite_read_only_arrays(make, args, data):
+    try:
+        made = make(*data.draw(args))
+    except (ValueError, VoteboundError):
+        return
+    fields = vars(made).values()
+    for array in (x for x in fields if isinstance(x, np.ndarray)):
+        assert np.isfinite(array).all() and not array.flags.writeable
+    assert all(math.isfinite(x) for x in fields if isinstance(x, float))

@@ -14,6 +14,7 @@ from votebound.model import cover_floor, exact_sum
 from votebound.oracle import (
     ENUM_MAX_N,
     GRID_MAX_N,
+    _enumeration_table,
     _pareto_frontier,
     _ternary_grid,
     certify_batch,
@@ -192,14 +193,18 @@ class TestAgainstFormerRoutes:
 
     @settings(max_examples=200, deadline=None)
     @given(enumeration_instances())
+    @example((np.array([-0.5]), 0.25))  # n = 1: the (n-1) grid has no columns
+    @example((np.array([0.5, 0.0, -0.25, -0.0, 0.75]), 0.2))  # zero margins of both signs
+    @example((np.array([0.5, 1e-310, -0.25]), 0.2))  # a subnormal a_k: its z_k overflows to inf
+    @example((np.array([0.25, -0.25] * 4), 3 * 0.25 / 8))  # eight tied quarter votes
     def test_enumeration_matches_uncached_grids(self, instance):
         assert outcome(enumerate_game_value, *instance) == outcome(
             reference_enumerate_game_value, *instance
         )
 
     def test_random_instances_match_bit_for_bit(self):
-        for votes, lam, alpha in random_instances(count=150, seed=36, nmax=4):
-            for step in (0.02, 0.05):
+        for votes, lam, alpha in random_instances(count=300, seed=36, nmax=ENUM_MAX_N):
+            for step in (0.02, 0.05) if votes.size <= GRID_MAX_N else ():
                 assert outcome(grid_abstain_value, votes, lam, alpha, step) == outcome(
                     reference_grid_abstain_value, votes, lam, alpha, step
                 )
@@ -215,6 +220,20 @@ class TestAgainstFormerRoutes:
             assert np.array_equal(grid, product_grid(n))
             with pytest.raises(ValueError):
                 grid[...] = 0.0
+            if n == 0:
+                continue
+            # The enumeration's per-n table: both grids, their row counts, each k's other coordinates.
+            table = _enumeration_table(n)
+            assert table is _enumeration_table(n)
+            grid, counts, sub, sub_counts, rest = table
+            assert grid is _ternary_grid(n) and sub is _ternary_grid(n - 1)
+            assert np.array_equal(counts, np.abs(grid).sum(axis=1))
+            assert np.array_equal(sub_counts, np.abs(sub).sum(axis=1))
+            others = [[j for j in range(n) if j != k] for k in range(n)]
+            assert rest.shape == (n, n - 1) and rest.tolist() == others
+            for array in table:
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
     @settings(max_examples=200, deadline=None)
     @given(
