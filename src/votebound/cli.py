@@ -57,6 +57,11 @@ class ValidationError(VoteboundError):
     code = "validation_error"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # an argument error ends as one JSON line, like any other
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _json(obj, pad: str = "", path: str = "") -> str:
     """``json.dumps(obj, indent=2)`` with reals rounded to 12 significant digits.
 
@@ -342,7 +347,7 @@ def cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="votebound",
         description=(
             "Aggregate an ensemble of binary classifiers over an unlabeled test "
@@ -417,9 +422,10 @@ def _fail(error: str, exc: Exception | str, code: int) -> int:
     return code
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     """The command's exit code; an error it raises is reported as one JSON line."""
     try:
+        args = build_parser().parse_args(argv)  # --help and --version exit here
         return args.func(args)
     except VoteboundError as exc:
         return _fail(exc.code, exc, 3 if isinstance(exc, (ParseError, DimensionError)) else 2)
@@ -433,9 +439,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(argv)
     except BrokenPipeError:
         # The reader closed stdout, during the report or the error line: nothing more can
         # be written, and the flush at exit must not try again.

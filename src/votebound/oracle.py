@@ -3,11 +3,10 @@
 These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
-admits, the sequential greedy builds nature's optimum one pick at a time,
-and the grid search is structure-free.  The LP has no size cap: one sort and
-one cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8 and the
-grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which oracle
-runs at which size.  The enumeration reads a per-n table, built once on
+admits, and the grid search is structure-free.  The LP has no size cap: one
+sort and one cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
+and the grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which
+oracle runs at which size.  The enumeration reads a per-n table, built once on
 first use and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, each
 row's nonzero count and each coordinate's list of the others.  It handles
 every fractional coordinate in one stacked matrix-vector product, which keeps
@@ -28,11 +27,10 @@ import numpy as np
 
 from .abstain import solve_abstain
 from .errors import InfeasibleConstraint
-from .game import GameSolution, solve_game
+from .game import solve_game
 from .model import (
     SOLVER_TOL,
     AbstainStrategy,
-    LabelVector,
     VoteProfile,
     _readonly,
     _require_cost,
@@ -96,34 +94,6 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     return z, float(c @ z)
 
 
-def nature_greedy(profile: VoteProfile) -> LabelVector:
-    """Nature's optimum built by the literal sequential greedy procedure.
-
-    Repeatedly pick the unused example with the largest margin (ties by
-    ascending original index), fill it with the sign of its vote while the
-    selected margins still fall short of n*lam, and finish with the
-    fractional fill that makes the constraint bind.  O(n^2); the reference
-    ``game.optimal_nature`` is checked against, under the same tie-break.
-    """
-    votes = profile.votes
-    n = profile.n
-    target = n * profile.lam
-    z = np.zeros(n)
-    chosen: list[int] = []
-    remaining = set(range(n))
-    while True:
-        pick = max(remaining, key=lambda j: (abs(votes[j]), -j))
-        remaining.discard(pick)
-        chosen.append(pick)
-        selected_sum = fsum(abs(votes[j]) for j in chosen)
-        if selected_sum < cover_floor(target):
-            z[pick] = np.sign(votes[pick])
-            continue
-        fill = np.sign(votes[pick]) - (selected_sum - target) / votes[pick]
-        z[pick] = min(max(fill, -1.0), 1.0)
-        return LabelVector(z)
-
-
 @functools.cache
 def _ternary_grid(n: int) -> np.ndarray:
     return _readonly(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
@@ -179,10 +149,6 @@ def enumerate_game_value(votes, lam: float) -> float:
     return float(totals.min(initial=best, where=inside)) / n
 
 
-def _default_grid_step(n: int) -> float:
-    return 0.005 if n <= 3 else 0.02
-
-
 def _pareto_frontier(gain: np.ndarray, pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs no other pair matches or beats on both, by ascending gain."""
     order = np.lexsort((-pay, -gain))
@@ -191,27 +157,25 @@ def _pareto_frontier(gain: np.ndarray, pay: np.ndarray) -> tuple[np.ndarray, np.
     return gain[keep][::-1], pay[keep][::-1]
 
 
-def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = None) -> float:
+def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     """Structure-free grid maximization of (1/n) sum min(alpha, (1-t_i)/2).
 
     Magnitudes t_i range over {0, step, ..., 1} subject to
     (1/n) sum t_i |a_i| >= lam; signs are fixed to sign(a_i), which loses
     nothing because the objective depends only on |z_i| and matching signs
-    loosens the constraint the most.  Accurate to n*step/2 by the
-    objective's 1/2-Lipschitz dependence on each coordinate.  The tail over
-    the other coordinates keeps only the (gain, pay) levels of each coordinate,
-    and the (gain, pay) sums, that no other matches or beats on both: exact,
-    as each kept sum is the float a full scan forms and float addition rounds
-    monotonically, so a sum that uses a beaten level or a beaten partial sum
-    is beaten or tied by the sum that uses the better one.
+    loosens the constraint the most.  Accurate to n*step/2, for a step in
+    (0, 0.1], by the objective's 1/2-Lipschitz dependence on each coordinate.
+    The tail over the other coordinates keeps only the (gain, pay) levels of
+    each coordinate, and the (gain, pay) sums, that no other matches or beats
+    on both: exact, as each kept sum is the float a full scan forms and float
+    addition rounds monotonically, so a sum that uses a beaten level or a
+    beaten partial sum is beaten or tied by the sum that uses the better one.
     """
     _require_cost(alpha)
     a = np.abs(as_array(votes))
     n = a.size
     if n > GRID_MAX_N:
         raise ValueError(f"grid oracle is capped at n = {GRID_MAX_N}")
-    if step is None:
-        step = _default_grid_step(n)
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
@@ -247,22 +211,6 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: Optional[float] = 
     met = first < tail_gain.size
     best = (payoffs[met] + tail_pay[first[met]]).max()
     return (best + base) / n
-
-
-def certify_saddle(profile: VoteProfile, solution: GameSolution) -> tuple[float, float, float]:
-    """Check both best responses against the claimed value; never raises.
-
-    Nature's exact LP best response to g_star must pay exactly the value,
-    and the predictor's best response to z_star (componentwise signs) must
-    recover it as the mean |z_star|.  Returns the larger deviation from the
-    value, then the nature and predictor best-response values.
-    """
-    n = profile.n
-    _, objective = lp_best_response(solution.g_star.values, profile.votes, n * profile.lam)
-    nature_side = objective / n
-    predictor_side = float(np.abs(solution.z_star.values).mean())
-    deviation = max(abs(nature_side - solution.value), abs(predictor_side - solution.value))
-    return deviation, nature_side, predictor_side
 
 
 def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) -> float:
@@ -302,7 +250,8 @@ def certify_instance(
     The saddle best responses run at every n, the game value's enumeration at
     n <= ENUM_MAX_N and, with ``alpha``, the structure-free abstain grid at
     n <= GRID_MAX_N, held to its n*step/2 accuracy (``grid_excess``, -inf when
-    no grid ran).  An oracle that did not run reports None, so the keys depend
+    no grid ran).  The step is ``grid_step``, else 0.005 up to n = 3 and 0.02
+    at n = 4.  An oracle that did not run reports None, so the keys depend
     only on ``alpha``.  ``deviations`` holds every closed-form deviation by
     check name; ``ok`` requires all of them and the grid excess to stay within
     SOLVER_TOL.
@@ -313,7 +262,13 @@ def certify_instance(
     deviations = {}
     if enumerated is not None:
         deviations["value_vs_enumeration"] = abs(solution.value - enumerated)
-    deviations["saddle"], nature_side, predictor_side = certify_saddle(profile, solution)
+    # Nature's exact LP best response to g_star, and the predictor's to z_star, must pay the value.
+    _, objective = lp_best_response(solution.g_star.values, profile.votes, profile.n * profile.lam)
+    saddle = {
+        "nature_best_response": objective / profile.n,
+        "predictor_best_response": float(np.abs(solution.z_star.values).mean()),
+    }
+    deviations["saddle"] = max(abs(side - solution.value) for side in saddle.values())
     abstain = {}
     grid_excess = -np.inf
     if alpha is not None:
@@ -322,17 +277,14 @@ def certify_instance(
         abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
         abstain["abstain_grid_value"] = None
         if profile.n <= GRID_MAX_N:
-            step = _default_grid_step(profile.n) if grid_step is None else grid_step
-            abstain["abstain_grid_value"] = grid_abstain_value(votes, lam, alpha, step=step)
+            step = (0.005 if profile.n <= 3 else 0.02) if grid_step is None else grid_step
+            abstain["abstain_grid_value"] = grid_abstain_value(votes, lam, alpha, step)
             grid_excess = abs(abstain["abstain_grid_value"] - exact) - profile.n * step / 2.0
     max_deviation = max(deviations.values())
     return {
         "closed_form_value": solution.value,
         "oracle_value": enumerated,
-        "saddle": {
-            "nature_best_response": nature_side,
-            "predictor_best_response": predictor_side,
-        },
+        "saddle": saddle,
         "max_deviation": max_deviation,
         **abstain,
         "ok": bool(max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),

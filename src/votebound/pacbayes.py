@@ -71,8 +71,9 @@ def epsilon(params: PacBayesParams, divergence: float) -> float:
     """Complexity radius sqrt((2/m)(KL + log(2(m+1)/delta))), KL = KL(q||q0).
 
     Strictly decreasing in m and delta, strictly increasing in the KL term.
+    The log is log(2(m+1)) - log(delta): a subnormal delta would overflow the quotient.
     """
-    return sqrt((2.0 / params.m) * (divergence + log(2.0 * (params.m + 1) / params.delta)))
+    return sqrt((2.0 / params.m) * (divergence + (log(2.0 * (params.m + 1)) - log(params.delta))))
 
 
 def gibbs_train_error(sample: LabeledSample, q: WeightVector) -> float:
@@ -145,6 +146,6 @@ def kl_bound_train(params: PacBayesParams, divergence: float) -> float:
 
     Computed for display next to the square-root route the pipeline actually
     uses; inverting it would give a tighter correlation bound but is out of
-    scope here.
+    scope here.  The log is split as in ``epsilon``.
     """
-    return (divergence + log((params.m + 1) / params.delta)) / params.m
+    return (divergence + (log(params.m + 1) - log(params.delta))) / params.m

@@ -300,6 +300,49 @@ class TestSolveCommand:
         child.stderr.close()
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["solve", "--votes", "v.csv", "--lambda", "abc"],
+                "votebound solve: argument --lambda: invalid float value: 'abc'",
+                id="bad-float",
+            ),
+            pytest.param(
+                ["solve", "--votes", "v.csv"],
+                "votebound solve: the following arguments are required: --lambda",
+                id="missing-option",
+            ),
+            pytest.param(
+                ["frobnicate"], "votebound: argument command: invalid choice", id="unknown-command"
+            ),
+            pytest.param(
+                [], "votebound: the following arguments are required: command", id="no-command"
+            ),
+        ],
+    )
+    def test_argument_error_is_one_json_line(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        report = json.loads(out)
+        assert report["error"] == "validation_error"
+        assert report["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--help", "usage: votebound"), ("--version", f"votebound {votebound.__version__}")],
+    )
+    def test_help_and_version_keep_their_text(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as caught:
+            main([flag])
+        out, err = capsys.readouterr()
+        assert (caught.value.code, err) == (0, "")
+        assert out.startswith(text)
+
+
 class TestAbstainCommand:
     def test_fix1_moderate_cost(self, tmp_path, capsys):
         code, report = run(
@@ -602,6 +645,16 @@ class TestPipelineCommand:
         assert code == 0
         assert report["bound_report"]["kl_posterior_prior"] == 0.0
         assert len(calls) == 1
+
+    def test_subnormal_delta_gives_a_finite_degenerate_report(self, tmp_path, capsys):
+        # 2(m+1)/delta overflows at delta = 1e-320; epsilon, about 5.4, does not.
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        code, report = run_pipeline(capsys, files, "--delta", "1e-320")
+        assert code == 0
+        validate(report, PIPELINE_REPORT_SCHEMA)
+        bound = report["bound_report"]
+        assert math.isfinite(bound["epsilon"]) and math.isfinite(bound["train_kl_budget"])
+        assert bound["degenerate"] is True
 
     @pytest.mark.parametrize("delta", ["2", "0", "nan"])
     def test_delta_outside_unit_interval_exits_2(self, tmp_path, capsys, delta):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
@@ -11,9 +12,38 @@ from votebound.game import (
     optimal_predictor,
     value_lower_bound,
 )
-from votebound.oracle import nature_greedy, random_instances
+from votebound.model import LabelVector, cover_floor
+from votebound.oracle import random_instances
 
 EPS = np.finfo(float).eps
+
+
+def nature_greedy(profile):
+    """Nature's optimum built by the literal sequential greedy procedure.
+
+    Repeatedly pick the unused example with the largest margin (ties by
+    ascending original index), fill it with the sign of its vote while the
+    selected margins still fall short of n*lam, and finish with the
+    fractional fill that makes the constraint bind.  O(n^2); the reference
+    ``game.optimal_nature`` is checked against, under the same tie-break.
+    """
+    votes = profile.votes
+    n = profile.n
+    target = n * profile.lam
+    z = np.zeros(n)
+    chosen = []
+    remaining = set(range(n))
+    while True:
+        pick = max(remaining, key=lambda j: (abs(votes[j]), -j))
+        remaining.discard(pick)
+        chosen.append(pick)
+        selected_sum = fsum(abs(votes[j]) for j in chosen)
+        if selected_sum < cover_floor(target):
+            z[pick] = np.sign(votes[pick])
+            continue
+        fill = np.sign(votes[pick]) - (selected_sum - target) / votes[pick]
+        z[pick] = min(max(fill, -1.0), 1.0)
+        return LabelVector(z)
 
 
 class TestFindThreshold:

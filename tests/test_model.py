@@ -259,11 +259,19 @@ class TestVectors:
         assert sample.num_examples == 2
         assert sample.num_hypotheses == 3
 
-    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
-    def test_abstain_strategy_refuses_non_finite_cost(self, alpha):
-        # An infinite cost would make abstain_loss compute 0 * inf.
+    @pytest.mark.parametrize(
+        "probs, alpha",
+        [
+            pytest.param([0.0, 0.5], float("inf"), id="inf"),
+            pytest.param([0.0, 0.5], float("nan"), id="nan"),
+            pytest.param([2.0], float("inf"), id="inf-before-out-of-box"),
+        ],
+    )
+    def test_abstain_strategy_refuses_non_finite_cost(self, probs, alpha):
+        # An infinite cost would make abstain_loss compute 0 * inf.  The cost is
+        # checked first, so it is refused even beside probabilities outside [0, 1].
         with pytest.raises(InvalidCost, match="^abstain cost must be positive and finite$"):
-            AbstainStrategy(np.array([0.0, 0.5]), alpha)
+            AbstainStrategy(np.array(probs), alpha)
 
 
 # The constructor contract shared by every per-example vector.  BOX stands for

@@ -19,7 +19,6 @@ from votebound.oracle import (
     _ternary_grid,
     certify_batch,
     certify_instance,
-    certify_saddle,
     enumerate_game_value,
     grid_abstain_value,
     lp_best_response,
@@ -422,7 +421,7 @@ class TestGridAbstainValue:
 
     def test_size_and_step_guards(self):
         with pytest.raises(ValueError):
-            grid_abstain_value(np.full(5, 0.5), 0.1, 0.2)
+            grid_abstain_value(np.full(5, 0.5), 0.1, 0.2, step=0.02)
         with pytest.raises(ValueError):
             grid_abstain_value([0.5], 0.1, 0.2, step=0.5)
 
@@ -439,20 +438,17 @@ class TestGridAbstainValue:
 
 class TestCertifySaddle:
     def test_fix1(self, fix1):
-        deviation, nature_side, predictor_side = certify_saddle(fix1, solve_game(fix1))
-        assert deviation < 1e-9
-        assert nature_side == pytest.approx(0.6, abs=1e-12)
-        assert predictor_side == pytest.approx(0.6, abs=1e-12)
+        check = certify_instance(fix1.votes, fix1.lam)
+        assert check["deviations"]["saddle"] < 1e-9
+        assert check["saddle"]["nature_best_response"] == pytest.approx(0.6, abs=1e-12)
+        assert check["saddle"]["predictor_best_response"] == pytest.approx(0.6, abs=1e-12)
 
     def test_fix2_integral_binding(self, fix2):
-        deviation, _, _ = certify_saddle(fix2, solve_game(fix2))
-        assert deviation < 1e-9
+        assert certify_instance(fix2.votes, fix2.lam)["deviations"]["saddle"] < 1e-9
 
     def test_batch_random_instances(self):
         for votes, lam, _ in random_instances(count=200, seed=34, nmax=6):
-            profile = sort_profile(votes, lam)
-            deviation, _, _ = certify_saddle(profile, solve_game(profile))
-            assert deviation < 1e-9
+            assert certify_instance(votes, lam)["deviations"]["saddle"] < 1e-9
 
 
 class TestWorstCaseAbstainLoss:

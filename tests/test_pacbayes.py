@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestEpsilon:
         assert epsilon(params, kl_discrete(uniform(4), uniform(4))) == pytest.approx(
             EPS_100, abs=1e-9
         )
+
+    def test_subnormal_delta_gives_finite_bounds(self):
+        # 2(m+1)/delta overflows at delta = 1e-320; the log of it, about 741, does not.
+        params = PacBayesParams(m=50, delta=1e-320)
+        log_term = Decimal(102).ln() - Decimal(1e-320).ln()
+        assert epsilon(params, 0.0) == pytest.approx(float((log_term / 25).sqrt()), rel=1e-15)
+        budget = (Decimal(51).ln() - Decimal(1e-320).ln()) / 50
+        assert kl_bound_train(params, 0.0) == pytest.approx(float(budget), rel=1e-15)
 
     def test_monotone_grids(self):
         h = 4
