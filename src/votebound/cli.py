@@ -309,8 +309,6 @@ def cmd_gen(args) -> int:
         raise ValidationError("sizes must be positive")
     if not 0.0 < args.base_error < 0.5:
         raise ValidationError("base error must lie strictly inside (0, 0.5)")
-    if args.out is None:
-        raise ValidationError("--out directory is required")
 
     rng = np.random.default_rng(args.seed)
     m, n, h = args.train_size, args.test_size, args.hypotheses
@@ -358,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"votebound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+    def common(p, **out):
+        p.add_argument("--out", **{"help": "write the JSON report here instead of stdout", **out})
         p.add_argument(
             "--canonical",
             action="store_true",
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--test-size", type=int, required=True)
     p_gen.add_argument("--hypotheses", type=int, required=True)
     p_gen.add_argument("--base-error", type=float, required=True)
-    common(p_gen)
+    common(p_gen, required=True, help="directory for the three CSVs; the manifest goes to stdout")
     p_gen.set_defaults(func=cmd_gen)
     return parser
 

@@ -53,59 +53,40 @@ def game_value(profile: VoteProfile) -> float:
     return (find_threshold(profile) - 1 + profile.fraction) / profile.n
 
 
-def optimal_predictor(profile: VoteProfile) -> PredictionVector:
-    """Minimax optimal predictions, in original example order.
+def solve_game(profile: VoteProfile) -> GameSolution:
+    """The threshold, the value, both optimal strategies and the value bound.
 
-    g*_i = clip(a_i / |a_v|, -1, 1): full commitment (the sign of the vote)
-    on margins at or above the pivot, the vote scaled by 1/|a_v| below it.
+    - g*_i = clip(a_i / |a_v|, -1, 1): the sign of the vote on margins at or
+      above the pivot, the vote scaled by 1/|a_v| below it.
+    - z* is the sign of the vote on the v - 1 largest margins, that sign
+      times f on the v-th (so the correlation constraint binds), and zero
+      elsewhere.  Margins tied with the pivot are filled in ascending example
+      order; the fractional label goes to the first tie not filled in full.
+    - The lower bound lam + (1/n) sum_{i<v} (1 - |a_i|) is never above the
+      value.  Its gap is (1/|a_v| - 1)(lam - (1/n) sum_{i<v} |a_i|), so it is
+      tight when the top margins are all 1 or the constraint binds with no
+      fractional remainder.
+
+    |a| is freed before z* and its frozen copy are allocated, so the solve
+    holds about three n-vectors at its peak.  The saddle checks are relative
+    to lam and to the value: each payoff sums nonnegative products, so its
+    rounding is a small share of its size.
     """
-    g = profile.votes / profile.pivot
-    return PredictionVector(np.clip(g, -1.0, 1.0, out=g))
-
-
-def optimal_nature(profile: VoteProfile) -> LabelVector:
-    """Nature's optimal labels, in original example order.
-
-    The sign of the vote on the v - 1 largest margins, the sign times the
-    profile's fraction f on the v-th (so the correlation constraint binds),
-    and zero elsewhere.  Margins tied with the pivot are filled in ascending
-    example order; the fractional label goes to the first tied example not
-    filled in full.
-    """
+    v, value = find_threshold(profile), game_value(profile)
     votes, pivot = profile.votes, profile.pivot
-    above = (votes > pivot) | (votes < -pivot)
-    ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
-    full = ties[: find_threshold(profile) - 1 - np.count_nonzero(above)]
+    g_star = PredictionVector(np.clip(votes / pivot, -1.0, 1.0))
+    margins = np.abs(votes)
+    above, ties = margins > pivot, np.flatnonzero(margins == pivot)
+    del margins
+    full = ties[: v - 1 - np.count_nonzero(above)]
     at_pivot = ties[full.size]
     z = np.sign(votes, where=above, out=np.zeros(profile.n))
     z[full] = np.sign(votes[full])
     z[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
-    return LabelVector(z)
+    z_star = LabelVector(z)
+    lower = profile.lam + ((v - 1) - profile.head) / profile.n
 
-
-def value_lower_bound(profile: VoteProfile) -> float:
-    """lam + (1/n) sum_{i<v} (1 - |a_i|), never above the game value.
-
-    The gap to the exact value is (1/|a_v| - 1)(lam - (1/n) sum_{i<v} |a_i|),
-    so the bound is tight when the top margins are all 1 or the constraint
-    binds with no fractional remainder.
-    """
-    return profile.lam + ((find_threshold(profile) - 1) - profile.head) / profile.n
-
-
-def solve_game(profile: VoteProfile) -> GameSolution:
-    """Assemble the full solution and sanity-check the saddle identities.
-
-    The checks are relative to lam and to the value: each payoff sums
-    nonnegative products, so its rounding is a small share of its size.
-    """
-    v = find_threshold(profile)
-    value = game_value(profile)
-    g_star = optimal_predictor(profile)
-    z_star = optimal_nature(profile)
-    lower = value_lower_bound(profile)
-
-    if abs(payoff(z_star, profile.votes) - profile.lam) > SOLVER_TOL * profile.lam:
+    if abs(payoff(z_star, votes) - profile.lam) > SOLVER_TOL * profile.lam:
         raise AssertionError("nature's optimum does not bind the constraint")
     if abs(payoff(g_star, z_star) - value) > SOLVER_TOL * value:
         raise AssertionError("saddle payoff does not match the game value")

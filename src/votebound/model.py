@@ -218,9 +218,6 @@ class PredictionVector:
         values = _frozen_box(values, -1.0, "prediction components must lie in [-1, 1]")
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class LabelVector:
@@ -234,9 +231,6 @@ class LabelVector:
             raise DimensionError("labels must form a 1-D vector")
         values = _frozen_box(values, -1.0, "label components must lie in [-1, 1]")
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -254,9 +248,6 @@ class AbstainStrategy:
         probs = _frozen_box(probs, 0.0, "abstain probabilities must lie in [0, 1]")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "alpha", alpha)
-
-    def __len__(self) -> int:
-        return self.probs.size
 
 
 @dataclass(frozen=True)

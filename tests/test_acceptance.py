@@ -14,7 +14,7 @@ from jsonschema import validate
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import abstain_loss, p_alg
 from votebound.cli import main
-from votebound.game import find_threshold, game_value, value_lower_bound
+from votebound.game import find_threshold, game_value
 from votebound.model import WeightVector
 from votebound.oracle import (
     certify_instance,
@@ -88,7 +88,7 @@ def test_criterion_4_value_lower_bound_and_gap():
     for votes, lam, _ in BATCH:
         profile = sort_profile(votes, lam)
         value = game_value(profile)
-        bound = value_lower_bound(profile)
+        bound = solve_game(profile).lower_bound
         ok &= value >= bound - TOL
         gap = (1.0 / profile.pivot - 1.0) * (lam - profile.head / profile.n)
         ok &= abs((value - bound) - gap) <= TOL

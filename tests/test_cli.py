@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
 import votebound
-from votebound.cli import main
+from votebound.cli import _read_csv, main
 from votebound.model import cover_floor
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
@@ -37,6 +37,10 @@ LP_STEP = "vote\n-1.0\n2.2250738585072014e-308\n-1.0\n1e-13\n0.5\n"
 # Nature must take both subnormal margins in full: the abstain value is 0, not alpha.
 SUBNORMAL_PAIR = "vote\n-5e-324\n-5e-324\n"
 SUBNORMAL_PAIR_ARGS = ["--lambda", "5e-324", "--alpha", "0.05"]
+# Every train example right, so at delta 0.05 lambda_hat is 0.860; the test votes' mean
+# |vote| is (10 + 5/3)/15 = 0.778, below it.
+CERTAIN_TRAIN = ("h1,h2,h3\n" + "1,1,1\n" * 5000, "label\n" + "1\n" * 5000)
+SPLIT_TEST = "h1,h2,h3\n" + "1,1,1\n" * 10 + "1,-1,1\n" * 5
 
 
 def write_votes(tmp_path, text=FIX1_CSV, name="votes.csv"):
@@ -476,6 +480,19 @@ class TestGenCommand:
         assert code == 2
         assert report["error"] == "validation_error"
 
+    def test_missing_out_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--seed", "1", "--train-size", "10", "--test-size", "5"]
+        code = main([*argv, "--hypotheses", "2", "--base-error", "0.1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "error": "validation_error",
+            "message": "votebound gen: the following arguments are required: --out",
+        }
+        assert list(tmp_path.iterdir()) == []
+
     def test_gibbs_error_near_base_error(self, tmp_path, capsys):
         files = gen_dataset(tmp_path, capsys, seed=3, m=2000, n=8, h=16, base_error=0.1)
         import csv
@@ -655,6 +672,16 @@ class TestPipelineCommand:
         bound = report["bound_report"]
         assert math.isfinite(bound["epsilon"]) and math.isfinite(bound["train_kl_budget"])
         assert bound["degenerate"] is True
+
+    def test_lambda_hat_above_the_mean_margin_exits_2(self, tmp_path, capsys):
+        texts = zip(("train_pred", "train_labels", "test_pred"), (*CERTAIN_TRAIN, SPLIT_TEST))
+        files = {key: write_votes(tmp_path, text, f"{key}.csv") for key, text in texts}
+        code, report = run_pipeline(capsys, files)
+        assert code == 2
+        assert report == {
+            "error": "infeasible_constraint",
+            "message": "mean |vote| 0.777778 is below the correlation bound 0.86025",
+        }
 
     @pytest.mark.parametrize("delta", ["2", "0", "nan"])
     def test_delta_outside_unit_interval_exits_2(self, tmp_path, capsys, delta):
@@ -968,6 +995,16 @@ def edge_instances(draw):
     return votes, lam
 
 
+def _one_report(argv) -> tuple[int, dict]:
+    """Run the CLI in process; its stdout must hold exactly one JSON object."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())  # exactly one JSON value, nothing after it
+    assert isinstance(report, dict)
+    return code, report
+
+
 def _finite(node) -> bool:
     if isinstance(node, dict):
         return all(map(_finite, node.values()))
@@ -990,10 +1027,85 @@ def test_edge_votes_give_one_json_object_and_a_documented_exit(instance, alpha):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_votes(Path(tmp), "vote\n" + "".join(f"{x!r}\n" for x in votes))
         for command, codes in commands:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main([*command, "--votes", path, "--lambda", repr(lam), "--canonical"])
-            report = json.loads(out.getvalue())  # exactly one JSON value, nothing after it
-            assert isinstance(report, dict)
+            argv = [*command, "--votes", path, "--lambda", repr(lam), "--canonical"]
+            code, report = _one_report(argv)
             assert code in codes, (command, code, report)
             assert code != 0 or _finite(report), (command, report)
+
+
+# Integer cells as the reader takes them: plain, spaced, quoted and signed.
+CELL_FORMATS = ["{:d}", " {:d}", '"{:d}"', "{:+d}"]
+
+
+@st.composite
+def pipeline_files(draw):
+    """Train predictions, train labels and test predictions as CSV texts, H <= 4.
+
+    Each file repeats up to three drawn rows, m up to 200 times each and n up to 5, so m
+    reaches the hundreds of examples that certify a positive lambda_hat; m, n and H start
+    at 1.  A train row disagrees with its label on at most one untied column, a tied column
+    holds one value in every row of both files, and each cell takes one of CELL_FORMATS.
+    """
+    h = draw(st.integers(1, 4))
+    sign = st.sampled_from([-1, 1])
+    tied = draw(st.lists(st.sampled_from([None, -1, 1]), min_size=h, max_size=h))
+
+    def line(cells):
+        return ",".join(draw(st.sampled_from(CELL_FORMATS)).format(x) for x in cells) + "\n"
+
+    header = ",".join(f"h{j + 1}" for j in range(h)) + "\n"
+    train_pred, train_labels, test_pred = header, "label\n", header
+    for _ in range(draw(st.integers(1, 3))):
+        label, count = draw(sign), draw(st.integers(1, 3) | st.integers(100, 200))
+        wrong = draw(st.sets(st.integers(0, h - 1), max_size=1))
+        row = [(-label if j in wrong else label) if t is None else t for j, t in enumerate(tied)]
+        train_pred += line(row) * count
+        train_labels += line([label]) * count
+    for _ in range(draw(st.integers(1, 3))):
+        test_pred += line([draw(sign) if t is None else t for t in tied]) * draw(st.integers(1, 5))
+    return train_pred, train_labels, test_pred
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(files=(*CERTAIN_TRAIN, SPLIT_TEST), delta=0.05, alpha=None, posterior="uniform")
+@given(
+    pipeline_files(),
+    st.sampled_from([1e-320, 0.5, 1.0 - 1e-9]),
+    st.sampled_from([None, 1e-300, 0.25, 0.5, 0.5 - 1e-12]),
+    st.sampled_from(["uniform", "exp:0", "exp:1e300"]),
+)
+def test_pipeline_gives_one_json_object_and_a_documented_exit(files, delta, alpha, posterior):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_votes(Path(tmp), text, f"{k}.csv") for k, text in enumerate(files)]
+        argv = ["pipeline", "--train-pred", paths[0], "--train-labels", paths[1]]
+        argv += ["--test-pred", paths[2], "--delta", repr(delta), "--posterior", posterior]
+        code, report = _one_report(argv + ([] if alpha is None else ["--alpha", repr(alpha)]))
+    assert code in {0, 2, 3}, (code, report)
+    assert code != 0 or _finite(report), report
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 20), min_size=3, max_size=3),
+    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 2**32),
+)
+def test_gen_gives_one_json_object_and_readable_files(sizes, base_error, seed):
+    m, n, h = sizes
+    with tempfile.TemporaryDirectory() as tmp:
+        code, manifest = _one_report([
+            "gen", "--seed", str(seed), "--train-size", str(m), "--test-size", str(n),
+            "--hypotheses", str(h), f"--base-error={base_error!r}", "--out", tmp, "--canonical",
+        ])
+        assert code in {0, 2}, (code, manifest)
+        if code == 0:
+            assert [manifest[key] for key in ("train_size", "test_size", "hypotheses")] == sizes
+            files = manifest["files"]
+            for key, header, shape in (
+                ("train_pred", None, (m, h)),
+                ("train_labels", ["label"], (m, 1)),
+                ("test_pred", None, (n, h)),
+            ):
+                cells = _read_csv(files[key], header, int)
+                assert cells.shape == shape and np.all(np.abs(cells) == 1)

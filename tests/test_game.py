@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from votebound import payoff, solve_abstain, solve_game, sort_profile
-from votebound.game import (
-    find_threshold,
-    game_value,
-    optimal_nature,
-    optimal_predictor,
-    value_lower_bound,
-)
+from votebound.game import find_threshold, game_value
 from votebound.model import LabelVector, cover_floor
 from votebound.oracle import random_instances
 
@@ -25,7 +19,7 @@ def nature_greedy(profile):
     ascending original index), fill it with the sign of its vote while the
     selected margins still fall short of n*lam, and finish with the
     fractional fill that makes the constraint bind.  O(n^2); the reference
-    ``game.optimal_nature`` is checked against, under the same tie-break.
+    ``solve_game``'s ``z_star`` is checked against, under the same tie-break.
     """
     votes = profile.votes
     n = profile.n
@@ -83,33 +77,33 @@ class TestGameValue:
 
 class TestOptimalPredictor:
     def test_fix1(self, fix1):
-        assert np.allclose(optimal_predictor(fix1).values, [1, 1, 1, 0.4])
+        assert np.allclose(solve_game(fix1).g_star.values, [1, 1, 1, 0.4])
 
     def test_fix3_signs_preserved(self, fix3):
-        assert np.allclose(optimal_predictor(fix3).values, [-1, 1])
+        assert np.allclose(solve_game(fix3).g_star.values, [-1, 1])
 
     def test_all_indices_at_threshold(self):
         profile = sort_profile([1.0, 1.0], 1.0)
-        assert np.allclose(optimal_predictor(profile).values, [1, 1])
+        assert np.allclose(solve_game(profile).g_star.values, [1, 1])
 
     def test_original_order_restored(self):
         # Same multiset of votes, permuted input; predictions must permute along.
         base = sort_profile([1.0, 0.8, 0.5, 0.2], 0.5)
         perm = sort_profile([0.2, 0.5, 0.8, 1.0], 0.5)
-        assert np.allclose(optimal_predictor(perm).values, optimal_predictor(base).values[::-1])
+        assert np.allclose(solve_game(perm).g_star.values, solve_game(base).g_star.values[::-1])
 
 
 class TestOptimalNature:
     def test_fix1(self, fix1):
-        z = optimal_nature(fix1).values
+        z = solve_game(fix1).z_star.values
         assert np.allclose(z, [1, 1, 0.4, 0])
         assert payoff(z, fix1.votes) == pytest.approx(0.5, abs=1e-9)
 
     def test_fix2_integral_binding(self, fix2):
-        assert np.allclose(optimal_nature(fix2).values, [1, 1, 1, 0], atol=1e-9)
+        assert np.allclose(solve_game(fix2).z_star.values, [1, 1, 1, 0], atol=1e-9)
 
     def test_fix3(self, fix3):
-        z = optimal_nature(fix3).values
+        z = solve_game(fix3).z_star.values
         assert np.allclose(z, [-1, 0.5])
         assert payoff(z, fix3.votes) == pytest.approx(0.6, abs=1e-12)
 
@@ -163,29 +157,29 @@ class TestNatureGreedy:
         for votes, lam, _ in random_instances(count=200, seed=11, nmax=6):
             profile = sort_profile(votes, lam)
             assert np.allclose(
-                nature_greedy(profile).values, optimal_nature(profile).values, atol=1e-9
+                nature_greedy(profile).values, solve_game(profile).z_star.values, atol=1e-9
             )
 
 
 class TestValueLowerBound:
     def test_fix1(self, fix1):
-        bound = value_lower_bound(fix1)
+        bound = solve_game(fix1).lower_bound
         assert bound == pytest.approx(0.55, abs=1e-12)
         assert bound <= game_value(fix1) + 1e-12
 
     def test_no_disagreement_term(self):
         profile = sort_profile([1.0, 1.0, -1.0], 0.5)
-        assert value_lower_bound(profile) == pytest.approx(0.5, abs=1e-12)
+        assert solve_game(profile).lower_bound == pytest.approx(0.5, abs=1e-12)
 
     def test_fix2(self, fix2):
-        assert value_lower_bound(fix2) == pytest.approx(0.65, abs=1e-12)
+        assert solve_game(fix2).lower_bound == pytest.approx(0.65, abs=1e-12)
 
     def test_gap_identity_on_random_instances(self):
         # value - bound = (1/|a_v| - 1)(lambda - (1/n) sum_{i<v} |a_i|)
         for votes, lam, _ in random_instances(count=200, seed=12, nmax=6):
             profile = sort_profile(votes, lam)
             gap = (1.0 / profile.pivot - 1.0) * (lam - profile.head / profile.n)
-            assert game_value(profile) - value_lower_bound(profile) == pytest.approx(
+            assert game_value(profile) - solve_game(profile).lower_bound == pytest.approx(
                 gap, abs=1e-9
             )
 
@@ -209,7 +203,7 @@ class TestGameProperties:
     def test_predictor_monotone_in_vote(self):
         for votes, lam, _ in random_instances(count=200, seed=14, nmax=6):
             profile = sort_profile(votes, lam)
-            g = optimal_predictor(profile).values
+            g = solve_game(profile).g_star.values
             order = np.argsort(votes)
             assert np.all(np.diff(g[order]) >= -1e-12)
 

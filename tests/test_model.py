@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votebound import payoff, sort_profile
+from votebound import payoff, solve_game, sort_profile
 from votebound.errors import (
     DegenerateBound,
     DimensionError,
@@ -15,7 +15,6 @@ from votebound.errors import (
     InvalidCost,
     VoteboundError,
 )
-from votebound.game import optimal_nature
 from votebound.model import (
     AbstainStrategy,
     EnsembleMatrix,
@@ -124,7 +123,7 @@ class TestSortProfile:
         # in full, the second carries the fractional remainder 0.3/0.5.
         profile = sort_profile([0.5, 0.5], 0.4)
         assert (profile.v, profile.pivot, profile.head) == (2, 0.5, 0.5)
-        assert np.allclose(optimal_nature(profile).values, [1.0, 0.6], atol=1e-12)
+        assert np.allclose(solve_game(profile).z_star.values, [1.0, 0.6], atol=1e-12)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleConstraint):
