@@ -33,7 +33,7 @@ class AbstainSolution:
     """Everything the abstain solver knows about one (profile, alpha) instance.
 
     Margins |a_i| run in nonincreasing order, S_k is the sum of the k largest
-    and v, |a_v| are the profile's threshold record.  ``w`` is set only when
+    and v, |a_v| are the profile's threshold record.  ``w`` is set exactly when
     neither trivial nor alpha >= 1/2.
 
     - alpha: the cost of abstaining, positive and finite.
@@ -72,9 +72,8 @@ def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
     For alpha < 1/2: zero on the v most confident examples and
     1 - |a_i|/|a_v| on the rest (one minus the committed prediction
     magnitude); for alpha >= 1/2: identically zero.  Within each regime the
-    probabilities do not depend on alpha.
+    probabilities do not depend on alpha.  ``AbstainStrategy`` refuses a bad cost.
     """
-    alpha = _require_cost(alpha)
     if alpha >= 0.5:
         return AbstainStrategy(probs=np.zeros(profile.n), alpha=alpha)
     probs = np.abs(profile.votes)
@@ -89,6 +88,8 @@ def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
     probs = strategy.probs
     if not (gv.size == zv.size == probs.size):
         raise DimensionError("predictions, labels, and abstain probabilities differ in length")
+    if gv.size < 1:
+        raise DimensionError("predictions, labels, and abstain probabilities must be non-empty")
     per_example = probs * strategy.alpha + 0.5 * (1.0 - probs) * (1.0 - gv * zv)
     return float(per_example.sum()) / gv.size
 

@@ -51,15 +51,9 @@ class ParseError(VoteboundError):
     code = "parse_error"
 
 
-class ValidationError(VoteboundError):
-    """A command argument is outside its allowed range."""
-
-    code = "validation_error"
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # an argument error ends as one JSON line, like any other
-        raise ValidationError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _json(obj, pad: str = "", path: str = "") -> str:
@@ -72,7 +66,7 @@ def _json(obj, pad: str = "", path: str = "") -> str:
     inner = pad + "  "
     if isinstance(obj, (float, np.floating)):
         if not abs(obj) <= sys.float_info.max:
-            raise ValidationError(f"non-finite real ({float(obj)}) at {path[1:]}")
+            raise ValueError(f"non-finite real ({float(obj)}) at {path[1:]}")
         return repr(float(f"{float(obj):.12g}"))
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
@@ -167,14 +161,13 @@ def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None]:
 def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVector]:
     """Resolve a posterior spec; the prior defaults to uniform."""
     h = sample.num_hypotheses
-    uniform_prior = WeightVector(np.full(h, 1.0 / h))
+    uniform = WeightVector(np.full(h, 1.0 / h))
     if spec == "uniform":
-        return WeightVector(np.full(h, 1.0 / h)), uniform_prior
+        return uniform, uniform
     if spec.startswith("exp:"):
-        return exp_weights_posterior(sample, float(spec[4:])), uniform_prior
+        return exp_weights_posterior(sample, float(spec[4:])), uniform
     weights, prior = _read_weights(spec)
-    posterior = WeightVector(weights)
-    return posterior, uniform_prior if prior is None else WeightVector(prior)
+    return WeightVector(weights), uniform if prior is None else WeightVector(prior)
 
 
 def _record(solution) -> dict:
@@ -191,7 +184,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_abstain(args) -> int:
-    _require_cost(args.alpha)
     profile = sort_profile(_read_votes(args.votes), args.lam)
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
@@ -211,8 +203,6 @@ def cmd_abstain(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.alpha is not None:
-        _require_cost(args.alpha)
     sample = LabeledSample(
         predictions=_read_csv(args.train_pred, None, int),
         labels=_read_csv(args.train_labels, ["label"], int)[:, 0],
@@ -246,8 +236,8 @@ def cmd_pipeline(args) -> int:
             abstain = solve_abstain(profile, args.alpha)
             probs = abstain.p_alg.probs
             abstain_json = _record(abstain)
-            # The bounds hold for the abstaining p_alg, not the all-abstain strategy.
-            if args.alpha < 0.5 and not abstain.trivial:
+            # The bounds hold for the abstaining p_alg (w is set), not the all-abstain strategy.
+            if abstain.w is not None:
                 abstain_bound, mistake_bound = abstain_mistake_bounds(
                     profile, gibbs, eps, params.delta
                 )
@@ -283,20 +273,18 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.alpha is not None:
-        _require_cost(args.alpha)
     if args.nmax < 1:
-        raise ValidationError("nmax must be at least 1")
+        raise ValueError("nmax must be at least 1")
     if args.count < 1:
-        raise ValidationError("count must be at least 1")
+        raise ValueError("count must be at least 1")
 
     if args.votes is None:
         if args.alpha is not None or args.lam is not None:
-            raise ValidationError("--alpha and --lambda apply only with --votes")
+            raise ValueError("--alpha and --lambda apply only with --votes")
         payload = certify_batch(count=args.count, seed=args.seed, nmax=args.nmax)
     else:
         if args.lam is None:
-            raise ValidationError("--lambda is required with --votes")
+            raise ValueError("--lambda is required with --votes")
         votes = _read_votes(args.votes)
         payload = {"instances_checked": 1, **certify_instance(votes, args.lam, args.alpha)}
         del payload["deviations"], payload["grid_excess"]
@@ -306,9 +294,9 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.train_size < 1 or args.test_size < 1 or args.hypotheses < 1:
-        raise ValidationError("sizes must be positive")
+        raise ValueError("sizes must be positive")
     if not 0.0 < args.base_error < 0.5:
-        raise ValidationError("base error must lie strictly inside (0, 0.5)")
+        raise ValueError("base error must lie strictly inside (0, 0.5)")
 
     rng = np.random.default_rng(args.seed)
     m, n, h = args.train_size, args.test_size, args.hypotheses
@@ -424,11 +412,13 @@ def _run(argv) -> int:
     """The command's exit code; an error it raises is reported as one JSON line."""
     try:
         args = build_parser().parse_args(argv)  # --help and --version exit here
+        if getattr(args, "alpha", None) is not None:
+            _require_cost(args.alpha)  # before any file is read
         return args.func(args)
     except VoteboundError as exc:
         return _fail(exc.code, exc, 3 if isinstance(exc, (ParseError, DimensionError)) else 2)
     except ValueError as exc:
-        # Domain-invalid numeric input (votes outside the box, bad weights).
+        # Argument and range errors, and domain-invalid input (votes outside the box).
         return _fail("validation_error", exc, 2)
     except OSError as exc:
         return _fail("io_error", exc, 4)

@@ -188,12 +188,15 @@ def _require_cost(alpha) -> float:
     return float(alpha)
 
 
-def _frozen_box(values: np.ndarray, low: float, message: str) -> np.ndarray:
-    """One read-only copy of the 1-D float array ``values``, held to [low, 1].
+def _frozen_box(values, low: float, name: str, message: str) -> np.ndarray:
+    """One read-only float copy of the 1-D vector ``values`` (``name``), held to [low, 1].
 
-    Raises on a value past the box by more than VALIDATION_TOL, then on NaN.
-    Values within the tolerance are clipped.
+    Raises on any other shape, then with ``message`` on a value past the box by
+    more than VALIDATION_TOL, then on NaN.  Values within the tolerance are clipped.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DimensionError(f"{name} must form a 1-D vector")
     lo, hi = np.fmin.reduce(values, initial=np.inf), np.fmax.reduce(values, initial=-np.inf)
     if lo < low - VALIDATION_TOL or hi > 1.0 + VALIDATION_TOL:
         raise ValueError(message)
@@ -212,10 +215,9 @@ class PredictionVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DimensionError("predictions must form a 1-D vector")
-        values = _frozen_box(values, -1.0, "prediction components must lie in [-1, 1]")
+        values = _frozen_box(
+            self.values, -1.0, "predictions", "prediction components must lie in [-1, 1]"
+        )
         object.__setattr__(self, "values", values)
 
 
@@ -226,10 +228,7 @@ class LabelVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DimensionError("labels must form a 1-D vector")
-        values = _frozen_box(values, -1.0, "label components must lie in [-1, 1]")
+        values = _frozen_box(self.values, -1.0, "labels", "label components must lie in [-1, 1]")
         object.__setattr__(self, "values", values)
 
 
@@ -242,10 +241,9 @@ class AbstainStrategy:
 
     def __post_init__(self):
         alpha = _require_cost(self.alpha)  # a bad cost is refused before a bad vector
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1:
-            raise DimensionError("abstain probabilities must form a 1-D vector")
-        probs = _frozen_box(probs, 0.0, "abstain probabilities must lie in [0, 1]")
+        probs = _frozen_box(
+            self.probs, 0.0, "abstain probabilities", "abstain probabilities must lie in [0, 1]"
+        )
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "alpha", alpha)
 
@@ -264,6 +262,8 @@ class LabeledSample:
             raise DimensionError("expected a 2-D prediction grid and 1-D labels")
         if predictions.shape[0] != labels.size:
             raise DimensionError("label count must equal prediction row count")
+        if predictions.size < 1:
+            raise DimensionError("training sample must be non-empty")
         if not np.all(np.abs(predictions) == 1.0):
             raise ValueError("training predictions must be exactly -1 or +1")
         if not np.all(np.abs(labels) == 1.0):
@@ -306,7 +306,7 @@ class VoteProfile:
         votes = np.asarray(self.votes, dtype=float)
         if votes.ndim != 1 or votes.size < 1:
             raise DimensionError("votes must form a non-empty 1-D vector")
-        votes = _frozen_box(votes, -1.0, "vote components must lie in [-1, 1]")
+        votes = _frozen_box(votes, -1.0, "votes", "vote components must lie in [-1, 1]")
         lam = float(self.lam)
         if not math.isfinite(lam):
             raise ValueError("correlation bound must be finite")
@@ -364,4 +364,6 @@ def payoff(g, z) -> float:
     zv = as_array(z)
     if gv.size != zv.size:
         raise DimensionError("prediction and label vectors differ in length")
+    if gv.size < 1:
+        raise DimensionError("prediction and label vectors must be non-empty")
     return float(gv @ zv) / gv.size

@@ -293,7 +293,7 @@ def certify_instance(
     }
 
 
-def certify_batch(count: int, seed: int = 0, nmax: int = 6) -> dict:
+def certify_batch(count: int, seed: int, nmax: int) -> dict:
     """Run ``certify_instance`` over seeded random instances.
 
     Returns an aggregate summary with the worst instance observed.

@@ -18,7 +18,6 @@ import numpy as np
 
 from .abstain import _tail_ratio
 from .errors import DegenerateBound, DimensionError, InfiniteDivergence
-from .game import find_threshold
 from .model import LabeledSample, VoteProfile, WeightVector
 
 
@@ -97,7 +96,7 @@ def error_probability_bound(profile: VoteProfile, gibbs: float, eps: float, delt
     """
     if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("error bound undefined for nonpositive lambda_hat")
-    disagreement = (find_threshold(profile) - 1) - profile.head
+    disagreement = (profile.v - 1) - profile.head
     return gibbs - disagreement / (2.0 * profile.n) + eps + delta
 
 
@@ -115,8 +114,7 @@ def abstain_mistake_bounds(
     if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
-    v = find_threshold(profile)
-    head_disagreement = (v - 1 - profile.head) + (1.0 - profile.pivot)
+    head_disagreement = (profile.v - 1 - profile.head) + (1.0 - profile.pivot)
     abstain = 2.0 * gibbs + 2.0 * eps + delta - _tail_ratio(profile) / n
     mistake = gibbs + eps + delta - head_disagreement / (2.0 * n)
     return abstain, mistake

@@ -257,6 +257,11 @@ class TestAbstainLoss:
         with pytest.raises(DimensionError):
             abstain_loss([1.0, 1.0, 1.0], strategy, [1.0, 1.0, 1.0])
 
+    def test_refuses_empty_vectors(self):
+        strategy = AbstainStrategy(np.zeros(0), alpha=0.25)
+        with pytest.raises(DimensionError, match="must be non-empty$"):
+            abstain_loss([], strategy, [])
+
 
 class TestWorstCaseLossFormula:
     def test_fix1(self, fix1):

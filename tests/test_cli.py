@@ -493,6 +493,13 @@ class TestGenCommand:
         }
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_size_exits_2(self, tmp_path, capsys):
+        argv = ["gen", "--seed", "1", "--train-size", "0", "--test-size", "5", "--hypotheses", "2"]
+        code, report = run(capsys, *argv, "--base-error", "0.1", "--out", str(tmp_path / "x"))
+        message = "sizes must be positive"
+        assert (code, report) == (2, {"error": "validation_error", "message": message})
+        assert list(tmp_path.iterdir()) == []
+
     def test_gibbs_error_near_base_error(self, tmp_path, capsys):
         files = gen_dataset(tmp_path, capsys, seed=3, m=2000, n=8, h=16, base_error=0.1)
         import csv
@@ -829,6 +836,24 @@ class TestPipelineInputs:
         weights.write_bytes(content)
         assert_parse_error(*run_pipeline(capsys, files, "--posterior", str(weights)))
 
+    @pytest.mark.parametrize(
+        "content", [b"[0.25, 0.25, 0.25, 0.25]", b'{"prior": [0.25, 0.25, 0.25, 0.25]}'],
+        ids=["list", "no-weights"],
+    )
+    def test_weights_file_without_a_weights_array_exits_3(self, tmp_path, capsys, content):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
+        weights = tmp_path / "weights.json"
+        weights.write_bytes(content)
+        code, report = run_pipeline(capsys, files, "--posterior", str(weights))
+        assert_parse_error(code, report)
+        assert report["message"] == f'{weights}: expected an object with a "weights" array'
+
+    def test_cost_is_checked_before_the_files_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        files = {"train_pred": missing, "train_labels": missing, "test_pred": missing}
+        code, report = run_pipeline(capsys, files, "--alpha", "nan")
+        assert (code, report["error"]) == (2, "invalid_cost")
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_cost_on_fallback_data_exits_2(self, tmp_path, capsys, alpha):
         files = gen_dataset(tmp_path, capsys, seed=3, m=50, n=20, h=4, base_error=0.45)
@@ -867,6 +892,16 @@ class TestVerifyCommand:
         missing = str(tmp_path / "missing.csv")
         code, report = run(capsys, "verify", "--votes", missing, "--lambda", "0.2", "--alpha", "nan")
         assert (code, report["error"]) == (2, "invalid_cost")
+
+    def test_count_guard_exits_2(self, capsys):
+        code, report = run(capsys, "verify", "--count", "0")
+        message = "count must be at least 1"
+        assert (code, report) == (2, {"error": "validation_error", "message": message})
+
+    def test_votes_without_lambda_exits_2(self, tmp_path, capsys):
+        code, report = run(capsys, "verify", "--votes", write_votes(tmp_path))
+        message = "--lambda is required with --votes"
+        assert (code, report) == (2, {"error": "validation_error", "message": message})
 
     @pytest.mark.parametrize(
         "flags, error",

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from votebound.cli import _json
-from votebound.errors import VoteboundError
 
 EXAMPLE_FIELDS = ("index", "vote", "prediction", "abstain_probability", "label")
 
@@ -135,5 +134,5 @@ def test_non_finite_reals_are_refused(bad):
         (np.rec.fromarrays([np.arange(2), np.array([0.0, bad])], names="index,vote"), "vote"),
         ({"examples": np.rec.fromarrays([np.array([0.0, bad])], names="vote")}, "examples.vote"),
     ):
-        with pytest.raises(VoteboundError, match=rf"non-finite real \(.+\) at {path}$"):
+        with pytest.raises(ValueError, match=rf"non-finite real \(.+\) at {path}$"):
             _json(payload)

@@ -45,6 +45,10 @@ class TestEnsembleMatrix:
         with pytest.raises(DimensionError):
             EnsembleMatrix(np.zeros((0, 3)))
 
+    def test_rejects_a_1d_grid(self):
+        with pytest.raises(DimensionError, match="^prediction matrix must be 2-D$"):
+            EnsembleMatrix(np.ones(3))
+
     def test_shape_properties(self):
         m = EnsembleMatrix(np.array([[1, -1, 1], [-1, -1, 1]]))
         assert m.num_examples == 2
@@ -222,6 +226,12 @@ class TestPayoff:
         with pytest.raises(DimensionError):
             payoff([1, 1], [1, 1, 1])
 
+    def test_refuses_empty_and_2d_vectors(self):
+        with pytest.raises(DimensionError, match="vectors must be non-empty$"):
+            payoff([], [])
+        with pytest.raises(DimensionError, match="^expected a 1-D vector$"):
+            payoff(np.ones((2, 2)), np.ones((2, 2)))
+
     def test_accepts_domain_types(self):
         g = PredictionVector(np.array([1.0, -0.5]))
         z = LabelVector(np.array([0.5, 1.0]))
@@ -258,6 +268,16 @@ class TestVectors:
         assert sample.num_examples == 2
         assert sample.num_hypotheses == 3
 
+    def test_labeled_sample_refuses_a_1d_grid(self):
+        with pytest.raises(DimensionError, match="^expected a 2-D prediction grid and 1-D labels$"):
+            LabeledSample(np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("m, h", [(0, 2), (3, 0), (0, 0)])
+    def test_labeled_sample_refuses_an_empty_sample(self, m, h):
+        # m = 0 would divide by zero in the Gibbs error; H = 0 leaves no posterior.
+        with pytest.raises(DimensionError, match="^training sample must be non-empty$"):
+            LabeledSample(np.zeros((m, h)), np.ones(m))
+
     @pytest.mark.parametrize(
         "probs, alpha",
         [
@@ -273,28 +293,36 @@ class TestVectors:
             AbstainStrategy(np.array(probs), alpha)
 
 
-# The constructor contract shared by every per-example vector.  BOX stands for
-# the constructor's own box message.  Each case gives the stored array's exact
-# bits, or the exception type and message.
-BOX = object()
+# The constructor contract shared by every per-example vector.  BOX and SHAPE stand
+# for the constructor's own box and 1-D messages.  Each case gives the stored
+# array's exact bits, or the exception type and message.
+BOX, SHAPE = object(), object()
 NAN, INF = float("nan"), float("inf")
 FINITE = "values must be finite (no NaN or inf)"
 CONSTRUCTORS = [
     pytest.param(
         lambda v: PredictionVector(v).values,
         "prediction components must lie in [-1, 1]",
+        "predictions must form a 1-D vector",
         id="PredictionVector",
     ),
     pytest.param(
-        lambda v: LabelVector(v).values, "label components must lie in [-1, 1]", id="LabelVector"
+        lambda v: LabelVector(v).values,
+        "label components must lie in [-1, 1]",
+        "labels must form a 1-D vector",
+        id="LabelVector",
     ),
     pytest.param(
         lambda v: AbstainStrategy(v, alpha=0.25).probs,
         "abstain probabilities must lie in [0, 1]",
+        "abstain probabilities must form a 1-D vector",
         id="AbstainStrategy",
     ),
     pytest.param(
-        lambda v: sort_profile(v, 0.25).votes, "vote components must lie in [-1, 1]", id="sort_profile"
+        lambda v: sort_profile(v, 0.25).votes,
+        "vote components must lie in [-1, 1]",
+        "expected a 1-D vector",
+        id="sort_profile",
     ),
 ]
 CASES = [
@@ -307,6 +335,7 @@ CASES = [
     pytest.param([-0.0], [-0.0], id="negative-zero"),
     pytest.param([1.0, -0.0], [1.0, -0.0], id="negative-zero-with-margin"),
     pytest.param([], [], id="empty"),
+    pytest.param([(0.5, 0.25)], (DimensionError, SHAPE), id="2-d"),
 ]
 # A profile also needs a nonzero margin that covers lam.
 PROFILE_REFUSALS = {
@@ -316,14 +345,14 @@ PROFILE_REFUSALS = {
 
 
 @pytest.mark.parametrize("values, expected", CASES)
-@pytest.mark.parametrize("make, box", CONSTRUCTORS)
-def test_constructor_contract(make, box, values, expected):
+@pytest.mark.parametrize("make, box, shape", CONSTRUCTORS)
+def test_constructor_contract(make, box, shape, values, expected):
     if box.startswith("vote"):
         expected = PROFILE_REFUSALS.get(tuple(values), expected)
     caller = np.array(values, dtype=float)
     if isinstance(expected, tuple):
         kind, message = expected
-        message = box if message is BOX else message
+        message = {BOX: box, SHAPE: shape}.get(message, message)
         with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
             make(caller)
         assert caught.type is kind

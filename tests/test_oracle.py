@@ -425,6 +425,14 @@ class TestGridAbstainValue:
         with pytest.raises(ValueError):
             grid_abstain_value([0.5], 0.1, 0.2, step=0.5)
 
+    def test_infeasible_instance(self):
+        with pytest.raises(InfeasibleConstraint):
+            grid_abstain_value([0.5, -0.25], 0.5, 0.25, step=0.02)
+
+    def test_step_that_does_not_divide_one_still_reaches_one(self):
+        # Only t = 1 covers lam = 1; levels 0, 0.03, ..., 0.99 would pay min(alpha, 0.005).
+        assert grid_abstain_value([1.0], 1.0, 0.25, step=0.03) == 0.0
+
     def test_brackets_budget_greedy_on_random_instances(self):
         step = 0.02
         for votes, lam, alpha in random_instances(count=120, seed=33, nmax=4):

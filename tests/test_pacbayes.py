@@ -65,6 +65,13 @@ class TestKlBernoulli:
         assert kl_bernoulli(0.0, 0.0) == 0.0
         assert kl_bernoulli(1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("outside", [-0.1, 1.5, math.nan])
+    def test_refuses_arguments_outside_the_unit_interval(self, outside):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+            kl_bernoulli(outside, 0.5)
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\]$"):
+            kl_bernoulli(0.5, outside)
+
     @given(
         p=st.floats(min_value=0, max_value=1, allow_nan=False),
         q=st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False),
