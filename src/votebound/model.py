@@ -303,10 +303,9 @@ class VoteProfile:
     fraction: float = field(init=False)
 
     def __post_init__(self):
-        votes = np.asarray(self.votes, dtype=float)
-        if votes.ndim != 1 or votes.size < 1:
+        votes = _frozen_box(self.votes, -1.0, "votes", "vote components must lie in [-1, 1]")
+        if votes.size < 1:
             raise DimensionError("votes must form a non-empty 1-D vector")
-        votes = _frozen_box(votes, -1.0, "votes", "vote components must lie in [-1, 1]")
         lam = float(self.lam)
         if not math.isfinite(lam):
             raise ValueError("correlation bound must be finite")
