@@ -85,6 +85,6 @@ PIPELINE_REPORT_SCHEMA = {
             "seed": {"type": ["integer", "null"]},
             "tool": _closed({"name": {"type": "string"}, "version": {"type": "string"}}),
         },
-        optional=("tool", "abstain_solution"),
+        optional=("tool",),
     ),
 }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
 import votebound
 from votebound.cli import _read_csv, main
@@ -539,6 +539,16 @@ class TestPipelineCommand:
         assert report["fallback"] is False
         assert len(report["examples"]) == 64
         assert [e["index"] for e in report["examples"]] == list(range(64))
+
+    def test_schema_requires_abstain_solution(self, tmp_path, capsys):
+        # The report always holds the key: null without --alpha or on fallback data.
+        files = gen_dataset(tmp_path, capsys, m=200, n=16, h=8)
+        code, report = run_pipeline(capsys, files)
+        assert code == 0
+        assert report["abstain_solution"] is None
+        del report["abstain_solution"]
+        with pytest.raises(ValidationError, match="'abstain_solution' is a required property"):
+            validate(report, PIPELINE_REPORT_SCHEMA)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         files = gen_dataset(tmp_path, capsys, m=200, n=16, h=8)
