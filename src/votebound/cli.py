@@ -117,7 +117,7 @@ def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
     must hold exactly the header's cell count, each cell parsing as ``dtype``.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             names = [name.strip().strip('"') for name in handle.readline().split(",")]
             if names != (header or [f"h{j + 1}" for j in range(len(names))]):
                 raise ParseError(f"{path}: expected header {','.join(header or ['h1..hH'])}")
@@ -143,19 +143,29 @@ def _read_votes(path: str) -> np.ndarray:
     return _read_csv(path, ["vote"], float)[:, 0]
 
 
+def _reals(value) -> bool:
+    """True for a JSON number or nested arrays of them; a string, bool or null is not one."""
+    if isinstance(value, list):
+        return all(map(_reals, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "weights" not in payload:
         raise ParseError(f'{path}: expected an object with a "weights" array')
-    prior = payload.get("prior")
-    try:
-        weights = np.asarray(payload["weights"], dtype=float)
+    weights, prior = payload["weights"], payload.get("prior")
+    message = f'{path}: "weights" and "prior" must be arrays of reals'
+    if not (_reals(weights) and (prior is None or _reals(prior))):
+        raise ParseError(message)
+    try:  # a ragged array, or an integer past the float range
+        weights = np.asarray(weights, dtype=float)
         return weights, None if prior is None else np.asarray(prior, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'{path}: "weights" and "prior" must be arrays of reals') from exc
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(message) from exc
 
 
 def _posterior(spec: str, sample: LabeledSample) -> tuple[WeightVector, WeightVector]:

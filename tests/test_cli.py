@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -837,14 +838,61 @@ class TestPipelineInputs:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"weights": {"a": 1}}', b'{"weights": ["a", 1, 0, 0]}', b'{"weights": [1, 0, 0, \xff]}'],
-        ids=["object", "string", "not-utf8"],
+        [
+            b'{"weights": {"a": 1}}',
+            b'{"weights": ["a", 1, 0, 0]}',
+            b'{"weights": [1, 0, 0, \xff]}',
+            b'{"weights": ["0.25", "0.25", "0.25", "0.25"]}',
+            b'{"weights": [true, false, false, false]}',
+            b'{"weights": [0.5, null, 0.25, 0.25]}',
+            b'{"weights": [0.25, 0.25, 0.25, 0.25], "prior": ["0.25", 0.25, 0.25, 0.25]}',
+            b'{"weights": [1' + b"0" * 400 + b', 0, 0, 0]}',
+        ],
+        ids=[
+            "object", "string", "not-utf8", "numeric-strings", "booleans", "null",
+            "string-prior", "integer-past-float-range",
+        ],
     )
     def test_bad_weights_file_exits_3(self, tmp_path, capsys, content):
         files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
         weights = tmp_path / "weights.json"
         weights.write_bytes(content)
         assert_parse_error(*run_pipeline(capsys, files, "--posterior", str(weights)))
+
+    @pytest.mark.parametrize("key", ["votes", "train_pred", "train_labels", "test_pred", "weights"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, key):
+        files = gen_dataset(tmp_path, capsys, m=200, n=16, h=4)
+        files["votes"] = write_votes(tmp_path)
+        files["weights"] = str(tmp_path / "weights.json")
+        Path(files["weights"]).write_text(json.dumps({"weights": [0.4, 0.3, 0.2, 0.1]}))
+        if key == "votes":
+            argv = ["solve", "--votes", files["votes"], "--lambda", "0.5"]
+        else:
+            argv = ["pipeline", "--train-pred", files["train_pred"], "--train-labels",
+                    files["train_labels"], "--test-pred", files["test_pred"],
+                    "--posterior", files["weights"], "--alpha", "0.4"]
+
+        def report():
+            assert main([*argv, "--canonical"]) == 0
+            return capsys.readouterr().out
+
+        plain = report()
+        path = Path(files[key])
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert report() == plain
+
+    def test_training_label_outside_plus_minus_one_exits_2(self, tmp_path, capsys):
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=3)
+        path = Path(files["train_labels"])
+        lines = path.read_text().split("\n")
+        lines[1] = "2"
+        path.write_text("\n".join(lines))
+        code, report = run_pipeline(capsys, files)
+        assert code == 2
+        assert report == {
+            "error": "validation_error",
+            "message": "training labels must be exactly -1 or +1",
+        }
 
     @pytest.mark.parametrize(
         "content", [b"[0.25, 0.25, 0.25, 0.25]", b'{"prior": [0.25, 0.25, 0.25, 0.25]}'],
