@@ -125,7 +125,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         # within rounding of it, so w = v + 1 with fraction 1 is a full raise at v.
         margins = profile.abs_sorted[:v]
         margins = np.ldexp(margins, shift) if shift else margins
-        w, _, f = threshold_index(margins, n * budget / (2.0 * alpha))
+        w, _, f, _ = threshold_index(margins, n * budget / (2.0 * alpha))
         w = min(w, v)
         value = alpha * (n - w + 1 - f) / n
         lower = alpha * (1.0 - w / n)

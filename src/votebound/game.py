@@ -67,6 +67,8 @@ def solve_game(profile: VoteProfile) -> GameSolution:
       tight when the top margins are all 1 or the constraint binds with no
       fractional remainder.
 
+    z* is built without a masked ufunc: ``np.copysign`` of the mask, then
+    ``+= 0.0`` turns the -0.0 of negative votes below the pivot into +0.0.
     |a| is freed before z* and its frozen copy are allocated, so the solve
     holds about three n-vectors at its peak.  The saddle checks are relative
     to lam and to the value: each payoff sums nonnegative products, so its
@@ -80,7 +82,8 @@ def solve_game(profile: VoteProfile) -> GameSolution:
     del margins
     full = ties[: v - 1 - np.count_nonzero(above)]
     at_pivot = ties[full.size]
-    z = np.sign(votes, where=above, out=np.zeros(profile.n))
+    z = np.copysign(above, votes)
+    z += 0.0
     z[full] = np.sign(votes[full])
     z[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
     z_star = LabelVector(z)

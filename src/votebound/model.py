@@ -29,6 +29,7 @@ _EPS = float(np.finfo(float).eps)
 # wins at 256 (16 us to 19-27), both take 30 us at 512, and fsum loses at 1024 (53-64 to 23-32).
 EXACT_SUM_MIN_SIZE = 512
 _LOW26 = (1 << 26) - 1
+_UNITS = 1 << 1074  # every float64 is an integer multiple of 2**-1074
 
 
 def _readonly(values) -> np.ndarray:
@@ -47,37 +48,46 @@ def as_array(vector) -> np.ndarray:
     return arr
 
 
+def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, int, int]:
+    """Sums of ``magnitudes[:cut]``, of ``magnitudes[cut:]``, and ``offset``, in units of 2**-1074.
+
+    ``magnitudes`` must have a clear sign bit.  Each float64 is its 52-bit
+    fraction field plus the implicit leading bit, scaled by 2**exponent.
+    ``np.add.reduceat`` sums the fields' 26-bit halves, which cannot overflow,
+    over each run of equal exponent (one per binade when sorted), also split
+    at ``cut``, and Python ints add the run sums.  ``scratch``, an optional
+    int64 buffer of the same size, is the one n-vector the pass writes.
+    """
+    bits = magnitudes.view(np.int64)
+    part = np.right_shift(bits, 52, out=scratch)  # the exponents, then each 26-bit half
+    edges = part[1:] != part[:-1]
+    edges[cut - 1 : cut] = True  # empty at cut = 0 and at cut = size
+    starts = np.concatenate(([0], np.flatnonzero(edges) + 1))
+    biased = part[starts].tolist()
+    np.bitwise_and(np.right_shift(bits, 26, out=part), _LOW26, out=part)
+    high = np.add.reduceat(part, starts).tolist()
+    low = np.add.reduceat(np.bitwise_and(bits, _LOW26, out=part), starts).tolist()
+    starts = starts.tolist()
+    sums = [0, 0]
+    for h, lo, e, start, end in zip(high, low, biased, starts, starts[1:] + [bits.size]):
+        # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
+        sums[start >= cut] += ((h << 26) + lo + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
+    numerator, denominator = offset.as_integer_ratio()
+    return sums[0], sums[1], numerator * _UNITS // denominator
+
+
 def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
     """Correctly rounded sum of float64 ``magnitudes`` plus ``offset``.
 
     ``magnitudes`` must have a clear sign bit (no negative value and no
     -0.0), as ``np.abs`` returns them.  The result has the bits of
     ``math.fsum``, which it calls below EXACT_SUM_MIN_SIZE elements.  Longer
-    arrays are summed as integers: each float64 is its 52-bit fraction field
-    plus the implicit leading bit, scaled by 2**exponent.  The fraction
-    fields are split into 26-bit halves, so ``np.add.reduceat`` sums each
-    half over a run of equal exponent without overflow.  Sorted input has
-    few runs (one per binade), and Python ints add the run sums exactly; one
-    int true division rounds the result.
+    arrays are summed as integers by ``_binade_sums``, the exact pass
+    ``threshold_index`` also makes, and one int true division rounds the sum.
     """
     if magnitudes.size < EXACT_SUM_MIN_SIZE:
         return math.fsum(np.append(magnitudes, offset) if offset else magnitudes)
-    bits = magnitudes.view(np.int64)
-    part = bits >> 52  # one scratch buffer: the exponents, then each 26-bit half
-    starts = np.concatenate(([0], np.flatnonzero(part[1:] != part[:-1]) + 1))
-    biased = part[starts].tolist()
-    np.bitwise_and(np.right_shift(bits, 26, out=part), _LOW26, out=part)
-    high = np.add.reduceat(part, starts).tolist()
-    low = np.add.reduceat(np.bitwise_and(bits, _LOW26, out=part), starts).tolist()
-    ends = starts[1:].tolist() + [bits.size]
-    mantissa, exponent = math.frexp(offset)
-    terms = [(int(mantissa * 2.0**53), exponent - 53)]
-    for h, lo, e, start, end in zip(high, low, biased, starts.tolist(), ends):
-        # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
-        terms.append(((h << 26) + lo + ((end - start) << 52 if e else 0), max(e, 1) - 1075))
-    base = min(scale for _, scale in terms)
-    total = sum(value << (scale - base) for value, scale in terms)
-    return total / (1 << -base) if base < 0 else float(total << base)
+    return sum(_binade_sums(magnitudes, offset)) / _UNITS
 
 
 def _unit_shift(largest: float) -> int:
@@ -100,8 +110,8 @@ def cover_floor(target: float) -> float:
     return target - 4.0 * _EPS * abs(target)
 
 
-def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, float]:
-    """The threshold k, the head sum before it, and the fraction taken at k.
+def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, float, float]:
+    """The threshold k, the head sum before it, the fraction taken at k, and the total.
 
     k is the smallest count with sum(magnitudes[:k]) >= cover_floor(need);
     the comparison with each prefix sum is exact.  The caller forms ``need``
@@ -110,11 +120,13 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     sums only grow: the float cumsum brackets k within its rounding error,
     and exact ``exact_sum`` comparisons bisect the bracket.  Returns k
     (1-based, size + 1 when even the full sum falls short), the correctly
-    rounded sum of the first k - 1 magnitudes, and the fraction
+    rounded sum of the first k - 1 magnitudes, the fraction
     (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
-    clipped to [0, 1].  The remainder need - head is rounded once, so for
-    need > 0 the clip acts only when the k-th prefix sum lies between the
-    floor and need.  The fraction is 1 when k = size + 1.
+    clipped to [0, 1], and the correctly rounded total.  The remainder
+    need - head is rounded once, so for need > 0 the clip acts only when the
+    k-th prefix sum lies between the floor and need.  The fraction is 1 when
+    k = size + 1.  Head, remainder and total come from one exact integer
+    pass (from ``math.fsum`` below EXACT_SUM_MIN_SIZE).
     """
     floor = cover_floor(need)
     sums = np.cumsum(magnitudes)
@@ -126,11 +138,16 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
             hi = mid
         else:
             lo = mid + 1
-    head = exact_sum(magnitudes[:lo])
+    if magnitudes.size < EXACT_SUM_MIN_SIZE:
+        head, total = exact_sum(magnitudes[:lo]), exact_sum(magnitudes)
+        remainder = -exact_sum(magnitudes[:lo], -need)
+    else:
+        # The bisection is done with the cumsum, so the pass writes in its buffer.
+        head, tail, need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
+        head, total, remainder = (x / _UNITS for x in (head, head + tail, need - head))
     if lo == magnitudes.size:
-        return lo + 1, head, 1.0
-    remainder = -exact_sum(magnitudes[:lo], -need)
-    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0)
+        return lo + 1, head, 1.0, total
+    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total
 
 
 @dataclass(frozen=True)
@@ -289,7 +306,8 @@ class VoteProfile:
     whose sum reaches ``cover_floor(n*lam)``, ``pivot`` is |a_v|, ``head``
     the exact sum of the v - 1 larger margins and ``fraction`` the share of
     the pivot nature takes, (n*lam - head) / |a_v| clipped to [0, 1].  The
-    record is exact for some lam' within four ulps of lam.  Construction
+    record is exact for some lam' within four ulps of lam.  One exact
+    integer pass gives ``head``, n*lam - head and ``total``.  Construction
     fails unless the margins reach the floor; the pivot is then nonzero.
     """
 
@@ -319,8 +337,7 @@ class VoteProfile:
         abs_sorted = np.abs(votes)
         np.negative(abs_sorted, out=abs_sorted).sort()  # descending, in one buffer
         np.negative(abs_sorted, out=abs_sorted).setflags(write=False)
-        total = exact_sum(abs_sorted)
-        v, head, fraction = threshold_index(abs_sorted, votes.size * lam)
+        v, head, fraction, total = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:
             raise InfeasibleConstraint(
                 f"mean |vote| {total / votes.size:.6g} is below the "

@@ -31,7 +31,7 @@ def traced_peak(stage) -> float:
 @pytest.mark.parametrize(
     "stage, bound",
     [
-        pytest.param(lambda profile: sort_profile(VOTES, LAM), 4.0, id="sort_profile"),
+        pytest.param(lambda profile: sort_profile(VOTES, LAM), 3.25, id="sort_profile"),
         pytest.param(solve_game, 3.5, id="solve_game"),
         pytest.param(lambda profile: solve_abstain(profile, ALPHA), 2.5, id="solve_abstain"),
     ],

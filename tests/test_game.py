@@ -108,6 +108,25 @@ class TestOptimalNature:
         assert payoff(z, fix3.votes) == pytest.approx(0.6, abs=1e-12)
 
 
+    def test_zeros_match_the_masked_sign_construction(self):
+        # Votes on a 1/64 grid: ties at the pivot, negative votes below it, and -0.0.
+        votes = np.random.default_rng(4).integers(-64, 65, 100_000) / 64.0
+        votes[::7] = -0.0
+        profile = sort_profile(votes, 0.3)
+        margins, pivot = np.abs(votes), profile.pivot
+        above, ties = margins > pivot, np.flatnonzero(margins == pivot)
+        assert np.any(votes[~above] < 0) and ties.size > 1
+        full = ties[: profile.v - 1 - np.count_nonzero(above)]
+        at_pivot = ties[full.size]
+        reference = np.sign(votes, where=above, out=np.zeros(votes.size))
+        reference[full] = np.sign(votes[full])
+        reference[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
+        z = solve_game(profile).z_star.values
+        assert z.tobytes() == reference.tobytes()
+        zeros = z[z == 0.0]
+        assert zeros.size > 0 and not np.signbit(zeros).any()
+
+
 class TestTieRuleEdge:
     """lam at the float mean |vote|: n*lam may pass the exact margin sum by a few ulps."""
 

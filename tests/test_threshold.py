@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.errors import InfeasibleConstraint
-from votebound.model import cover_floor, threshold_index
+from votebound.model import EXACT_SUM_MIN_SIZE, cover_floor, threshold_index
 
 EPS = np.finfo(float).eps
 
@@ -125,21 +125,61 @@ def test_helper_decides_targets_a_few_ulps_around_a_prefix_sum(data, step):
     target = hit
     for _ in range(abs(step)):
         target = float(np.nextafter(target, np.inf if step > 0 else -np.inf))
-    k, head, fraction = threshold_index(magnitudes, target)
+    k, head, fraction, total = threshold_index(magnitudes, target)
     expected_k, expected_head, expected_fraction = exact_rule(magnitudes, target)
     assert k == expected_k
     assert head == float(expected_head)
     assert abs(fraction - expected_fraction) <= EPS
+    assert total == float(sum(map(Fraction, magnitudes)))
 
 
 def test_helper_reports_uncovered_target():
     magnitudes = np.array([0.5, 0.25])
-    assert threshold_index(magnitudes, 0.75 + 1e-9) == (3, 0.75, 1.0)
-    assert threshold_index(magnitudes, 0.75) == (2, 0.5, 1.0)
-    assert threshold_index(magnitudes, 0.625) == (2, 0.5, 0.5)
+    assert threshold_index(magnitudes, 0.75 + 1e-9) == (3, 0.75, 1.0, 0.75)
+    assert threshold_index(magnitudes, 0.75) == (2, 0.5, 1.0, 0.75)
+    assert threshold_index(magnitudes, 0.625) == (2, 0.5, 0.5, 0.75)
     # Within four ulps above the sum the target is covered, with a full pivot.
-    assert threshold_index(magnitudes, 0.75 + 4 * EPS * 0.75) == (2, 0.5, 1.0)
+    assert threshold_index(magnitudes, 0.75 + 4 * EPS * 0.75) == (2, 0.5, 1.0, 0.75)
     assert threshold_index(magnitudes, 0.75 + 16 * EPS * 0.75)[0] == 3
+
+
+def sorted_pool(kind: str, size: int) -> np.ndarray:
+    """Nonincreasing margins: subnormal, one long run of equal values, or many binades."""
+    rng = np.random.default_rng(size)
+    if kind == "subnormal":  # half below 2**-1022, half in the least normal binade
+        values = np.ldexp(rng.uniform(0.0, 2.0, size), -1022)
+    elif kind == "equal":
+        values = np.full(size, 0.1)
+    else:
+        values = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1000, 1, size))
+    return np.sort(values)[::-1]
+
+
+@pytest.mark.parametrize("kind", ["subnormal", "equal", "binades"])
+@pytest.mark.parametrize(
+    "size", [EXACT_SUM_MIN_SIZE - 1, EXACT_SUM_MIN_SIZE, EXACT_SUM_MIN_SIZE + 1, 5000]
+)
+@pytest.mark.parametrize("cut", ["zero", "size", "binade"])
+def test_one_pass_sums_match_exact_rationals(kind, size, cut):
+    # Below EXACT_SUM_MIN_SIZE math.fsum forms the sums; from it up one integer pass
+    # split at k - 1 does.  Each sum must be the exact rational sum rounded once.
+    magnitudes = sorted_pool(kind, size)
+    prefix = list(accumulate(map(Fraction, magnitudes)))
+    exponents = magnitudes.view(np.int64) >> 52
+    edges = np.flatnonzero(exponents[1:] != exponents[:-1]) + 1
+    # The first binade boundary, or the middle of the one run of equal margins.
+    boundary = int(edges[0]) if edges.size else size // 2
+    need = {
+        "zero": float(magnitudes[0]) / 2,
+        "size": 2.0 * float(prefix[-1]),
+        "binade": float(prefix[boundary]),
+    }[cut]
+    k, head, fraction, total = threshold_index(magnitudes, need)
+    expected_k, expected_head, expected_fraction = exact_rule(magnitudes, need)
+    assert k - 1 == {"zero": 0, "size": size, "binade": boundary}[cut] == expected_k - 1
+    assert head.hex() == float(expected_head).hex()
+    assert total.hex() == float(prefix[-1]).hex()
+    assert abs(fraction - expected_fraction) <= EPS
 
 
 @pytest.mark.parametrize("seed", range(20))
