@@ -143,8 +143,8 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
         remainder = -exact_sum(magnitudes[:lo], -need)
     else:
         # The bisection is done with the cumsum, so the pass writes in its buffer.
-        head, tail, need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
-        head, total, remainder = (x / _UNITS for x in (head, head + tail, need - head))
+        head, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
+        head, total, remainder = (x / _UNITS for x in (head, head + tail, exact_need - head))
     if lo == magnitudes.size:
         return lo + 1, head, 1.0, total
     return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total
