@@ -21,6 +21,7 @@ from .model import (
     VALIDATION_TOL,
     AbstainStrategy,
     VoteProfile,
+    _Owned,
     _require_cost,
     _unit_shift,
     as_array,
@@ -75,10 +76,10 @@ def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
     probabilities do not depend on alpha.  ``AbstainStrategy`` refuses a bad cost.
     """
     if alpha >= 0.5:
-        return AbstainStrategy(probs=np.zeros(profile.n), alpha=alpha)
+        return AbstainStrategy(probs=_Owned(np.zeros(profile.n)), alpha=alpha)
     probs = np.abs(profile.votes)
     np.minimum(np.divide(probs, profile.pivot, out=probs), 1.0, out=probs)
-    return AbstainStrategy(probs=np.subtract(1.0, probs, out=probs), alpha=alpha)
+    return AbstainStrategy(probs=_Owned(np.subtract(1.0, probs, out=probs)), alpha=alpha)
 
 
 def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
@@ -132,7 +133,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         upper = alpha * (1.0 - (w - 1) / n)
     if trivial:
         # The vacuous game is won by abstaining everywhere.
-        strategy = AbstainStrategy(probs=np.ones(n), alpha=alpha)
+        strategy = AbstainStrategy(probs=_Owned(np.ones(n)), alpha=alpha)
     else:
         strategy = p_alg(profile, alpha)
     if alpha >= 0.5:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SOLVER_TOL, LabelVector, PredictionVector, VoteProfile, payoff
+from .model import SOLVER_TOL, LabelVector, PredictionVector, VoteProfile, _Owned, payoff
 
 
 @dataclass(frozen=True)
@@ -69,24 +69,24 @@ def solve_game(profile: VoteProfile) -> GameSolution:
 
     z* is built without a masked ufunc: ``np.copysign`` of the mask, then
     ``+= 0.0`` turns the -0.0 of negative votes below the pivot into +0.0.
-    |a| is freed before z* and its frozen copy are allocated, so the solve
-    holds about three n-vectors at its peak.  The saddle checks are relative
-    to lam and to the value: each payoff sums nonnegative products, so its
-    rounding is a small share of its size.
+    The masks compare the votes with +-pivot, so no |a| is formed, and g* and
+    z* are frozen where they are built: the solve holds about two n-vectors at
+    its peak.  The saddle checks are relative to lam and to the value: each
+    payoff sums nonnegative products, so its rounding is a small share of its size.
     """
     v, value = find_threshold(profile), game_value(profile)
     votes, pivot = profile.votes, profile.pivot
-    g_star = PredictionVector(np.clip(votes / pivot, -1.0, 1.0))
-    margins = np.abs(votes)
-    above, ties = margins > pivot, np.flatnonzero(margins == pivot)
-    del margins
+    g = np.divide(votes, pivot)
+    g_star = PredictionVector(_Owned(np.clip(g, -1.0, 1.0, out=g)))
+    above = (votes > pivot) | (votes < -pivot)
+    ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
     full = ties[: v - 1 - np.count_nonzero(above)]
     at_pivot = ties[full.size]
     z = np.copysign(above, votes)
     z += 0.0
     z[full] = np.sign(votes[full])
     z[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
-    z_star = LabelVector(z)
+    z_star = LabelVector(_Owned(z))
     lower = profile.lam + ((v - 1) - profile.head) / profile.n
 
     if abs(payoff(z_star, votes) - profile.lam) > SOLVER_TOL * profile.lam:

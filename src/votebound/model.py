@@ -2,8 +2,8 @@
 
 All values are immutable after construction (numpy arrays are stored
 read-only and must be finite), so instances are safe to share across threads.
-Each domain type copies its input array once; the caller's array is never
-frozen or aliased, so writing to it later leaves the instance unchanged.
+Each domain type copies a caller's array once and never freezes or aliases it; a
+solver's own new buffer, wrapped in ``_Owned``, is checked alike and frozen in place.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def _readonly(values) -> np.ndarray:
         raise ValueError("values must be finite (no NaN or inf)")
     arr.setflags(write=False)
     return arr
+
+
+def _all_signs(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is exactly -1 or +1, with boolean temporaries only."""
+    return bool(np.logical_or(signs := x == 1.0, x == -1.0, out=signs).all())
 
 
 def as_array(vector) -> np.ndarray:
@@ -165,7 +170,7 @@ class EnsembleMatrix:
             raise DimensionError("prediction matrix must be 2-D")
         if entries.shape[0] < 1 or entries.shape[1] < 1:
             raise DimensionError("prediction matrix must be non-empty")
-        if not np.all(np.abs(entries) == 1.0):
+        if not _all_signs(entries):
             raise ValueError("prediction entries must be exactly -1 or +1")
         object.__setattr__(self, "entries", entries)
 
@@ -205,24 +210,33 @@ def _require_cost(alpha) -> float:
     return float(alpha)
 
 
-def _frozen_box(values, low: float, name: str, message: str) -> np.ndarray:
-    """One read-only float copy of the 1-D vector ``values`` (``name``), held to [low, 1].
+@dataclass(frozen=True)
+class _Owned:
+    """A float buffer a solver has just built and drops: ``_frozen_box`` freezes it, uncopied."""
+    array: np.ndarray
 
-    Raises on any other shape, then with ``message`` on a value past the box by
-    more than VALIDATION_TOL, then on NaN.  Values within the tolerance are clipped.
+
+def _frozen_box(values, low: float, name: str, message: str) -> np.ndarray:
+    """The 1-D vector ``values`` (``name``) as one read-only float array held to [low, 1].
+
+    A caller's array is copied once, an ``_Owned`` buffer used in place.  Raises on any
+    other shape, then with ``message`` on a value past the box by more than
+    VALIDATION_TOL, then on NaN.  Values within the tolerance are clipped.
     """
-    values = np.asarray(values, dtype=float)
+    values = values.array if isinstance(values, _Owned) else np.array(values, dtype=float)
     if values.ndim != 1:
         raise DimensionError(f"{name} must form a 1-D vector")
-    lo, hi = np.fmin.reduce(values, initial=np.inf), np.fmax.reduce(values, initial=-np.inf)
+    lo, hi = np.minimum.reduce(values, initial=np.inf), np.maximum.reduce(values, initial=-np.inf)
+    if nan := math.isnan(lo):  # minimum and maximum propagate NaN; fmin and fmax skip it
+        lo, hi = np.fmin.reduce(values, initial=np.inf), np.fmax.reduce(values, initial=-np.inf)
     if lo < low - VALIDATION_TOL or hi > 1.0 + VALIDATION_TOL:
         raise ValueError(message)
-    # Every value is now NaN or bounded, so the sum is NaN exactly when one is.
-    if math.isnan(values.sum()):
+    if nan:
         raise ValueError("values must be finite (no NaN or inf)")
-    frozen = np.clip(values, low, 1.0) if lo < low or hi > 1.0 else values.copy()
-    frozen.setflags(write=False)
-    return frozen
+    if lo < low or hi > 1.0:
+        np.clip(values, low, 1.0, out=values)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -281,9 +295,9 @@ class LabeledSample:
             raise DimensionError("label count must equal prediction row count")
         if predictions.size < 1:
             raise DimensionError("training sample must be non-empty")
-        if not np.all(np.abs(predictions) == 1.0):
+        if not _all_signs(predictions):
             raise ValueError("training predictions must be exactly -1 or +1")
-        if not np.all(np.abs(labels) == 1.0):
+        if not _all_signs(labels):
             raise ValueError("training labels must be exactly -1 or +1")
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "labels", labels)
@@ -334,8 +348,8 @@ class VoteProfile:
             )
         if lam > 1.0 + VALIDATION_TOL:
             raise InfeasibleConstraint("correlation bound cannot exceed 1")
-        abs_sorted = np.abs(votes)
-        np.negative(abs_sorted, out=abs_sorted).sort()  # descending, in one buffer
+        abs_sorted = np.copysign(votes, -1.0)
+        abs_sorted.sort()  # -|a| ascending, so |a| descending, in one buffer
         np.negative(abs_sorted, out=abs_sorted).setflags(write=False)
         v, head, fraction, total = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:

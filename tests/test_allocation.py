@@ -1,7 +1,9 @@
-"""Traced peak allocation of each solver stage at n = 2e5.
+"""Traced peak allocation of each solver stage and vector constructor at n = 2e5.
 
-Units are one float64 vector, 8n bytes.  Every stage returns a few fresh
-vectors, so these bounds allow about one scratch vector beyond its output.
+Units are one float64 vector, 8n bytes (8nH for a matrix).  A caller's array
+is copied once, while a solver freezes the buffers it builds in place, so
+each bound allows the stage's fresh outputs plus little more than boolean
+or integer scratch.
 """
 
 import tracemalloc
@@ -10,20 +12,21 @@ import numpy as np
 import pytest
 
 from votebound import solve_abstain, solve_game, sort_profile
+from votebound.model import EnsembleMatrix, PredictionVector
 
 N = 200_000
 VOTES = np.random.default_rng(1).uniform(-1.0, 1.0, N)
 LAM, ALPHA = 0.3, 0.25
 
 
-def traced_peak(stage) -> float:
-    """Peak bytes that ``stage()`` allocates beyond what was live before it, over 8N."""
+def traced_peak(stage, units=8 * N) -> float:
+    """Peak bytes that ``stage()`` allocates beyond what was live before it, over ``units``."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         stage()
-        return (tracemalloc.get_traced_memory()[1] - before) / (8 * N)
+        return (tracemalloc.get_traced_memory()[1] - before) / units
     finally:
         tracemalloc.stop()
 
@@ -32,10 +35,40 @@ def traced_peak(stage) -> float:
     "stage, bound",
     [
         pytest.param(lambda profile: sort_profile(VOTES, LAM), 3.25, id="sort_profile"),
-        pytest.param(solve_game, 3.5, id="solve_game"),
-        pytest.param(lambda profile: solve_abstain(profile, ALPHA), 2.5, id="solve_abstain"),
+        pytest.param(solve_game, 2.25, id="solve_game"),
+        pytest.param(lambda profile: solve_abstain(profile, ALPHA), 1.1, id="solve_abstain"),
     ],
 )
 def test_traced_peak(stage, bound):
     profile = sort_profile(VOTES, LAM)
     assert traced_peak(lambda: stage(profile)) <= bound
+
+
+def test_integer_input_is_converted_and_copied_in_one_allocation():
+    ints = np.random.default_rng(2).integers(-1, 2, N)
+    assert traced_peak(lambda: PredictionVector(ints)) <= 1.1
+
+
+def test_sign_check_makes_no_float_temporary():
+    signs = np.where(np.random.default_rng(3).random((20_000, 32)) < 0.5, -1, 1)
+    assert traced_peak(lambda: EnsembleMatrix(signs), 8 * signs.size) <= 1.3
+
+
+# 0.1 is trivial (abstain everywhere), 0.25 plays p_alg below the pivot, 0.75 never abstains.
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.75])
+def test_solver_outputs_are_read_only_and_share_no_memory(alpha):
+    votes = np.random.default_rng(4).integers(-20, 21, 100_000) / 20.0
+    profile = sort_profile(votes, LAM)
+    assert np.count_nonzero(np.abs(votes) == profile.pivot) > 1  # ties at the pivot
+    game = solve_game(profile)
+    arrays = [
+        game.g_star.values,
+        game.z_star.values,
+        solve_abstain(profile, alpha).p_alg.probs,
+        profile.votes,
+        profile.abs_sorted,
+    ]
+    assert not any(a.flags.writeable for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
