@@ -385,7 +385,7 @@ def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
 
 def sort_profile(votes, lam: float) -> VoteProfile:
     """Build the feasible profile, with its threshold record, used by all solvers."""
-    return VoteProfile(votes=as_array(votes), lam=lam)
+    return VoteProfile(votes=getattr(votes, "values", votes), lam=lam)
 
 
 def payoff(g, z) -> float:

@@ -12,7 +12,7 @@ prediction, and the bounds refuse it with ``DegenerateBound``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, sqrt
+from math import fsum, isfinite, log, sqrt
 
 import numpy as np
 
@@ -76,11 +76,10 @@ def epsilon(params: PacBayesParams, divergence: float) -> float:
 
 
 def gibbs_train_error(sample: LabeledSample, q: WeightVector) -> float:
-    """Posterior-averaged empirical error (1/m) sum_i sum_j q_j [pred != label]."""
+    """Posterior-averaged error sum_j q_j err_j: an fsum of exact counts over m, never < 0."""
     if len(q) != sample.num_hypotheses:
         raise DimensionError("weight vector does not match the hypothesis count")
-    correlation = float(sample.labels @ (sample.predictions @ q.weights)) / sample.num_examples
-    return (1.0 - correlation) / 2.0
+    return fsum(hypothesis_errors(sample) * q.weights)
 
 
 def lambda_hat(gibbs_error: float, eps: float) -> float:

@@ -16,6 +16,7 @@ from votebound.model import EnsembleMatrix, PredictionVector
 
 N = 200_000
 VOTES = np.random.default_rng(1).uniform(-1.0, 1.0, N)
+SIGNS = np.random.default_rng(5).integers(-1, 2, N)  # int64 votes in {-1, 0, 1}
 LAM, ALPHA = 0.3, 0.25
 
 
@@ -35,6 +36,7 @@ def traced_peak(stage, units=8 * N) -> float:
     "stage, bound",
     [
         pytest.param(lambda profile: sort_profile(VOTES, LAM), 3.25, id="sort_profile"),
+        pytest.param(lambda profile: sort_profile(SIGNS, LAM), 3.5, id="sort_profile-int64"),
         pytest.param(solve_game, 2.25, id="solve_game"),
         pytest.param(lambda profile: solve_abstain(profile, ALPHA), 1.1, id="solve_abstain"),
     ],

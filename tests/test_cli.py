@@ -701,6 +701,17 @@ class TestPipelineCommand:
             "message": "mean |vote| 0.777778 is below the correlation bound 0.86025",
         }
 
+    def test_all_right_training_gives_a_zero_gibbs_error(self, tmp_path, capsys):
+        # A BLAS row sum of 29 uniform weights passes 1; the reported error must still be 0.
+        rows = "h" + ",h".join(map(str, range(1, 30))) + "\n" + ("1," * 28 + "1\n") * 200
+        labels = "label\n" + "1\n" * 200
+        texts = zip(("train_pred", "train_labels", "test_pred"), (rows, labels, rows))
+        files = {key: write_votes(tmp_path, text, f"{key}.csv") for key, text in texts}
+        code, report = run_pipeline(capsys, files)
+        assert code == 0
+        validate(report, PIPELINE_REPORT_SCHEMA)
+        assert report["bound_report"]["gibbs_train_error"] == 0.0
+
     @pytest.mark.parametrize("delta", ["2", "0", "nan"])
     def test_delta_outside_unit_interval_exits_2(self, tmp_path, capsys, delta):
         files = gen_dataset(tmp_path, capsys, m=50, n=5, h=4)
@@ -1174,7 +1185,9 @@ def test_pipeline_gives_one_json_object_and_a_documented_exit(files, delta, alph
         argv += ["--test-pred", paths[2], "--delta", repr(delta), "--posterior", posterior]
         code, report = _one_report(argv + ([] if alpha is None else ["--alpha", repr(alpha)]))
     assert code in {0, 2, 3}, (code, report)
-    assert code != 0 or _finite(report), report
+    if code == 0:
+        assert _finite(report), report
+        validate(report, PIPELINE_REPORT_SCHEMA)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

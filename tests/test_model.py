@@ -321,7 +321,7 @@ CONSTRUCTORS = [
     pytest.param(
         lambda v: sort_profile(v, 0.25).votes,
         "vote components must lie in [-1, 1]",
-        "expected a 1-D vector",
+        "votes must form a 1-D vector",
         id="sort_profile",
     ),
 ]
