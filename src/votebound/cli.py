@@ -144,27 +144,27 @@ def _read_votes(path: str) -> np.ndarray:
 
 
 def _reals(value) -> bool:
-    """True for a JSON number or nested arrays of them; a string, bool or null is not one."""
-    if isinstance(value, list):
-        return all(map(_reals, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for one flat list of JSON numbers; a string, bool, null or nested list is not one."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    )
 
 
 def _read_weights(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # malformed JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not UTF-8
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "weights" not in payload:
         raise ParseError(f'{path}: expected an object with a "weights" array')
     weights, prior = payload["weights"], payload.get("prior")
-    message = f'{path}: "weights" and "prior" must be arrays of reals'
+    message = f'{path}: "weights" and "prior" must be flat arrays of reals'
     if not (_reals(weights) and (prior is None or _reals(prior))):
         raise ParseError(message)
-    try:  # a ragged array, or an integer past the float range
+    try:  # an integer past the float range
         weights = np.asarray(weights, dtype=float)
         return weights, None if prior is None else np.asarray(prior, dtype=float)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         raise ParseError(message) from exc
 
 

@@ -379,8 +379,8 @@ def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
             f"{matrix.num_hypotheses} hypotheses"
         )
     votes = matrix.entries @ q.weights
-    # |votes| <= sum(q) = 1 mathematically; clip float residue only.
-    return np.clip(votes, -1.0, 1.0)
+    # |votes| <= sum(q) = 1 mathematically; clip float residue only, in place.
+    return np.clip(votes, -1.0, 1.0, out=votes)
 
 
 def sort_profile(votes, lam: float) -> VoteProfile:

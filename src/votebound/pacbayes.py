@@ -36,34 +36,26 @@ class PacBayesParams:
 
 
 def kl_bernoulli(p: float, q: float) -> float:
-    """KL(p||q) = p log(p/q) + (1-p) log((1-p)/(1-q)), with 0 log 0 = 0."""
+    """KL(p||q) between Bernoulli laws: ``kl_discrete`` of (p, 1-p) against (q, 1-q)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if q in (0.0, 1.0):
-        if p == q:
-            return 0.0
-        raise InfiniteDivergence("KL(p||q) is infinite for q in {0, 1} with p != q")
-    value = 0.0
-    if p > 0.0:
-        value += p * log(p / q)
-    if p < 1.0:
-        value += (1.0 - p) * log((1.0 - p) / (1.0 - q))
-    return max(value, 0.0)
+    return kl_discrete(WeightVector(np.array([p, 1.0 - p])), WeightVector(np.array([q, 1.0 - q])))
 
 
 def kl_discrete(q: WeightVector, q0: WeightVector) -> float:
-    """KL(q||q0) = sum q_i log(q_i/q0_i); infinite outside q0's support."""
+    """KL(q||q0) = sum q_i (log q_i - log q0_i) over q's support; infinite outside q0's.
+
+    The log is split, as in ``epsilon``: a tiny q0_i would overflow the quotient q_i/q0_i.
+    """
     if len(q) != len(q0):
         raise DimensionError("distributions differ in length")
-    w = q.weights
-    w0 = q0.weights
-    support = w > 0.0
-    if np.any(w0[support] <= 0.0):
+    support = q.weights > 0.0
+    w, w0 = q.weights[support], q0.weights[support]
+    if np.any(w0 <= 0.0):
         raise InfiniteDivergence("posterior support escapes the prior support")
-    value = float(np.sum(w[support] * np.log(w[support] / w0[support])))
-    return max(value, 0.0)
+    return max(float(np.sum(w * (np.log(w) - np.log(w0)))), 0.0)
 
 
 def epsilon(params: PacBayesParams, divergence: float) -> float:

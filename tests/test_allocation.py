@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from votebound import solve_abstain, solve_game, sort_profile
-from votebound.model import EnsembleMatrix, PredictionVector
+from votebound.model import EnsembleMatrix, PredictionVector, WeightVector, compute_votes
 
 N = 200_000
 VOTES = np.random.default_rng(1).uniform(-1.0, 1.0, N)
@@ -49,6 +49,12 @@ def test_traced_peak(stage, bound):
 def test_integer_input_is_converted_and_copied_in_one_allocation():
     ints = np.random.default_rng(2).integers(-1, 2, N)
     assert traced_peak(lambda: PredictionVector(ints)) <= 1.1
+
+
+def test_votes_are_clipped_in_their_own_buffer():
+    signs = np.where(np.random.default_rng(6).random((N, 8)) < 0.5, -1.0, 1.0)
+    matrix, q = EnsembleMatrix(signs), WeightVector(np.full(8, 1 / 8))
+    assert traced_peak(lambda: compute_votes(matrix, q)) <= 1.1
 
 
 def test_sign_check_makes_no_float_temporary():

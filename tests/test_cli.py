@@ -778,6 +778,23 @@ class TestPipelineCommand:
         assert code == 0
         assert report["bound_report"]["kl_posterior_prior"] > 0
 
+    def test_tiny_prior_weight_gives_a_finite_divergence(self, tmp_path, capsys):
+        # 0.5 / 1e-320 overflows a double; the divergence itself is 367.72.
+        files = gen_dataset(tmp_path, capsys, m=50, n=10, h=2)
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"weights": [0.5, 0.5], "prior": [1e-320, 1.0]}))
+        argv = ["pipeline", "--train-pred", files["train_pred"], "--train-labels",
+                files["train_labels"], "--test-pred", files["test_pred"],
+                "--posterior", str(weights), "--canonical"]
+        env = dict(os.environ, PYTHONPATH=str(Path(votebound.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "votebound.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        report = json.loads(done.stdout)
+        validate(report, PIPELINE_REPORT_SCHEMA)
+        assert report["bound_report"]["kl_posterior_prior"] == 367.720473265
+
 
 class TestBoundsAgainstMeasuredRates:
     """Each pipeline bound against the rate it bounds on the test labels.
@@ -858,10 +875,13 @@ class TestPipelineInputs:
             b'{"weights": [0.5, null, 0.25, 0.25]}',
             b'{"weights": [0.25, 0.25, 0.25, 0.25], "prior": ["0.25", 0.25, 0.25, 0.25]}',
             b'{"weights": [1' + b"0" * 400 + b', 0, 0, 0]}',
+            b'{"weights": [[0.25, 0.25], [0.25, 0.25]]}',
+            b'{"weights": ' + b"[" * 900 + b"1" + b"]" * 900 + b"}",
+            b'{"weights": ' + b"[" * 100_000 + b"1" + b"]" * 100_000 + b"}",
         ],
         ids=[
             "object", "string", "not-utf8", "numeric-strings", "booleans", "null",
-            "string-prior", "integer-past-float-range",
+            "string-prior", "integer-past-float-range", "2-d", "nested-900", "nested-100000",
         ],
     )
     def test_bad_weights_file_exits_3(self, tmp_path, capsys, content):
@@ -1170,17 +1190,48 @@ def pipeline_files(draw):
     return train_pred, train_labels, test_pred
 
 
+# Weights-file entries: zero, subnormal, tiny and plain, so a prior weight can be far
+# below its posterior weight.
+WEIGHT_ENTRIES = st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 0.5, 1.0])
+
+
+@st.composite
+def weights_files(draw):
+    """A weights file's "weights" and optional "prior" as 4-entry lists, and whether to scale.
+
+    The test keeps the first H entries of each and, when asked, scales each to sum 1.
+    """
+    laws = st.lists(WEIGHT_ENTRIES, min_size=4, max_size=4)
+    return draw(laws), draw(st.none() | laws), draw(st.booleans())
+
+
+def _weights_file(directory: Path, h: int, weights, prior, scale: bool) -> str:
+    def law(values):
+        values = values[:h]
+        return [x / sum(values) for x in values] if scale and sum(values) > 0 else values
+
+    payload = {"weights": law(weights)} | ({} if prior is None else {"prior": law(prior)})
+    return write_votes(directory, json.dumps(payload), "weights.json")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(files=(*CERTAIN_TRAIN, SPLIT_TEST), delta=0.05, alpha=None, posterior="uniform")
+@example(
+    files=(*CERTAIN_TRAIN, SPLIT_TEST), delta=0.05, alpha=None,
+    posterior=([0.5, 0.5, 0.0, 0.0], [1e-320, 1.0, 0.0, 0.0], False),
+)
 @given(
     pipeline_files(),
     st.sampled_from([1e-320, 0.5, 1.0 - 1e-9]),
     st.sampled_from([None, 1e-300, 0.25, 0.5, 0.5 - 1e-12]),
-    st.sampled_from(["uniform", "exp:0", "exp:1e300"]),
+    st.sampled_from(["uniform", "exp:0", "exp:1e300"]) | weights_files(),
 )
 def test_pipeline_gives_one_json_object_and_a_documented_exit(files, delta, alpha, posterior):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [write_votes(Path(tmp), text, f"{k}.csv") for k, text in enumerate(files)]
+        if not isinstance(posterior, str):
+            h = files[0].split("\n", 1)[0].count(",") + 1
+            posterior = _weights_file(Path(tmp), h, *posterior)
         argv = ["pipeline", "--train-pred", paths[0], "--train-labels", paths[1]]
         argv += ["--test-pred", paths[2], "--delta", repr(delta), "--posterior", posterior]
         code, report = _one_report(argv + ([] if alpha is None else ["--alpha", repr(alpha)]))

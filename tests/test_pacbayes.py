@@ -32,6 +32,9 @@ LAMBDA_HAT_100 = -0.015058278699
 KL_01_03 = 0.116321756586
 KL_BUDGET_100 = 0.076108527904
 KL_BUDGET_100_POINTMASS = 0.089971471515
+# KL((1/2, 1/2) || (t, 1 - t)) = log(1/2) - log(t)/2 at the double t nearest 1e-320, a
+# subnormal whose quotient 0.5/t overflows.
+KL_TINY_PRIOR = 367.720473264927
 
 
 def uniform(h):
@@ -56,6 +59,9 @@ class TestKlBernoulli:
 
     def test_zero_p(self):
         assert kl_bernoulli(0.0, 0.5) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_tiny_q_gives_a_finite_divergence(self):
+        assert kl_bernoulli(0.5, 1e-320) == pytest.approx(KL_TINY_PRIOR, rel=1e-12)
 
     def test_infinite_cases(self):
         with pytest.raises(InfiniteDivergence):
@@ -92,6 +98,10 @@ class TestKlDiscrete:
     def test_half_support(self):
         q = WeightVector(np.array([0.5, 0.5, 0, 0]))
         assert kl_discrete(q, uniform(4)) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_tiny_prior_weight_gives_a_finite_divergence(self):
+        q, q0 = WeightVector(np.array([0.5, 0.5])), WeightVector(np.array([1e-320, 1.0]))
+        assert kl_discrete(q, q0) == pytest.approx(KL_TINY_PRIOR, rel=1e-12)
 
     def test_support_violation(self):
         q = WeightVector(np.array([0.5, 0.5]))
