@@ -302,21 +302,49 @@ def cmd_verify(args) -> int:
     return 0 if payload["ok"] else 1
 
 
+# Entry b holds the cells of byte b's bits, most significant first, as np.packbits packs them.
+_SIGN_TEXTS = [",".join(cells) for cells in itertools.product(("-1", "1"), repeat=8)]
+_WRITE_ROWS = 8192  # rows formatted per write: one block's text is held, not the file's
+
+
+def _write_signs(path: Path, positive: np.ndarray, header: str) -> None:
+    """Write ``header``, then each row of the boolean grid as ``1``/``-1`` cells.
+
+    Cells are joined by ``,`` and every row ends in a newline: the bytes of
+    ``np.savetxt(path, cells, fmt="%d", delimiter=",", header=header,
+    comments="")``.  Each run of eight cells is packed into a byte that picks
+    its text from ``_SIGN_TEXTS``; the last ``H mod 8`` cells of a row take the
+    first ``H mod 8`` cells of their byte's text.
+    """
+    tail = positive.shape[1] % 8 or 8
+    last = [",".join(text.split(",")[:tail]) + "\n" for text in _SIGN_TEXTS]
+    table = np.array([text + "," for text in _SIGN_TEXTS] + last, dtype=object)
+    with open(path, "w", encoding="ascii", newline="\n") as stream:
+        stream.write(header + "\n")
+        for start in range(0, len(positive), _WRITE_ROWS):
+            codes = np.packbits(positive[start : start + _WRITE_ROWS], axis=1).astype(np.intp)
+            codes[:, -1] += 256  # a row's last byte reads the texts that end the line
+            stream.write("".join(table[codes].ravel().tolist()))
+
+
 def cmd_gen(args) -> int:
     if args.train_size < 1 or args.test_size < 1 or args.hypotheses < 1:
         raise ValueError("sizes must be positive")
+    if args.seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if not 0.0 < args.base_error < 0.5:
         raise ValueError("base error must lie strictly inside (0, 0.5)")
 
     rng = np.random.default_rng(args.seed)
     m, n, h = args.train_size, args.test_size, args.hypotheses
-    train_labels = rng.integers(0, 2, m) * 2 - 1
-    test_labels = rng.integers(0, 2, n) * 2 - 1
+    # A cell is +1 where the label is +1 and the hypothesis does not flip it, or the reverse.
+    train_labels = rng.integers(0, 2, m) == 1
+    test_labels = rng.integers(0, 2, n) == 1
     rates = np.clip(
         rng.uniform(0.8 * args.base_error, 1.2 * args.base_error, h), 1e-6, 0.499
     )
-    train_pred = train_labels[:, None] * np.where(rng.random((m, h)) < rates, -1, 1)
-    test_pred = test_labels[:, None] * np.where(rng.random((n, h)) < rates, -1, 1)
+    train_pred = train_labels[:, None] ^ (rng.random((m, h)) < rates)
+    test_pred = test_labels[:, None] ^ (rng.random((n, h)) < rates)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,11 +352,11 @@ def cmd_gen(args) -> int:
     files = {}
     for key, name, cells, header in (
         ("train_pred", "train_predictions.csv", train_pred, pred_header),
-        ("train_labels", "train_labels.csv", train_labels, "label"),
+        ("train_labels", "train_labels.csv", train_labels[:, None], "label"),
         ("test_pred", "test_predictions.csv", test_pred, pred_header),
     ):
         files[key] = out_dir / name
-        np.savetxt(files[key], cells, fmt="%d", delimiter=",", header=header, comments="")
+        _write_signs(files[key], cells, header)
 
     manifest = {
         "seed": args.seed,

@@ -3,7 +3,7 @@
 Units are one float64 vector, 8n bytes (8nH for a matrix).  A caller's array
 is copied once, while a solver freezes the buffers it builds in place, so
 each bound allows the stage's fresh outputs plus little more than boolean
-or integer scratch.
+or integer scratch.  The ``gen`` writer's bound is in MB, at 100k x 32 cells.
 """
 
 import tracemalloc
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from votebound import solve_abstain, solve_game, sort_profile
+from votebound.cli import _write_signs
 from votebound.model import EnsembleMatrix, PredictionVector, WeightVector, compute_votes
 
 N = 200_000
@@ -60,6 +61,13 @@ def test_votes_are_clipped_in_their_own_buffer():
 def test_sign_check_makes_no_float_temporary():
     signs = np.where(np.random.default_rng(3).random((20_000, 32)) < 0.5, -1, 1)
     assert traced_peak(lambda: EnsembleMatrix(signs), 8 * signs.size) <= 1.3
+
+
+def test_gen_writer_holds_one_block_of_text(tmp_path):
+    # In MB: rows are written in blocks of 1.6 MB traced; one whole-file join traces 18 MB.
+    positive = np.random.default_rng(7).random((100_000, 32)) < 0.5
+    header = ",".join(f"h{j + 1}" for j in range(32))
+    assert traced_peak(lambda: _write_signs(tmp_path / "p.csv", positive, header), 2**20) <= 3
 
 
 # 0.1 is trivial (abstain everywhere), 0.25 plays p_alg below the pivot, 0.75 never abstains.

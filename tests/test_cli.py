@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from jsonschema import ValidationError, validate
 
 import votebound
-from votebound.cli import _read_csv, main
+from votebound.cli import _WRITE_ROWS, _read_csv, _write_signs, main
 from votebound.model import cover_floor
 from votebound.schema import PIPELINE_REPORT_SCHEMA
 
@@ -494,10 +494,18 @@ class TestGenCommand:
         }
         assert list(tmp_path.iterdir()) == []
 
-    def test_zero_size_exits_2(self, tmp_path, capsys):
-        argv = ["gen", "--seed", "1", "--train-size", "0", "--test-size", "5", "--hypotheses", "2"]
-        code, report = run(capsys, *argv, "--base-error", "0.1", "--out", str(tmp_path / "x"))
-        message = "sizes must be positive"
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--train-size", "0", "sizes must be positive"),
+            ("--seed", "-1", "seed must be a nonnegative integer"),
+        ],
+        ids=["zero-size", "negative-seed"],
+    )
+    def test_refused_argument_exits_2(self, tmp_path, capsys, flag, value, message):
+        given = {"--seed": "1", "--train-size": "10", "--test-size": "5", "--hypotheses": "2"}
+        argv = [x for item in {**given, flag: value}.items() for x in item]
+        code, report = run(capsys, "gen", *argv, "--base-error", "0.1", "--out", str(tmp_path / "x"))
         assert (code, report) == (2, {"error": "validation_error", "message": message})
         assert list(tmp_path.iterdir()) == []
 
@@ -512,6 +520,27 @@ class TestGenCommand:
             labels = np.array([int(r[0]) for r in list(csv.reader(handle))[1:]], dtype=float)
         gibbs = float(np.mean(grid * labels[:, None] < 0))
         assert 0.05 <= gibbs <= 0.15
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.none() | st.integers(1, 20),  # None: the one-column labels file
+    st.sampled_from([1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1]),
+)
+def test_gen_writer_gives_the_bytes_of_savetxt(seed, width, rows):
+    positive = np.random.default_rng(seed).random((rows, width or 1)) < 0.5
+    cells = np.where(positive, 1, -1)
+    if width is None:
+        cells, header = cells[:, 0], "label"
+    else:
+        header = ",".join(f"h{j + 1}" for j in range(width))
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = Path(tmp, "want.csv"), Path(tmp, "got.csv")
+        np.savetxt(want, cells, fmt="%d", delimiter=",", header=header, comments="")
+        _write_signs(got, positive, header)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestPipelineCommand:
