@@ -95,11 +95,6 @@ def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
     return float(per_example.sum()) / gv.size
 
 
-def _tail_ratio(profile: VoteProfile) -> float:
-    """sum_{i>v} |a_i| / |a_v|: the commitment 1 - p_i that p_alg sums past the top v."""
-    return float(profile.abs_sorted[find_threshold(profile) :].sum()) / profile.pivot
-
-
 def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     """The one abstain solver: every field of ``AbstainSolution`` for one cost.
 
@@ -126,7 +121,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         # within rounding of it, so w = v + 1 with fraction 1 is a full raise at v.
         margins = profile.abs_sorted[:v]
         margins = np.ldexp(margins, shift) if shift else margins
-        w, _, f, _ = threshold_index(margins, n * budget / (2.0 * alpha))
+        w, _, f, _, _ = threshold_index(margins, n * budget / (2.0 * alpha))
         w = min(w, v)
         value = alpha * (n - w + 1 - f) / n
         lower = alpha * (1.0 - w / n)
@@ -139,7 +134,7 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     if alpha >= 0.5:
         loss_formula = 0.5 * (1.0 - v / n)
     else:
-        loss_formula = alpha * (1.0 - v / n) + (0.5 - alpha) * _tail_ratio(profile) / n
+        loss_formula = alpha * (1.0 - v / n) + (0.5 - alpha) * (profile.tail / profile.pivot) / n
     return AbstainSolution(
         alpha=alpha,
         trivial=trivial,

@@ -53,32 +53,33 @@ def as_array(vector) -> np.ndarray:
     return arr
 
 
-def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, int, int]:
-    """Sums of ``magnitudes[:cut]``, of ``magnitudes[cut:]``, and ``offset``, in units of 2**-1074.
+def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, ...]:
+    """Sums of ``magnitudes[:cut]``, ``[cut]``, ``[cut + 1:]`` and ``offset``, in units of 2**-1074.
 
     ``magnitudes`` must have a clear sign bit.  Each float64 is its 52-bit
     fraction field plus the implicit leading bit, scaled by 2**exponent.
     ``np.add.reduceat`` sums the fields' 26-bit halves, which cannot overflow,
     over each run of equal exponent (one per binade when sorted), also split
-    at ``cut``, and Python ints add the run sums.  ``scratch``, an optional
+    around ``cut``, and Python ints add the run sums.  ``scratch``, an optional
     int64 buffer of the same size, is the one n-vector the pass writes.
     """
     bits = magnitudes.view(np.int64)
     part = np.right_shift(bits, 52, out=scratch)  # the exponents, then each 26-bit half
     edges = part[1:] != part[:-1]
-    edges[cut - 1 : cut] = True  # empty at cut = 0 and at cut = size
+    edges[max(cut - 1, 0) : cut + 1] = True  # magnitudes[cut] is a run of its own
     starts = np.concatenate(([0], np.flatnonzero(edges) + 1))
     biased = part[starts].tolist()
     np.bitwise_and(np.right_shift(bits, 26, out=part), _LOW26, out=part)
     high = np.add.reduceat(part, starts).tolist()
     low = np.add.reduceat(np.bitwise_and(bits, _LOW26, out=part), starts).tolist()
     starts = starts.tolist()
-    sums = [0, 0]
+    sums = [0, 0, 0]
     for h, lo, e, start, end in zip(high, low, biased, starts, starts[1:] + [bits.size]):
         # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
-        sums[start >= cut] += ((h << 26) + lo + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
+        run = ((h << 26) + lo + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
+        sums[(start >= cut) + (start > cut)] += run
     numerator, denominator = offset.as_integer_ratio()
-    return sums[0], sums[1], numerator * _UNITS // denominator
+    return *sums, numerator * _UNITS // denominator
 
 
 def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
@@ -115,8 +116,8 @@ def cover_floor(target: float) -> float:
     return target - 4.0 * _EPS * abs(target)
 
 
-def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, float, float]:
-    """The threshold k, the head sum before it, the fraction taken at k, and the total.
+def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, float, float, float]:
+    """The threshold k, the head sum before it, the fraction taken at k, the total and the tail.
 
     k is the smallest count with sum(magnitudes[:k]) >= cover_floor(need);
     the comparison with each prefix sum is exact.  The caller forms ``need``
@@ -124,14 +125,14 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     caller's.  ``magnitudes`` are nonnegative and nonincreasing, so prefix
     sums only grow: the float cumsum brackets k within its rounding error,
     and exact ``exact_sum`` comparisons bisect the bracket.  Returns k
-    (1-based, size + 1 when even the full sum falls short), the correctly
-    rounded sum of the first k - 1 magnitudes, the fraction
+    (1-based, size + 1 when even the full sum falls short), the fraction
     (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
-    clipped to [0, 1], and the correctly rounded total.  The remainder
-    need - head is rounded once, so for need > 0 the clip acts only when the
-    k-th prefix sum lies between the floor and need.  The fraction is 1 when
-    k = size + 1.  Head, remainder and total come from one exact integer
-    pass (from ``math.fsum`` below EXACT_SUM_MIN_SIZE).
+    clipped to [0, 1] and 1 at k = size + 1, and the correctly rounded sums
+    of the first k - 1 magnitudes (head), of all (total) and of those after
+    the k-th (tail).  The remainder need - head is rounded once, so for
+    need > 0 the clip acts only when the k-th prefix sum lies between the
+    floor and need.  Head, remainder, total and tail come from one exact
+    integer pass (from ``math.fsum`` below EXACT_SUM_MIN_SIZE).
     """
     floor = cover_floor(need)
     sums = np.cumsum(magnitudes)
@@ -146,13 +147,15 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     if magnitudes.size < EXACT_SUM_MIN_SIZE:
         head, total = exact_sum(magnitudes[:lo]), exact_sum(magnitudes)
         remainder = -exact_sum(magnitudes[:lo], -need)
+        tail = exact_sum(magnitudes[lo + 1 :])
     else:
         # The bisection is done with the cumsum, so the pass writes in its buffer.
-        head, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
-        head, total, remainder = (x / _UNITS for x in (head, head + tail, exact_need - head))
+        head, pivot, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
+        units = head, head + pivot + tail, exact_need - head, tail
+        head, total, remainder, tail = (x / _UNITS for x in units)
     if lo == magnitudes.size:
-        return lo + 1, head, 1.0, total
-    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total
+        return lo + 1, head, 1.0, total, tail
+    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total, tail
 
 
 @dataclass(frozen=True)
@@ -317,12 +320,13 @@ class VoteProfile:
 
     ``abs_sorted`` holds the margins |a_i| in nonincreasing order and
     ``total`` their exact sum.  ``v`` is the smallest count of top margins
-    whose sum reaches ``cover_floor(n*lam)``, ``pivot`` is |a_v|, ``head``
-    the exact sum of the v - 1 larger margins and ``fraction`` the share of
-    the pivot nature takes, (n*lam - head) / |a_v| clipped to [0, 1].  The
-    record is exact for some lam' within four ulps of lam.  One exact
-    integer pass gives ``head``, n*lam - head and ``total``.  Construction
-    fails unless the margins reach the floor; the pivot is then nonzero.
+    whose sum reaches ``cover_floor(n*lam)``, ``pivot`` is |a_v|, ``head`` the
+    exact sum of the v - 1 larger margins, ``tail`` that of the n - v smaller
+    ones and ``fraction`` the share of the pivot nature takes, (n*lam - head) /
+    |a_v| clipped to [0, 1].  The record is exact for some lam' within four ulps
+    of lam.  One exact integer pass gives ``head``, n*lam - head, ``total`` and
+    ``tail``.  Construction fails unless the margins reach the floor; the pivot
+    is then nonzero.
     """
 
     votes: np.ndarray
@@ -333,6 +337,7 @@ class VoteProfile:
     pivot: float = field(init=False)
     head: float = field(init=False)
     fraction: float = field(init=False)
+    tail: float = field(init=False)
 
     def __post_init__(self):
         votes = _frozen_box(self.votes, -1.0, "votes", "vote components must lie in [-1, 1]")
@@ -351,7 +356,7 @@ class VoteProfile:
         abs_sorted = np.copysign(votes, -1.0)
         abs_sorted.sort()  # -|a| ascending, so |a| descending, in one buffer
         np.negative(abs_sorted, out=abs_sorted).setflags(write=False)
-        v, head, fraction, total = threshold_index(abs_sorted, votes.size * lam)
+        v, head, fraction, total, tail = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:
             raise InfeasibleConstraint(
                 f"mean |vote| {total / votes.size:.6g} is below the "
@@ -365,6 +370,7 @@ class VoteProfile:
         object.__setattr__(self, "pivot", float(abs_sorted[v - 1]))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "fraction", fraction)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def n(self) -> int:

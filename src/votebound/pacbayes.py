@@ -16,7 +16,6 @@ from math import fsum, isfinite, log, sqrt
 
 import numpy as np
 
-from .abstain import _tail_ratio
 from .errors import DegenerateBound, DimensionError, InfiniteDivergence
 from .model import LabeledSample, VoteProfile, WeightVector
 
@@ -106,7 +105,7 @@ def abstain_mistake_bounds(
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
     head_disagreement = (profile.v - 1 - profile.head) + (1.0 - profile.pivot)
-    abstain = 2.0 * gibbs + 2.0 * eps + delta - _tail_ratio(profile) / n
+    abstain = 2.0 * gibbs + 2.0 * eps + delta - profile.tail / profile.pivot / n
     mistake = gibbs + eps + delta - head_disagreement / (2.0 * n)
     return abstain, mistake
 

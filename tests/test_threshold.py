@@ -125,21 +125,24 @@ def test_helper_decides_targets_a_few_ulps_around_a_prefix_sum(data, step):
     target = hit
     for _ in range(abs(step)):
         target = float(np.nextafter(target, np.inf if step > 0 else -np.inf))
-    k, head, fraction, total = threshold_index(magnitudes, target)
+    k, head, fraction, total, tail = threshold_index(magnitudes, target)
     expected_k, expected_head, expected_fraction = exact_rule(magnitudes, target)
+    prefix = list(accumulate(map(Fraction, magnitudes)))
     assert k == expected_k
     assert head == float(expected_head)
     assert abs(fraction - expected_fraction) <= EPS
-    assert total == float(sum(map(Fraction, magnitudes)))
+    assert total == float(prefix[-1])
+    assert tail.hex() == float(prefix[-1] - prefix[min(k, magnitudes.size) - 1]).hex()
 
 
 def test_helper_reports_uncovered_target():
     magnitudes = np.array([0.5, 0.25])
-    assert threshold_index(magnitudes, 0.75 + 1e-9) == (3, 0.75, 1.0, 0.75)
-    assert threshold_index(magnitudes, 0.75) == (2, 0.5, 1.0, 0.75)
-    assert threshold_index(magnitudes, 0.625) == (2, 0.5, 0.5, 0.75)
+    assert threshold_index(magnitudes, 0.75 + 1e-9) == (3, 0.75, 1.0, 0.75, 0.0)
+    assert threshold_index(magnitudes, 0.75) == (2, 0.5, 1.0, 0.75, 0.0)
+    assert threshold_index(magnitudes, 0.625) == (2, 0.5, 0.5, 0.75, 0.0)
+    assert threshold_index(magnitudes, 0.25) == (1, 0.0, 0.5, 0.75, 0.25)
     # Within four ulps above the sum the target is covered, with a full pivot.
-    assert threshold_index(magnitudes, 0.75 + 4 * EPS * 0.75) == (2, 0.5, 1.0, 0.75)
+    assert threshold_index(magnitudes, 0.75 + 4 * EPS * 0.75) == (2, 0.5, 1.0, 0.75, 0.0)
     assert threshold_index(magnitudes, 0.75 + 16 * EPS * 0.75)[0] == 3
 
 
@@ -162,7 +165,7 @@ def sorted_pool(kind: str, size: int) -> np.ndarray:
 @pytest.mark.parametrize("cut", ["zero", "size", "binade"])
 def test_one_pass_sums_match_exact_rationals(kind, size, cut):
     # Below EXACT_SUM_MIN_SIZE math.fsum forms the sums; from it up one integer pass
-    # split at k - 1 does.  Each sum must be the exact rational sum rounded once.
+    # split around k - 1 does.  Each sum must be the exact rational sum rounded once.
     magnitudes = sorted_pool(kind, size)
     prefix = list(accumulate(map(Fraction, magnitudes)))
     exponents = magnitudes.view(np.int64) >> 52
@@ -174,11 +177,12 @@ def test_one_pass_sums_match_exact_rationals(kind, size, cut):
         "size": 2.0 * float(prefix[-1]),
         "binade": float(prefix[boundary]),
     }[cut]
-    k, head, fraction, total = threshold_index(magnitudes, need)
+    k, head, fraction, total, tail = threshold_index(magnitudes, need)
     expected_k, expected_head, expected_fraction = exact_rule(magnitudes, need)
     assert k - 1 == {"zero": 0, "size": size, "binade": boundary}[cut] == expected_k - 1
     assert head.hex() == float(expected_head).hex()
     assert total.hex() == float(prefix[-1]).hex()
+    assert tail.hex() == float(prefix[-1] - prefix[min(k, size) - 1]).hex()
     assert abs(fraction - expected_fraction) <= EPS
 
 
