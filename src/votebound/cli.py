@@ -307,24 +307,38 @@ _SIGN_TEXTS = [",".join(cells) for cells in itertools.product(("-1", "1"), repea
 _WRITE_ROWS = 8192  # rows formatted per write: one block's text is held, not the file's
 
 
-def _write_signs(path: Path, positive: np.ndarray, header: str) -> None:
-    """Write ``header``, then each row of the boolean grid as ``1``/``-1`` cells.
+def _write_signs(path: Path, blocks, header: str, width: int) -> None:
+    """Write ``header``, then each row of the boolean ``width``-column blocks as 1/-1 cells.
 
     Cells are joined by ``,`` and every row ends in a newline: the bytes of
     ``np.savetxt(path, cells, fmt="%d", delimiter=",", header=header,
-    comments="")``.  Each run of eight cells is packed into a byte that picks
-    its text from ``_SIGN_TEXTS``; the last ``H mod 8`` cells of a row take the
-    first ``H mod 8`` cells of their byte's text.
+    comments="")``, with the blocks stacked into ``cells``.  Each run of eight
+    cells is packed into a byte that picks its text from ``_SIGN_TEXTS``; the
+    last ``width mod 8`` cells of a row take the first ``width mod 8`` cells of
+    their byte's text.  Each block is formatted ``_WRITE_ROWS`` rows at a time.
     """
-    tail = positive.shape[1] % 8 or 8
+    tail = width % 8 or 8
     last = [",".join(text.split(",")[:tail]) + "\n" for text in _SIGN_TEXTS]
     table = np.array([text + "," for text in _SIGN_TEXTS] + last, dtype=object)
     with open(path, "w", encoding="ascii", newline="\n") as stream:
         stream.write(header + "\n")
-        for start in range(0, len(positive), _WRITE_ROWS):
-            codes = np.packbits(positive[start : start + _WRITE_ROWS], axis=1).astype(np.intp)
-            codes[:, -1] += 256  # a row's last byte reads the texts that end the line
-            stream.write("".join(table[codes].ravel().tolist()))
+        for block in blocks:
+            for start in range(0, len(block), _WRITE_ROWS):
+                codes = np.packbits(block[start : start + _WRITE_ROWS], axis=1).astype(np.intp)
+                codes[:, -1] += 256  # a row's last byte reads the texts that end the line
+                stream.write("".join(table[codes].ravel().tolist()))
+
+
+def _flips(rng, labels: np.ndarray, rates: np.ndarray):
+    """Prediction rows in ``_WRITE_ROWS``-row blocks, each drawn when it is written.
+
+    A cell is +1 where the label is +1 and the hypothesis does not flip it,
+    or the reverse.  The Generator fills blocks in row order, so the cells
+    are those of one whole ``rng.random((len(labels), len(rates)))`` draw.
+    """
+    for start in range(0, labels.size, _WRITE_ROWS):
+        rows = labels[start : start + _WRITE_ROWS, None]
+        yield rows ^ (rng.random((rows.shape[0], rates.size)) < rates)
 
 
 def cmd_gen(args) -> int:
@@ -337,26 +351,24 @@ def cmd_gen(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     m, n, h = args.train_size, args.test_size, args.hypotheses
-    # A cell is +1 where the label is +1 and the hypothesis does not flip it, or the reverse.
     train_labels = rng.integers(0, 2, m) == 1
     test_labels = rng.integers(0, 2, n) == 1
     rates = np.clip(
         rng.uniform(0.8 * args.base_error, 1.2 * args.base_error, h), 1e-6, 0.499
     )
-    train_pred = train_labels[:, None] ^ (rng.random((m, h)) < rates)
-    test_pred = test_labels[:, None] ^ (rng.random((n, h)) < rates)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_header = ",".join(f"h{j + 1}" for j in range(h))
     files = {}
-    for key, name, cells, header in (
-        ("train_pred", "train_predictions.csv", train_pred, pred_header),
-        ("train_labels", "train_labels.csv", train_labels[:, None], "label"),
-        ("test_pred", "test_predictions.csv", test_pred, pred_header),
+    # Blocks are drawn as they are written, so every train flip is drawn before any test flip.
+    for key, name, blocks, header, width in (
+        ("train_pred", "train_predictions.csv", _flips(rng, train_labels, rates), pred_header, h),
+        ("train_labels", "train_labels.csv", [train_labels[:, None]], "label", 1),
+        ("test_pred", "test_predictions.csv", _flips(rng, test_labels, rates), pred_header, h),
     ):
         files[key] = out_dir / name
-        _write_signs(files[key], cells, header)
+        _write_signs(files[key], blocks, header, width)
 
     manifest = {
         "seed": args.seed,

@@ -3,7 +3,7 @@
 Units are one float64 vector, 8n bytes (8nH for a matrix).  A caller's array
 is copied once, while a solver freezes the buffers it builds in place, so
 each bound allows the stage's fresh outputs plus little more than boolean
-or integer scratch.  The ``gen`` writer's bound is in MB, at 100k x 32 cells.
+or integer scratch.  The ``gen`` bounds are in MB, at 100k x 32 cells.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from votebound import solve_abstain, solve_game, sort_profile
-from votebound.cli import _write_signs
+from votebound.cli import _write_signs, main
 from votebound.model import EnsembleMatrix, PredictionVector, WeightVector, compute_votes
 
 N = 200_000
@@ -67,7 +67,15 @@ def test_gen_writer_holds_one_block_of_text(tmp_path):
     # In MB: rows are written in blocks of 1.6 MB traced; one whole-file join traces 18 MB.
     positive = np.random.default_rng(7).random((100_000, 32)) < 0.5
     header = ",".join(f"h{j + 1}" for j in range(32))
-    assert traced_peak(lambda: _write_signs(tmp_path / "p.csv", positive, header), 2**20) <= 3
+    assert traced_peak(lambda: _write_signs(tmp_path / "p.csv", [positive], header, 32), 2**20) <= 3
+
+
+def test_gen_draws_each_flip_matrix_in_blocks(tmp_path, capsys):
+    # In MB: a whole 100k x 32 float draw alone traces 25.6 MB; block draws keep gen near 3 MB.
+    argv = ["gen", "--seed", "1", "--train-size", "20000", "--test-size", "100000"]
+    argv += ["--hypotheses", "32", "--base-error", "0.1", "--out", str(tmp_path)]
+    assert traced_peak(lambda: main(argv), 2**20) <= 6
+    capsys.readouterr()
 
 
 # 0.1 is trivial (abstain everywhere), 0.25 plays p_alg below the pivot, 0.75 never abstains.

@@ -528,8 +528,9 @@ class TestGenCommand:
     st.integers(0, 2**32 - 1),
     st.none() | st.integers(1, 20),  # None: the one-column labels file
     st.sampled_from([1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1]),
+    st.integers(1, 3),  # the rows reach the writer in this many blocks
 )
-def test_gen_writer_gives_the_bytes_of_savetxt(seed, width, rows):
+def test_gen_writer_gives_the_bytes_of_savetxt(seed, width, rows, blocks):
     positive = np.random.default_rng(seed).random((rows, width or 1)) < 0.5
     cells = np.where(positive, 1, -1)
     if width is None:
@@ -539,7 +540,7 @@ def test_gen_writer_gives_the_bytes_of_savetxt(seed, width, rows):
     with tempfile.TemporaryDirectory() as tmp:
         want, got = Path(tmp, "want.csv"), Path(tmp, "got.csv")
         np.savetxt(want, cells, fmt="%d", delimiter=",", header=header, comments="")
-        _write_signs(got, positive, header)
+        _write_signs(got, np.array_split(positive, blocks), header, width or 1)
         assert got.read_bytes() == want.read_bytes()
 
 
