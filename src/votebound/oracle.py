@@ -254,7 +254,9 @@ def certify_instance(
     at n = 4.  An oracle that did not run reports None, so the keys depend
     only on ``alpha``.  ``deviations`` holds every closed-form deviation by
     check name; ``ok`` requires all of them and the grid excess to stay within
-    SOLVER_TOL.
+    SOLVER_TOL, and z* to meet the correlation constraint: the ``fsum`` of
+    votes * z* must reach ``cover_floor(n*lam)``.  The predictor's best
+    response reads only mean |z*|, which no permutation of z* changes.
     """
     profile = sort_profile(votes, lam)
     solution = solve_game(profile)
@@ -269,6 +271,7 @@ def certify_instance(
         "predictor_best_response": float(np.abs(solution.z_star.values).mean()),
     }
     deviations["saddle"] = max(abs(side - solution.value) for side in saddle.values())
+    feasible = fsum(profile.votes * solution.z_star.values) >= cover_floor(profile.n * profile.lam)
     abstain = {}
     grid_excess = -np.inf
     if alpha is not None:
@@ -287,7 +290,7 @@ def certify_instance(
         "saddle": saddle,
         "max_deviation": max_deviation,
         **abstain,
-        "ok": bool(max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),
+        "ok": bool(feasible and max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),
         "deviations": deviations,
         "grid_excess": grid_excess,
     }

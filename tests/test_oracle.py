@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from votebound import solve_abstain, solve_game, sort_profile
+from votebound import oracle, solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
+from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
 from votebound.game import game_value
-from votebound.model import cover_floor, exact_sum
+from votebound.model import LabelVector, cover_floor, exact_sum
 from votebound.oracle import (
     ENUM_MAX_N,
     GRID_MAX_N,
@@ -457,6 +459,41 @@ class TestCertifySaddle:
     def test_batch_random_instances(self):
         for votes, lam, _ in random_instances(count=200, seed=34, nmax=6):
             assert certify_instance(votes, lam)["deviations"]["saddle"] < 1e-9
+
+
+class TestCertifyFeasibility:
+    """A z* that misses the correlation constraint fails the certificate.
+
+    Swapping z*'s largest- and smallest-magnitude entries keeps mean |z*|, the
+    predictor's side of the saddle, but drops a . z* below n*lam.
+    """
+
+    @pytest.fixture(autouse=True)
+    def swapped_z_star(self, monkeypatch):
+        solve = oracle.solve_game
+
+        def swapped(profile):
+            solution = solve(profile)
+            z = np.array(solution.z_star.values)
+            i, j = np.argmax(np.abs(z)), np.argmin(np.abs(z))
+            z[[i, j]] = z[[j, i]]
+            return dataclasses.replace(solution, z_star=LabelVector(z))
+
+        monkeypatch.setattr(oracle, "solve_game", swapped)
+
+    def test_instance(self):
+        check = certify_instance([1.0, 0.8, 0.5, 0.2], 0.5, 0.25)
+        assert check["deviations"]["saddle"] < 1e-9
+        assert check["ok"] is False
+
+    def test_batch(self):
+        assert certify_batch(count=20, seed=1, nmax=8)["ok"] is False
+
+    def test_verify_command_exits_1(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("vote\n1.0\n0.8\n0.5\n0.2\n")
+        assert main(["verify", "--votes", str(votes), "--lambda", "0.5"]) == 1
+        capsys.readouterr()
 
 
 class TestWorstCaseAbstainLoss:
