@@ -8,6 +8,7 @@ computed in floats exactly as the solvers compute it; the fraction at k is
 near-tie would show.
 """
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
@@ -18,8 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from votebound import solve_abstain, solve_game, sort_profile
+from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
 from votebound.model import EXACT_SUM_MIN_SIZE, cover_floor, threshold_index
+
+from test_golden import library_votes
 
 EPS = np.finfo(float).eps
 
@@ -184,6 +188,28 @@ def test_one_pass_sums_match_exact_rationals(kind, size, cut):
     assert total.hex() == float(prefix[-1]).hex()
     assert tail.hex() == float(prefix[-1] - prefix[min(k, size) - 1]).hex()
     assert abs(fraction - expected_fraction) <= EPS
+
+
+def gen_votes(tmp_path, capsys, n=10_000, h=32) -> np.ndarray:
+    """Uniform-weight votes on the test predictions ``gen`` writes at seed 1: levels k/h."""
+    argv = ["gen", "--seed", "1", "--train-size", "10", "--test-size", str(n)]
+    assert main(argv + ["--hypotheses", str(h), "--base-error", "0.1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return np.loadtxt(tmp_path / "test_predictions.csv", delimiter=",", skiprows=1).mean(axis=1)
+
+
+@pytest.mark.parametrize("source", ["511", "512", "513", "library", "gen"])
+def test_profile_tail_is_the_correctly_rounded_sum_after_the_pivot(source, tmp_path, capsys):
+    if source == "library":
+        votes = library_votes()
+    elif source == "gen":
+        votes = gen_votes(tmp_path, capsys)
+    else:
+        votes = np.random.default_rng(int(source)).uniform(-1.0, 1.0, int(source))
+    mean = math.fsum(np.abs(votes)) / votes.size
+    for lam in (0.01, 0.3, mean / 2, mean):
+        profile = sort_profile(votes, lam)
+        assert profile.tail == math.fsum(profile.abs_sorted[profile.v :])
 
 
 @pytest.mark.parametrize("seed", range(20))
