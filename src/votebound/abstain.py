@@ -49,8 +49,9 @@ class AbstainSolution:
     - value_lower, value_upper: alpha(1 - w/n) and alpha(1 - (w-1)/n), or value_exact without w.
     - p_alg: all ones if trivial, else ``p_alg(profile, alpha)``.
     - loss_formula: (1/2)(1 - v/n) for alpha >= 1/2, else alpha(1 - v/n) + (1/2 - alpha)(1/n)
-      sum_{i>v} |a_i|/|a_v|, the loss of p_alg and g* against z* when S_v = n*lam.  It can
-      fall below value_exact (fix1: 0.0875 against 0.1484), so it is no worst-case loss;
+      sum_{i>v} |a_i|/|a_v|, the loss of p_alg and g* against z* when S_v = n*lam.  The sum
+      past v is ``profile.tail``, correctly rounded by the profile's one exact pass.  The figure
+      can fall below value_exact (fix1: 0.0875 against 0.1484), so it is no worst-case loss;
       ``oracle.worst_case_abstain_loss`` gives that.
     - loss_no_abstain: (1/2)(1 - (v-1)/n), a bound on the plain predictor's error.
     """

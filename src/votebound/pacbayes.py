@@ -100,6 +100,8 @@ def abstain_mistake_bounds(
 
     Both bound p_alg in the nontrivial alpha < 1/2 regime and are independent
     of the cost there; they say nothing of the trivial all-abstain strategy.
+    The profile's record gives every sum: ``head`` the one before v and
+    ``tail`` the one past it, each correctly rounded.
     """
     if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
