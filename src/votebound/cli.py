@@ -307,17 +307,18 @@ _SIGN_TEXTS = [",".join(cells) for cells in itertools.product(("-1", "1"), repea
 _WRITE_ROWS = 8192  # rows formatted per write: one block's text is held, not the file's
 
 
-def _write_signs(path: Path, blocks, header: str, width: int) -> None:
-    """Write ``header``, then each row of the boolean ``width``-column blocks as 1/-1 cells.
+def _write_signs(path: Path, blocks, header: str) -> None:
+    """Write ``header``, then each row of the boolean row blocks as ``1``/``-1`` cells.
 
     Cells are joined by ``,`` and every row ends in a newline: the bytes of
     ``np.savetxt(path, cells, fmt="%d", delimiter=",", header=header,
-    comments="")``, with the blocks stacked into ``cells``.  Each run of eight
-    cells is packed into a byte that picks its text from ``_SIGN_TEXTS``; the
-    last ``width mod 8`` cells of a row take the first ``width mod 8`` cells of
-    their byte's text.  Each block is formatted ``_WRITE_ROWS`` rows at a time.
+    comments="")``, with the blocks stacked into ``cells``.  The header names
+    each of the H columns.  Each run of eight cells is packed into a byte that
+    picks its text from ``_SIGN_TEXTS``; the last ``H mod 8`` cells of a row
+    take the first ``H mod 8`` cells of their byte's text.  Each block is
+    formatted ``_WRITE_ROWS`` rows at a time.
     """
-    tail = width % 8 or 8
+    tail = (header.count(",") + 1) % 8 or 8
     last = [",".join(text.split(",")[:tail]) + "\n" for text in _SIGN_TEXTS]
     table = np.array([text + "," for text in _SIGN_TEXTS] + last, dtype=object)
     with open(path, "w", encoding="ascii", newline="\n") as stream:
@@ -362,13 +363,13 @@ def cmd_gen(args) -> int:
     pred_header = ",".join(f"h{j + 1}" for j in range(h))
     files = {}
     # Blocks are drawn as they are written, so every train flip is drawn before any test flip.
-    for key, name, blocks, header, width in (
-        ("train_pred", "train_predictions.csv", _flips(rng, train_labels, rates), pred_header, h),
-        ("train_labels", "train_labels.csv", [train_labels[:, None]], "label", 1),
-        ("test_pred", "test_predictions.csv", _flips(rng, test_labels, rates), pred_header, h),
+    for key, name, blocks, header in (
+        ("train_pred", "train_predictions.csv", _flips(rng, train_labels, rates), pred_header),
+        ("train_labels", "train_labels.csv", [train_labels[:, None]], "label"),
+        ("test_pred", "test_predictions.csv", _flips(rng, test_labels, rates), pred_header),
     ):
         files[key] = out_dir / name
-        _write_signs(files[key], blocks, header, width)
+        _write_signs(files[key], blocks, header)
 
     manifest = {
         "seed": args.seed,

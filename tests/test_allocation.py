@@ -67,7 +67,7 @@ def test_gen_writer_holds_one_block_of_text(tmp_path):
     # In MB: rows are written in blocks of 1.6 MB traced; one whole-file join traces 18 MB.
     positive = np.random.default_rng(7).random((100_000, 32)) < 0.5
     header = ",".join(f"h{j + 1}" for j in range(32))
-    assert traced_peak(lambda: _write_signs(tmp_path / "p.csv", [positive], header, 32), 2**20) <= 3
+    assert traced_peak(lambda: _write_signs(tmp_path / "p.csv", [positive], header), 2**20) <= 3
 
 
 def test_gen_draws_each_flip_matrix_in_blocks(tmp_path, capsys):

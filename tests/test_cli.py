@@ -540,7 +540,7 @@ def test_gen_writer_gives_the_bytes_of_savetxt(seed, width, rows, blocks):
     with tempfile.TemporaryDirectory() as tmp:
         want, got = Path(tmp, "want.csv"), Path(tmp, "got.csv")
         np.savetxt(want, cells, fmt="%d", delimiter=",", header=header, comments="")
-        _write_signs(got, np.array_split(positive, blocks), header, width or 1)
+        _write_signs(got, np.array_split(positive, blocks), header)
         assert got.read_bytes() == want.read_bytes()
 
 
