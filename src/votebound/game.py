@@ -67,25 +67,23 @@ def solve_game(profile: VoteProfile) -> GameSolution:
       tight when the top margins are all 1 or the constraint binds with no
       fractional remainder.
 
-    z* is built without a masked ufunc: ``np.copysign`` of the mask, then
-    ``+= 0.0`` turns the -0.0 of negative votes below the pivot into +0.0.
-    The masks compare the votes with +-pivot, so no |a| is formed, and g* and
-    z* are frozen where they are built: the solve holds about two n-vectors at
-    its peak.  The saddle checks are relative to lam and to the value: each
-    payoff sums nonnegative products, so its rounding is a small share of its size.
+    z* is g* truncated toward zero (below the pivot |g*_i| <= 1 - 2^-53),
+    with ``+= 0.0`` for the -0.0 there; the ties past the v - 1 full labels
+    are zeroed and the first takes sign times f.  Ties are found before g* and
+    z* exist, so the solve holds two n-vectors at its peak.  The saddle checks
+    are relative to lam and to the value: each payoff sums nonnegative
+    products, so its rounding is a small share of its size.
     """
     v, value = find_threshold(profile), game_value(profile)
     votes, pivot = profile.votes, profile.pivot
+    ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
     g = np.divide(votes, pivot)
     g_star = PredictionVector(_Owned(np.clip(g, -1.0, 1.0, out=g)))
-    above = (votes > pivot) | (votes < -pivot)
-    ties = np.flatnonzero((votes == pivot) | (votes == -pivot))
-    full = ties[: v - 1 - np.count_nonzero(above)]
-    at_pivot = ties[full.size]
-    z = np.copysign(above, votes)
+    z = np.trunc(g)
     z += 0.0
-    z[full] = np.sign(votes[full])
-    z[at_pivot] = np.sign(votes[at_pivot]) * profile.fraction
+    rest = ties[v - 1 - (np.count_nonzero(z) - ties.size) :]
+    z[rest] = 0.0
+    z[rest[0]] = np.sign(votes[rest[0]]) * profile.fraction
     z_star = LabelVector(_Owned(z))
     lower = profile.lam + ((v - 1) - profile.head) / profile.n
 

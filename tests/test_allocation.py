@@ -18,6 +18,7 @@ from votebound.model import EnsembleMatrix, PredictionVector, WeightVector, comp
 N = 200_000
 VOTES = np.random.default_rng(1).uniform(-1.0, 1.0, N)
 SIGNS = np.random.default_rng(5).integers(-1, 2, N)  # int64 votes in {-1, 0, 1}
+TIED = np.random.default_rng(4).integers(-20, 21, N) / 20.0  # ties at every margin
 LAM, ALPHA = 0.3, 0.25
 
 
@@ -34,16 +35,17 @@ def traced_peak(stage, units=8 * N) -> float:
 
 
 @pytest.mark.parametrize(
-    "stage, bound",
+    "stage, bound, votes",
     [
-        pytest.param(lambda profile: sort_profile(VOTES, LAM), 3.25, id="sort_profile"),
-        pytest.param(lambda profile: sort_profile(SIGNS, LAM), 3.5, id="sort_profile-int64"),
-        pytest.param(solve_game, 2.25, id="solve_game"),
-        pytest.param(lambda profile: solve_abstain(profile, ALPHA), 1.1, id="solve_abstain"),
+        pytest.param(lambda profile: sort_profile(VOTES, LAM), 3.25, VOTES, id="sort_profile"),
+        pytest.param(lambda profile: sort_profile(SIGNS, LAM), 3.5, VOTES, id="sort_profile-int64"),
+        pytest.param(solve_game, 2.1, VOTES, id="solve_game"),
+        pytest.param(solve_game, 2.1, TIED, id="solve_game-tied"),
+        pytest.param(lambda profile: solve_abstain(profile, ALPHA), 1.1, VOTES, id="solve_abstain"),
     ],
 )
-def test_traced_peak(stage, bound):
-    profile = sort_profile(VOTES, LAM)
+def test_traced_peak(stage, bound, votes):
+    profile = sort_profile(votes, LAM)
     assert traced_peak(lambda: stage(profile)) <= bound
 
 

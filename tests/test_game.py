@@ -12,6 +12,29 @@ from votebound.oracle import random_instances
 EPS = np.finfo(float).eps
 
 
+def _zero_sign_vote_sets():
+    """Vote sets for the z* byte check, each with ties at its pivot and zeros below."""
+    rng = np.random.default_rng(4)
+    # A 1/64 grid: negative votes below the pivot, and -0.0.
+    grid = rng.integers(-64, 65, 100_000) / 64.0
+    grid[::7] = -0.0
+    # A subnormal grid: the pivot is k * 2^-1074, and a margin below it divides to 1 - 1/k.
+    subnormal = rng.integers(-1024, 1025, 100_000) * np.nextafter(0.0, 1.0)
+    # Votes one ulp either side of +-0.5, whose predecessor divides to 1 - 2^-53.
+    near = np.array([np.nextafter(0.5, 1.0), 0.5, np.nextafter(0.5, 0.0)])
+    near = rng.permutation(np.concatenate([near, -near]).repeat(1000))
+    tied = rng.choice([-0.3, 0.3], 10_000)
+    return [
+        pytest.param(grid, 0.3, id="grid"),
+        pytest.param(subnormal, 0.5 * float(np.abs(subnormal).mean()), id="subnormal"),
+        pytest.param(near, 0.25, id="one-ulp-from-pivot"),
+        pytest.param(tied, 0.165, id="all-tied"),
+    ]
+
+
+ZERO_SIGN_VOTE_SETS = _zero_sign_vote_sets()
+
+
 def nature_greedy(profile):
     """Nature's optimum built by the literal sequential greedy procedure.
 
@@ -107,15 +130,12 @@ class TestOptimalNature:
         assert np.allclose(z, [-1, 0.5])
         assert payoff(z, fix3.votes) == pytest.approx(0.6, abs=1e-12)
 
-
-    def test_zeros_match_the_masked_sign_construction(self):
-        # Votes on a 1/64 grid: ties at the pivot, negative votes below it, and -0.0.
-        votes = np.random.default_rng(4).integers(-64, 65, 100_000) / 64.0
-        votes[::7] = -0.0
-        profile = sort_profile(votes, 0.3)
+    @pytest.mark.parametrize("votes, lam", ZERO_SIGN_VOTE_SETS)
+    def test_zeros_match_the_masked_sign_construction(self, votes, lam):
+        profile = sort_profile(votes, lam)
         margins, pivot = np.abs(votes), profile.pivot
         above, ties = margins > pivot, np.flatnonzero(margins == pivot)
-        assert np.any(votes[~above] < 0) and ties.size > 1
+        assert ties.size > 1
         full = ties[: profile.v - 1 - np.count_nonzero(above)]
         at_pivot = ties[full.size]
         reference = np.sign(votes, where=above, out=np.zeros(votes.size))
