@@ -287,6 +287,8 @@ def cmd_verify(args) -> int:
         raise ValueError("nmax must be at least 1")
     if args.count < 1:
         raise ValueError("count must be at least 1")
+    if args.seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
 
     if args.votes is None:
         if args.alpha is not None or args.lam is not None:

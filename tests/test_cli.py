@@ -1000,22 +1000,24 @@ class TestVerifyCommand:
         assert report["ok"] is True
         assert report["max_deviation"] < 1e-9
 
-    def test_nmax_guard_exits_2(self, capsys):
-        for nmax in ("0", "-1"):
-            code, report = run(capsys, "verify", "--nmax", nmax)
-            assert code == 2
-            assert report["error"] == "validation_error"
-            assert "nmax" in report["message"]
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--nmax", "0", "nmax must be at least 1"),
+            ("--nmax", "-1", "nmax must be at least 1"),
+            ("--count", "0", "count must be at least 1"),
+            ("--seed", "-1", "seed must be a nonnegative integer"),
+        ],
+        ids=["zero-nmax", "negative-nmax", "zero-count", "negative-seed"],
+    )
+    def test_refused_argument_exits_2(self, capsys, flag, value, message):
+        code, report = run(capsys, "verify", flag, value)
+        assert (code, report) == (2, {"error": "validation_error", "message": message})
 
     def test_cost_is_checked_before_the_votes_are_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         code, report = run(capsys, "verify", "--votes", missing, "--lambda", "0.2", "--alpha", "nan")
         assert (code, report["error"]) == (2, "invalid_cost")
-
-    def test_count_guard_exits_2(self, capsys):
-        code, report = run(capsys, "verify", "--count", "0")
-        message = "count must be at least 1"
-        assert (code, report) == (2, {"error": "validation_error", "message": message})
 
     def test_votes_without_lambda_exits_2(self, tmp_path, capsys):
         code, report = run(capsys, "verify", "--votes", write_votes(tmp_path))
