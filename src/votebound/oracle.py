@@ -256,7 +256,10 @@ def certify_instance(
     check name; ``ok`` requires all of them and the grid excess to stay within
     SOLVER_TOL, and z* to meet the correlation constraint: the ``fsum`` of
     votes * z* must reach ``cover_floor(n*lam)``.  The predictor's best
-    response reads only mean |z*|, which no permutation of z* changes.
+    response reads only mean |z*|, which no permutation of z* changes.  ``ok``
+    also requires the game's lower bound to stay within a relative SOLVER_TOL
+    of the value and, with ``alpha``, the exact abstain value to lie in its
+    bracket to within SOLVER_TOL.
     """
     profile = sort_profile(votes, lam)
     solution = solve_game(profile)
@@ -272,12 +275,14 @@ def certify_instance(
     }
     deviations["saddle"] = max(abs(side - solution.value) for side in saddle.values())
     feasible = fsum(profile.votes * solution.z_star.values) >= cover_floor(profile.n * profile.lam)
+    consistent = solution.lower_bound <= solution.value * (1.0 + SOLVER_TOL)
     abstain = {}
     grid_excess = -np.inf
     if alpha is not None:
         solved = solve_abstain(profile, alpha)
         exact, lower, upper = solved.value_exact, solved.value_lower, solved.value_upper
         abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
+        consistent &= lower - SOLVER_TOL <= exact <= upper + SOLVER_TOL
         abstain["abstain_grid_value"] = None
         if profile.n <= GRID_MAX_N:
             step = (0.005 if profile.n <= 3 else 0.02) if grid_step is None else grid_step
@@ -290,7 +295,9 @@ def certify_instance(
         "saddle": saddle,
         "max_deviation": max_deviation,
         **abstain,
-        "ok": bool(feasible and max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL),
+        "ok": bool(
+            feasible and consistent and max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL
+        ),
         "deviations": deviations,
         "grid_excess": grid_excess,
     }

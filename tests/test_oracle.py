@@ -496,6 +496,59 @@ class TestCertifyFeasibility:
         capsys.readouterr()
 
 
+def _lower_bound_above_value(solve):
+    def mutant(profile):
+        solution = solve(profile)
+        return dataclasses.replace(solution, lower_bound=solution.value + 0.01)
+
+    return mutant
+
+
+def _swapped_abstain_bounds(solve):
+    def mutant(profile, alpha):
+        solved = solve(profile, alpha)
+        return dataclasses.replace(
+            solved, value_lower=solved.value_upper, value_upper=solved.value_lower
+        )
+
+    return mutant
+
+
+class TestCertifyConsistency:
+    """A game lower bound above the value, or swapped abstain bounds, fail the certificate.
+
+    Neither mutant moves a deviation or the grid.  The swap changes nothing
+    where ``w`` is unset, so the single instance sets it.
+    """
+
+    @pytest.fixture(
+        autouse=True,
+        params=[
+            ("solve_game", _lower_bound_above_value),
+            ("solve_abstain", _swapped_abstain_bounds),
+        ],
+        ids=["lower-bound-above-value", "swapped-abstain-bounds"],
+    )
+    def mutant(self, request, monkeypatch):
+        name, mutate = request.param
+        monkeypatch.setattr(oracle, name, mutate(getattr(oracle, name)))
+
+    def test_instance(self):
+        check = certify_instance([1.0, 0.8, 0.5, 0.2], 0.5, 0.25)
+        assert check["max_deviation"] < 1e-9 and check["grid_excess"] <= 1e-9
+        assert check["ok"] is False
+
+    def test_batch(self):
+        assert certify_batch(count=20, seed=1, nmax=8)["ok"] is False
+
+    def test_verify_command_exits_1(self, tmp_path, capsys):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("vote\n1.0\n0.8\n0.5\n0.2\n")
+        argv = ["verify", "--votes", str(votes), "--lambda", "0.5", "--alpha", "0.25"]
+        assert main(argv) == 1
+        capsys.readouterr()
+
+
 class TestWorstCaseAbstainLoss:
     def test_full_abstention_decouples_from_labels(self, fix1):
         from votebound.model import AbstainStrategy
