@@ -13,7 +13,7 @@ EPS = np.finfo(float).eps
 
 
 def _zero_sign_vote_sets():
-    """Vote sets for the z* byte check, each with ties at its pivot and zeros below."""
+    """Vote sets for the z* byte check, each with ties at its pivot and zeros in z*."""
     rng = np.random.default_rng(4)
     # A 1/64 grid: negative votes below the pivot, and -0.0.
     grid = rng.integers(-64, 65, 100_000) / 64.0
@@ -135,7 +135,7 @@ class TestOptimalNature:
         profile = sort_profile(votes, lam)
         margins, pivot = np.abs(votes), profile.pivot
         above, ties = margins > pivot, np.flatnonzero(margins == pivot)
-        assert ties.size > 1
+        assert np.any(votes[~above] < 0) and ties.size > 1
         full = ties[: profile.v - 1 - np.count_nonzero(above)]
         at_pivot = ties[full.size]
         reference = np.sign(votes, where=above, out=np.zeros(votes.size))
