@@ -132,7 +132,7 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     the k-th (tail).  The remainder need - head is rounded once, so for
     need > 0 the clip acts only when the k-th prefix sum lies between the
     floor and need.  Head, remainder, total and tail come from one exact
-    integer pass (from ``math.fsum`` below EXACT_SUM_MIN_SIZE).
+    integer pass at every size.
     """
     floor = cover_floor(need)
     sums = np.cumsum(magnitudes)
@@ -144,15 +144,10 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
             hi = mid
         else:
             lo = mid + 1
-    if magnitudes.size < EXACT_SUM_MIN_SIZE:
-        head, total = exact_sum(magnitudes[:lo]), exact_sum(magnitudes)
-        remainder = -exact_sum(magnitudes[:lo], -need)
-        tail = exact_sum(magnitudes[lo + 1 :])
-    else:
-        # The bisection is done with the cumsum, so the pass writes in its buffer.
-        head, pivot, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
-        units = head, head + pivot + tail, exact_need - head, tail
-        head, total, remainder, tail = (x / _UNITS for x in units)
+    # The bisection is done with the cumsum, so the pass writes in its buffer.
+    head, pivot, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
+    units = head, head + pivot + tail, exact_need - head, tail
+    head, total, remainder, tail = (x / _UNITS for x in units)
     if lo == magnitudes.size:
         return lo + 1, head, 1.0, total, tail
     return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total, tail

@@ -164,12 +164,12 @@ def sorted_pool(kind: str, size: int) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["subnormal", "equal", "binades"])
 @pytest.mark.parametrize(
-    "size", [EXACT_SUM_MIN_SIZE - 1, EXACT_SUM_MIN_SIZE, EXACT_SUM_MIN_SIZE + 1, 5000]
+    "size", [1, 2, 8, 64, EXACT_SUM_MIN_SIZE - 1, EXACT_SUM_MIN_SIZE, EXACT_SUM_MIN_SIZE + 1, 5000]
 )
 @pytest.mark.parametrize("cut", ["zero", "size", "binade"])
 def test_one_pass_sums_match_exact_rationals(kind, size, cut):
-    # Below EXACT_SUM_MIN_SIZE math.fsum forms the sums; from it up one integer pass
-    # split around k - 1 does.  Each sum must be the exact rational sum rounded once.
+    # One integer pass split around k - 1 forms the sums at every size, and each
+    # must be the exact rational sum rounded once.
     magnitudes = sorted_pool(kind, size)
     prefix = list(accumulate(map(Fraction, magnitudes)))
     exponents = magnitudes.view(np.int64) >> 52
@@ -183,7 +183,12 @@ def test_one_pass_sums_match_exact_rationals(kind, size, cut):
     }[cut]
     k, head, fraction, total, tail = threshold_index(magnitudes, need)
     expected_k, expected_head, expected_fraction = exact_rule(magnitudes, need)
-    assert k - 1 == {"zero": 0, "size": size, "binade": boundary}[cut] == expected_k - 1
+    assert k == expected_k
+    # A boundary margin below half an ulp of the sum before it (the binade pools at
+    # sizes 2 and 8) leaves need covered by that sum, so k falls before the boundary.
+    absorbed = cut == "binade" and 0 < boundary and cover_floor(need) <= prefix[boundary - 1]
+    if not absorbed:
+        assert k - 1 == {"zero": 0, "size": size, "binade": boundary}[cut]
     assert head.hex() == float(expected_head).hex()
     assert total.hex() == float(prefix[-1]).hex()
     assert tail.hex() == float(prefix[-1] - prefix[min(k, size) - 1]).hex()
