@@ -25,9 +25,6 @@ from .errors import (
 VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-# exact_sum hands shorter arrays to math.fsum.  On sorted margins (Python 3.11, 2-vCPU Xeon) fsum
-# wins at 256 (16 us to 19-27), both take 30 us at 512, and fsum loses at 1024 (53-64 to 23-32).
-EXACT_SUM_MIN_SIZE = 512
 _LOW26 = (1 << 26) - 1
 _UNITS = 1 << 1074  # every float64 is an integer multiple of 2**-1074
 
@@ -82,20 +79,6 @@ def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tup
     return *sums, numerator * _UNITS // denominator
 
 
-def exact_sum(magnitudes: np.ndarray, offset: float = 0.0) -> float:
-    """Correctly rounded sum of float64 ``magnitudes`` plus ``offset``.
-
-    ``magnitudes`` must have a clear sign bit (no negative value and no
-    -0.0), as ``np.abs`` returns them.  The result has the bits of
-    ``math.fsum``, which it calls below EXACT_SUM_MIN_SIZE elements.  Longer
-    arrays are summed as integers by ``_binade_sums``, the exact pass
-    ``threshold_index`` also makes, and one int true division rounds the sum.
-    """
-    if magnitudes.size < EXACT_SUM_MIN_SIZE:
-        return math.fsum(np.append(magnitudes, offset) if offset else magnitudes)
-    return sum(_binade_sums(magnitudes, offset)) / _UNITS
-
-
 def _unit_shift(largest: float) -> int:
     """The exponent s >= 0 that puts ``largest`` * 2**s in [0.5, 1]; 0 from 0.5 up.
 
@@ -124,15 +107,15 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     (n*lam for v, n*budget/(2 alpha) for w), and its rounding is the
     caller's.  ``magnitudes`` are nonnegative and nonincreasing, so prefix
     sums only grow: the float cumsum brackets k within its rounding error,
-    and exact ``exact_sum`` comparisons bisect the bracket.  Returns k
+    and the signs of exact prefix sums less the floor bisect it.  Returns k
     (1-based, size + 1 when even the full sum falls short), the fraction
     (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
     clipped to [0, 1] and 1 at k = size + 1, and the correctly rounded sums
     of the first k - 1 magnitudes (head), of all (total) and of those after
     the k-th (tail).  The remainder need - head is rounded once, so for
     need > 0 the clip acts only when the k-th prefix sum lies between the
-    floor and need.  Head, remainder, total and tail come from one exact
-    integer pass at every size.
+    floor and need.  The bisection's signs, and head, remainder, total and
+    tail, come from the one exact integer pass ``_binade_sums`` at every size.
     """
     floor = cover_floor(need)
     sums = np.cumsum(magnitudes)
@@ -140,7 +123,7 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     lo, hi = (int(i) for i in np.searchsorted(sums, (floor - slack, floor + slack)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_sum(magnitudes[: mid + 1], -floor) >= 0.0:
+        if sum(_binade_sums(magnitudes[: mid + 1], -floor)) >= 0:
             hi = mid
         else:
             lo = mid + 1

@@ -37,7 +37,6 @@ from .model import (
     _unit_shift,
     as_array,
     cover_floor,
-    exact_sum,
     sort_profile,
 )
 
@@ -68,8 +67,7 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
         raise ValueError("problem data must be finite")
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    # Sorted, the margins fall into one exponent run per binade for exact_sum.
-    if exact_sum(np.sort(np.abs(a))) < floor:
+    if fsum(np.abs(a)) < floor:
         raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
 
     sign = np.sign(a)
@@ -132,7 +130,7 @@ def enumerate_game_value(votes, lam: float) -> float:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
     floor = cover_floor(target)
-    if exact_sum(np.abs(a)) < floor:
+    if fsum(np.abs(a)) < floor:
         raise InfeasibleConstraint("no feasible label vector for this bound")
 
     grid, counts, sub, sub_counts, rest = _enumeration_table(n)
@@ -179,7 +177,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    if exact_sum(a) < cover_floor(target):
+    if fsum(a) < cover_floor(target):
         raise InfeasibleConstraint("no feasible label vector for this bound")
     # An exact shift up by a power of two puts the largest margin in [0.5, 1],
     # so the gains of subnormal margins round relatively (2.0**-e overflows).

@@ -12,7 +12,7 @@ from votebound.abstain import p_alg
 from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
 from votebound.game import game_value
-from votebound.model import LabelVector, cover_floor, exact_sum
+from votebound.model import LabelVector, cover_floor
 from votebound.oracle import (
     ENUM_MAX_N,
     GRID_MAX_N,
@@ -39,7 +39,7 @@ def reference_enumerate_game_value(votes, lam):
     a = np.asarray(votes, dtype=float)
     n = a.size
     target = n * lam
-    if exact_sum(np.abs(a)) < cover_floor(target):
+    if math.fsum(np.abs(a)) < cover_floor(target):
         raise InfeasibleConstraint("no feasible label vector for this bound")
     grid = product_grid(n)
     feasible = grid @ a >= cover_floor(target)
@@ -68,7 +68,7 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     a = np.abs(np.asarray(votes, dtype=float))
     n = a.size
     target = n * lam
-    if exact_sum(a) < cover_floor(target):
+    if math.fsum(a) < cover_floor(target):
         raise InfeasibleConstraint("no feasible label vector for this bound")
     shift = -min(math.frexp(a.max(initial=0.0))[1], 0)  # the same exact power-of-two shift
     a, target = np.ldexp(a, shift), math.ldexp(target, shift)
@@ -102,7 +102,7 @@ def reference_lp_best_response(costs, coeffs, rhs):
     a = np.asarray(coeffs, dtype=float)
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    if exact_sum(np.abs(a)) < floor:
+    if math.fsum(np.abs(a)) < floor:
         raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
     z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, np.sign(a)))
     lhs = float(a @ z)
@@ -297,7 +297,7 @@ def lp_instances(draw):
     n = draw(st.integers(1, 11))
     coeffs = np.array(draw(st.lists(lp_cells(1.0), min_size=n, max_size=n)))
     costs = np.array(draw(st.lists(lp_cells(2.0), min_size=n, max_size=n)))
-    total = exact_sum(np.abs(coeffs))
+    total = math.fsum(np.abs(coeffs))
     ulps = st.integers(-6, 6).map(lambda k: total + k * float(np.spacing(total)))
     rhs = draw(ulps | st.floats(-1.05, 1.05).map(lambda f: f * total))
     return costs, coeffs, rhs

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
-from votebound.model import EXACT_SUM_MIN_SIZE, cover_floor, threshold_index
+from votebound.model import cover_floor, threshold_index
 
 from test_golden import library_votes
 
@@ -163,9 +163,7 @@ def sorted_pool(kind: str, size: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["subnormal", "equal", "binades"])
-@pytest.mark.parametrize(
-    "size", [1, 2, 8, 64, EXACT_SUM_MIN_SIZE - 1, EXACT_SUM_MIN_SIZE, EXACT_SUM_MIN_SIZE + 1, 5000]
-)
+@pytest.mark.parametrize("size", [1, 2, 8, 64, 511, 512, 513, 5000])
 @pytest.mark.parametrize("cut", ["zero", "size", "binade"])
 def test_one_pass_sums_match_exact_rationals(kind, size, cut):
     # One integer pass split around k - 1 forms the sums at every size, and each
