@@ -44,6 +44,15 @@ ENUM_MAX_N = 8
 GRID_MAX_N = 4
 
 
+def _covers(magnitudes: np.ndarray, floor: float) -> bool:
+    """Whether the exact sum of ``magnitudes`` reaches ``floor``.
+
+    ``fsum`` rounds the exact sum less the floor once, which keeps its sign.
+    The rounded sum of ``magnitudes`` alone can land on the floor from below.
+    """
+    return fsum([*magnitudes.tolist(), -floor]) >= 0.0
+
+
 def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     """Minimize costs . z over z in [-1, 1]^n with coeffs . z >= rhs, by greedy exchange.
 
@@ -67,7 +76,7 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
         raise ValueError("problem data must be finite")
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    if fsum(np.abs(a)) < floor:
+    if not _covers(np.abs(a), floor):
         raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
 
     sign = np.sign(a)
@@ -130,7 +139,7 @@ def enumerate_game_value(votes, lam: float) -> float:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
     floor = cover_floor(target)
-    if fsum(np.abs(a)) < floor:
+    if not _covers(np.abs(a), floor):
         raise InfeasibleConstraint("no feasible label vector for this bound")
 
     grid, counts, sub, sub_counts, rest = _enumeration_table(n)
@@ -177,7 +186,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    if fsum(a) < cover_floor(target):
+    if not _covers(a, cover_floor(target)):
         raise InfeasibleConstraint("no feasible label vector for this bound")
     # An exact shift up by a power of two puts the largest margin in [0.5, 1],
     # so the gains of subnormal margins round relatively (2.0**-e overflows).

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def reference_enumerate_game_value(votes, lam):
     a = np.asarray(votes, dtype=float)
     n = a.size
     target = n * lam
-    if math.fsum(np.abs(a)) < cover_floor(target):
+    if math.fsum([*np.abs(a), -cover_floor(target)]) < 0.0:
         raise InfeasibleConstraint("no feasible label vector for this bound")
     grid = product_grid(n)
     feasible = grid @ a >= cover_floor(target)
@@ -68,7 +69,7 @@ def reference_grid_abstain_value(votes, lam, alpha, step):
     a = np.abs(np.asarray(votes, dtype=float))
     n = a.size
     target = n * lam
-    if math.fsum(a) < cover_floor(target):
+    if math.fsum([*a, -cover_floor(target)]) < 0.0:
         raise InfeasibleConstraint("no feasible label vector for this bound")
     shift = -min(math.frexp(a.max(initial=0.0))[1], 0)  # the same exact power-of-two shift
     a, target = np.ldexp(a, shift), math.ldexp(target, shift)
@@ -102,7 +103,7 @@ def reference_lp_best_response(costs, coeffs, rhs):
     a = np.asarray(coeffs, dtype=float)
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    if math.fsum(np.abs(a)) < floor:
+    if math.fsum([*np.abs(a), -floor]) < 0.0:
         raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
     z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, np.sign(a)))
     lhs = float(a @ z)
@@ -616,6 +617,35 @@ def test_oracles_accept_every_instance_the_solver_accepts():
         worst_case_abstain_loss(profile, g_star, solve_abstain(profile, 0.25).p_alg)
         assert certify_instance(votes, lam, 0.25, grid_step=0.02)["ok"], (votes, lam)
     assert accepted == 18_628
+
+
+def refuses(solver, *args) -> bool:
+    try:
+        solver(*args)
+    except InfeasibleConstraint:
+        return True
+    return False
+
+
+def test_each_oracle_refuses_exactly_the_instances_the_solver_refuses():
+    # The rounded sum of |votes| can reach the floor while the exact sum falls short of
+    # it: the solver refuses those instances, and so must each oracle.
+    rng = np.random.default_rng(0)
+    rounded_up = 0
+    for _ in range(1_200):
+        n = int(rng.choice([2, 3, 4, 8, 512, 1000]))
+        votes = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        lam = math.fsum(np.abs(votes)) / n * (1.0 + int(rng.integers(-2, 5)) * 2.0**-52)
+        floor = cover_floor(n * lam)
+        refused = refuses(sort_profile, votes, lam)
+        assert refused == (sum(map(Fraction, np.abs(votes))) < floor)
+        rounded_up += refused and math.fsum(np.abs(votes)) >= floor
+        assert refuses(lp_best_response, np.ones(n), votes, n * lam) == refused, (votes, lam)
+        if n <= ENUM_MAX_N:
+            assert refuses(enumerate_game_value, votes, lam) == refused, (votes, lam)
+        if n <= GRID_MAX_N:
+            assert refuses(grid_abstain_value, votes, lam, 0.25, 0.1) == refused, (votes, lam)
+    assert rounded_up > 0
 
 
 class TestCertifyBatch:
