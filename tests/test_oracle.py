@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from votebound import oracle, solve_abstain, solve_game, sort_profile
+from votebound import model, oracle, solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
 from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
@@ -646,6 +646,29 @@ def test_each_oracle_refuses_exactly_the_instances_the_solver_refuses():
         if n <= GRID_MAX_N:
             assert refuses(grid_abstain_value, votes, lam, 0.25, 0.1) == refused, (votes, lam)
     assert rounded_up > 0
+
+
+def test_oracles_never_run_the_solvers_integer_pass(monkeypatch):
+    # The oracles check the sums the solver forms, so they must not form them with its code.
+    def integer_pass(*args):
+        raise AssertionError("the solver's integer pass ran")
+
+    monkeypatch.setattr(model, "_binade_sums", integer_pass)
+    rng = np.random.default_rng(30)
+    with pytest.raises(AssertionError, match="integer pass"):
+        sort_profile(rng.uniform(-1.0, 1.0, 4), 0.1)
+    for n in (4, 8, 600, 10_000):
+        votes = rng.uniform(-1.0, 1.0, n)
+        rhs = 0.5 * math.fsum(np.abs(votes))
+        lp_best_response(rng.uniform(-1.0, 1.0, n), votes, rhs)
+        with pytest.raises(InfeasibleConstraint):
+            lp_best_response(np.ones(n), votes, 2.0 * rhs + 1.0)
+    for n in range(1, ENUM_MAX_N + 1):
+        votes = rng.uniform(-1.0, 1.0, n)
+        lam = 0.5 * math.fsum(np.abs(votes)) / n
+        enumerate_game_value(votes, lam)
+        if n <= GRID_MAX_N:
+            grid_abstain_value(votes, lam, 0.25, 0.1)
 
 
 class TestCertifyBatch:
