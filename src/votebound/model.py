@@ -53,8 +53,9 @@ def as_array(vector) -> np.ndarray:
 def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, ...]:
     """Sums of ``magnitudes[:cut]``, ``[cut]``, ``[cut + 1:]`` and ``offset``, in units of 2**-1074.
 
-    ``magnitudes`` must have a clear sign bit.  Each float64 is its 52-bit
-    fraction field plus the implicit leading bit, scaled by 2**exponent.
+    ``magnitudes`` must be non-empty, and each must have a clear sign bit
+    (no -0.0), as ``np.abs`` gives them.  Each float64 is its 52-bit fraction
+    field plus the implicit leading bit, scaled by 2**exponent.
     ``np.add.reduceat`` sums the fields' 26-bit halves, which cannot overflow,
     over each run of equal exponent (one per binade when sorted), also split
     around ``cut``, and Python ints add the run sums.  ``scratch``, an optional

@@ -50,7 +50,9 @@ def _covers(magnitudes: np.ndarray, floor: float) -> bool:
     ``fsum`` rounds the exact sum less the floor once, which keeps its sign.
     The rounded sum of ``magnitudes`` alone can land on the floor from below.
     """
-    return fsum([*magnitudes.tolist(), -floor]) >= 0.0
+    terms = magnitudes.tolist()
+    terms.append(-floor)
+    return fsum(terms) >= 0.0
 
 
 def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
@@ -66,7 +68,8 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     Exact because the objective and constraint are both linear and the box
     has a single side constraint.  ``model.cover_floor`` decides when the
     constraint is met, and the instance is feasible when the exact sum of
-    |a_i| reaches that floor, as in the solvers.
+    |a_i| reaches that floor, the solvers' rule, decided by ``math.fsum``
+    (``_covers``) and not by the solvers' integer pass.
     """
     c = as_array(costs)
     a = as_array(coeffs)
