@@ -297,8 +297,8 @@ def cmd_verify(args) -> int:
     else:
         if args.lam is None:
             raise ValueError("--lambda is required with --votes")
-        votes = _read_votes(args.votes)
-        payload = {"instances_checked": 1, **certify_instance(votes, args.lam, args.alpha)}
+        profile = sort_profile(_read_votes(args.votes), args.lam)
+        payload = {"instances_checked": 1, **certify_instance(profile, args.alpha)}
         del payload["deviations"], payload["grid_excess"]
     _emit(payload, args, args.out)
     return 0 if payload["ok"] else 1

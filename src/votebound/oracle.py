@@ -44,15 +44,16 @@ ENUM_MAX_N = 8
 GRID_MAX_N = 4
 
 
-def _covers(magnitudes: np.ndarray, floor: float) -> bool:
-    """Whether the exact sum of ``magnitudes`` reaches ``floor``.
+def _require_cover(magnitudes: np.ndarray, floor: float) -> None:
+    """Raise InfeasibleConstraint unless the exact sum of ``magnitudes`` reaches ``floor``.
 
     ``fsum`` rounds the exact sum less the floor once, which keeps its sign.
     The rounded sum of ``magnitudes`` alone can land on the floor from below.
     """
     terms = magnitudes.tolist()
     terms.append(-floor)
-    return fsum(terms) >= 0.0
+    if not fsum(terms) >= 0.0:
+        raise InfeasibleConstraint("no feasible label vector for this bound")
 
 
 def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
@@ -69,7 +70,7 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     has a single side constraint.  ``model.cover_floor`` decides when the
     constraint is met, and the instance is feasible when the exact sum of
     |a_i| reaches that floor, the solvers' rule, decided by ``math.fsum``
-    (``_covers``) and not by the solvers' integer pass.
+    (``_require_cover``) and not by the solvers' integer pass.
     """
     c = as_array(costs)
     a = as_array(coeffs)
@@ -79,8 +80,7 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
         raise ValueError("problem data must be finite")
     rhs = float(rhs)
     floor = cover_floor(rhs)
-    if not _covers(np.abs(a), floor):
-        raise InfeasibleConstraint("constraint unreachable even at z = sign(coeffs)")
+    _require_cover(np.abs(a), floor)
 
     sign = np.sign(a)
     z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, sign))
@@ -142,8 +142,7 @@ def enumerate_game_value(votes, lam: float) -> float:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
     floor = cover_floor(target)
-    if not _covers(np.abs(a), floor):
-        raise InfeasibleConstraint("no feasible label vector for this bound")
+    _require_cover(np.abs(a), floor)
 
     grid, counts, sub, sub_counts, rest = _enumeration_table(n)
     # z = sign(a) is feasible by the exact-sum rule even where its float dot falls short.
@@ -189,8 +188,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    if not _covers(a, cover_floor(target)):
-        raise InfeasibleConstraint("no feasible label vector for this bound")
+    _require_cover(a, cover_floor(target))
     # An exact shift up by a power of two puts the largest margin in [0.5, 1],
     # so the gains of subnormal margins round relatively (2.0**-e overflows).
     shift = _unit_shift(a.max(initial=0.0))
@@ -220,7 +218,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     first[-1] = min(first[-1], tail_gain.size - 1)
     met = first < tail_gain.size
     best = (payoffs[met] + tail_pay[first[met]]).max()
-    return (best + base) / n
+    return float(best + base) / n
 
 
 def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) -> float:
@@ -253,10 +251,11 @@ def random_instances(count: int, seed: int, nmax: int):
 
 
 def certify_instance(
-    votes, lam: float, alpha: Optional[float] = None, grid_step: Optional[float] = None
+    profile: VoteProfile, alpha: Optional[float] = None, grid_step: Optional[float] = None
 ) -> dict:
-    """Certify one instance against every oracle that reaches its size.
+    """Certify ``profile`` against every oracle that reaches its size.
 
+    Each oracle reads the profile's own votes, clipped to [-1, 1], and lam.
     The saddle best responses run at every n, the game value's enumeration at
     n <= ENUM_MAX_N and, with ``alpha``, the structure-free abstain grid at
     n <= GRID_MAX_N, held to its n*step/2 accuracy (``grid_excess``, -inf when
@@ -271,20 +270,20 @@ def certify_instance(
     of the value and, with ``alpha``, the exact abstain value to lie in its
     bracket to within SOLVER_TOL.
     """
-    profile = sort_profile(votes, lam)
+    votes, lam, n = profile.votes, profile.lam, profile.n
     solution = solve_game(profile)
-    enumerated = enumerate_game_value(votes, lam) if profile.n <= ENUM_MAX_N else None
+    enumerated = enumerate_game_value(votes, lam) if n <= ENUM_MAX_N else None
     deviations = {}
     if enumerated is not None:
         deviations["value_vs_enumeration"] = abs(solution.value - enumerated)
     # Nature's exact LP best response to g_star, and the predictor's to z_star, must pay the value.
-    _, objective = lp_best_response(solution.g_star.values, profile.votes, profile.n * profile.lam)
+    _, objective = lp_best_response(solution.g_star.values, votes, n * lam)
     saddle = {
-        "nature_best_response": objective / profile.n,
+        "nature_best_response": objective / n,
         "predictor_best_response": float(np.abs(solution.z_star.values).mean()),
     }
     deviations["saddle"] = max(abs(side - solution.value) for side in saddle.values())
-    feasible = fsum(profile.votes * solution.z_star.values) >= cover_floor(profile.n * profile.lam)
+    feasible = fsum(votes * solution.z_star.values) >= cover_floor(n * lam)
     consistent = solution.lower_bound <= solution.value * (1.0 + SOLVER_TOL)
     abstain = {}
     grid_excess = -np.inf
@@ -294,10 +293,10 @@ def certify_instance(
         abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
         consistent &= lower - SOLVER_TOL <= exact <= upper + SOLVER_TOL
         abstain["abstain_grid_value"] = None
-        if profile.n <= GRID_MAX_N:
-            step = (0.005 if profile.n <= 3 else 0.02) if grid_step is None else grid_step
+        if n <= GRID_MAX_N:
+            step = (0.005 if n <= 3 else 0.02) if grid_step is None else grid_step
             abstain["abstain_grid_value"] = grid_abstain_value(votes, lam, alpha, step)
-            grid_excess = abs(abstain["abstain_grid_value"] - exact) - profile.n * step / 2.0
+            grid_excess = abs(abstain["abstain_grid_value"] - exact) - n * step / 2.0
     max_deviation = max(deviations.values())
     return {
         "closed_form_value": solution.value,
@@ -314,7 +313,7 @@ def certify_instance(
 
 
 def certify_batch(count: int, seed: int, nmax: int) -> dict:
-    """Run ``certify_instance`` over seeded random instances.
+    """Run ``certify_instance`` over the profiles of seeded random instances.
 
     Returns an aggregate summary with the worst instance observed.
     """
@@ -324,25 +323,25 @@ def certify_batch(count: int, seed: int, nmax: int) -> dict:
     grid_checked = 0
     ok = True
     for votes, lam, alpha in random_instances(count, seed, nmax):
-        check = certify_instance(votes, lam, alpha, grid_step=0.02)
+        check = certify_instance(sort_profile(votes, lam), alpha, grid_step=0.02)
         ok &= check["ok"]
         grid_checked += check["abstain_grid_value"] is not None
         max_grid_excess = max(max_grid_excess, check["grid_excess"])
         if check["max_deviation"] > max_closed_dev:
             max_closed_dev = check["max_deviation"]
             worst = {
-                "votes": [float(x) for x in votes],
+                "votes": votes.tolist(),
                 "lam": lam,
                 "alpha": alpha,
-                "deviations": {k: float(d) for k, d in check["deviations"].items()},
+                "deviations": check["deviations"],
             }
     return {
         "instances_checked": count,
         "seed": seed,
         "nmax": nmax,
-        "max_deviation": float(max_closed_dev),
+        "max_deviation": max_closed_dev,
         "grid_instances_checked": grid_checked,
-        "max_grid_excess": float(max_grid_excess) if grid_checked else None,
+        "max_grid_excess": max_grid_excess if grid_checked else None,
         "worst_instance": worst,
         "ok": ok,
     }

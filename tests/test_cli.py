@@ -1097,6 +1097,22 @@ class TestVerifyCommand:
         assert report["abstain_value_exact"] == 0.1484375
         assert report["ok"] is True
 
+    @pytest.mark.parametrize(
+        "vote, alpha",
+        [("1.0000000000009", []), ("-1.0000000000009", ["--alpha", "0.25"])],
+        ids=["above-one", "below-minus-one-abstain"],
+    )
+    def test_vote_clipped_by_the_profile_reaches_every_oracle_clipped(
+        self, tmp_path, capsys, vote, alpha
+    ):
+        # Nature takes the full clipped vote and 0.0001 of the 0.0002 one: value 0.75.
+        # An oracle that read the unclipped vote would take less and report about 0.75 - 2.25e-9.
+        votes = write_votes(tmp_path, f"vote\n{vote}\n0.0002\n")
+        code, report = run(capsys, "verify", "--votes", votes, "--lambda", "0.50005", *alpha)
+        assert code == 0
+        assert report["oracle_value"] == report["closed_form_value"] == 0.75
+        assert report["ok"] is True
+
     def test_subnormal_vote_leaves_stderr_empty(self, tmp_path):
         # The enumeration oracle divides by the 1e-310 vote; the inf it makes
         # is dropped by the box test and must not print a numpy warning.

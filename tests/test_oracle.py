@@ -449,17 +449,17 @@ class TestGridAbstainValue:
 
 class TestCertifySaddle:
     def test_fix1(self, fix1):
-        check = certify_instance(fix1.votes, fix1.lam)
+        check = certify_instance(fix1)
         assert check["deviations"]["saddle"] < 1e-9
         assert check["saddle"]["nature_best_response"] == pytest.approx(0.6, abs=1e-12)
         assert check["saddle"]["predictor_best_response"] == pytest.approx(0.6, abs=1e-12)
 
     def test_fix2_integral_binding(self, fix2):
-        assert certify_instance(fix2.votes, fix2.lam)["deviations"]["saddle"] < 1e-9
+        assert certify_instance(fix2)["deviations"]["saddle"] < 1e-9
 
     def test_batch_random_instances(self):
         for votes, lam, _ in random_instances(count=200, seed=34, nmax=6):
-            assert certify_instance(votes, lam)["deviations"]["saddle"] < 1e-9
+            assert certify_instance(sort_profile(votes, lam))["deviations"]["saddle"] < 1e-9
 
 
 class TestCertifyFeasibility:
@@ -483,7 +483,7 @@ class TestCertifyFeasibility:
         monkeypatch.setattr(oracle, "solve_game", swapped)
 
     def test_instance(self):
-        check = certify_instance([1.0, 0.8, 0.5, 0.2], 0.5, 0.25)
+        check = certify_instance(sort_profile([1.0, 0.8, 0.5, 0.2], 0.5), 0.25)
         assert check["deviations"]["saddle"] < 1e-9
         assert check["ok"] is False
 
@@ -535,7 +535,7 @@ class TestCertifyConsistency:
         monkeypatch.setattr(oracle, name, mutate(getattr(oracle, name)))
 
     def test_instance(self):
-        check = certify_instance([1.0, 0.8, 0.5, 0.2], 0.5, 0.25)
+        check = certify_instance(sort_profile([1.0, 0.8, 0.5, 0.2], 0.5), 0.25)
         assert check["max_deviation"] < 1e-9 and check["grid_excess"] <= 1e-9
         assert check["ok"] is False
 
@@ -615,8 +615,34 @@ def test_oracles_accept_every_instance_the_solver_accepts():
         accepted += 1
         g_star = solve_game(profile).g_star
         worst_case_abstain_loss(profile, g_star, solve_abstain(profile, 0.25).p_alg)
-        assert certify_instance(votes, lam, 0.25, grid_step=0.02)["ok"], (votes, lam)
+        assert certify_instance(profile, 0.25, grid_step=0.02)["ok"], (votes, lam)
     assert accepted == 18_628
+
+
+def clipped_vote_family(count=2_000, seed=31):
+    """(votes, lam) with one vote k*1e-13 past +-1 and a small pivot partly taken.
+
+    n in 2..8, votes uniform(-1, 1), the last replaced by +-10^U(-7, -3) and one
+    other set to +-(1 + k*1e-13), k in 1..9.  lam leaves U(0.1, 0.9) of the
+    smallest margin untaken, so the result moves by 1e-12 / (n * pivot) if an
+    oracle reads the vote unclipped.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        votes = rng.uniform(-1.0, 1.0, n)
+        votes[-1] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
+        beyond = rng.choice([-1.0, 1.0]) * (1.0 + rng.integers(1, 10) * 1e-13)
+        votes[rng.integers(0, n - 1)] = beyond
+        margins = np.abs(np.clip(votes, -1.0, 1.0))
+        yield votes, (math.fsum(margins) - rng.uniform(0.1, 0.9) * margins.min()) / n
+
+
+def test_oracles_certify_the_clipped_instance_the_solver_solves():
+    for votes, lam in clipped_vote_family():
+        profile = sort_profile(votes, lam)
+        assert np.abs(profile.votes).max() == 1.0
+        assert certify_instance(profile, 0.25, grid_step=0.02)["ok"], (votes, lam)
 
 
 def refuses(solver, *args) -> bool:
