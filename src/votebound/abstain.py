@@ -38,7 +38,7 @@ class AbstainSolution:
     neither trivial nor alpha >= 1/2.
 
     - alpha: the cost of abstaining, positive and finite.
-    - trivial: alpha <= (1/2)(1 - n*lam / S_n), inclusive: always abstaining is optimal.
+    - trivial: alpha <= (1/2)(1 - n*lam / S_n) + VALIDATION_TOL: always abstaining is optimal.
     - w: min { i : 2 alpha S_i covers n*budget }, the index where nature's raises stop;
       w <= v.  Covering is ``model.cover_floor``'s rule, as for v.
     - budget: lam - (1 - 2 alpha) S_n / n, what nature must cover once every |z_i| is 1 - 2 alpha;

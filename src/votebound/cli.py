@@ -298,8 +298,9 @@ def cmd_verify(args) -> int:
         if args.lam is None:
             raise ValueError("--lambda is required with --votes")
         profile = sort_profile(_read_votes(args.votes), args.lam)
-        payload = {"instances_checked": 1, **certify_instance(profile, args.alpha)}
-        del payload["deviations"], payload["grid_excess"]
+        abstain = None if args.alpha is None else solve_abstain(profile, args.alpha)
+        report, _, _ = certify_instance(profile, solve_game(profile), abstain)
+        payload = {"instances_checked": 1, **report}
     _emit(payload, args, args.out)
     return 0 if payload["ok"] else 1
 

@@ -20,8 +20,8 @@ from .errors import (
     InvalidCost,
 )
 
-# Slack of the checks on O(1) inputs (boxes, weight sums, lam <= 1, the trivial-alpha
-# edge); coverage uses cover_floor and solver-side assertions use SOLVER_TOL.
+# Slack of the checks on O(1) inputs (boxes, weight sums, the trivial-alpha edge);
+# coverage uses cover_floor and solver-side assertions use SOLVER_TOL.
 VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -330,7 +330,7 @@ class VoteProfile:
                 "correlation bound must be positive; callers may fall back to "
                 "the averaged prediction g = a"
             )
-        if lam > 1.0 + VALIDATION_TOL:
+        if lam > 1.0:
             raise InfeasibleConstraint("correlation bound cannot exceed 1")
         abs_sorted = np.copysign(votes, -1.0)
         abs_sorted.sort()  # -|a| ascending, so |a| descending, in one buffer
@@ -338,8 +338,7 @@ class VoteProfile:
         v, head, fraction, total, tail = threshold_index(abs_sorted, votes.size * lam)
         if v > votes.size:
             raise InfeasibleConstraint(
-                f"mean |vote| {total / votes.size:.6g} is below the "
-                f"correlation bound {lam:.6g}"
+                f"mean |vote| {total / votes.size!r} is below the correlation bound {lam!r}"
             )
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "lam", lam)

@@ -6,14 +6,14 @@ enumeration scans every optimum shape a single-constraint box program
 admits, and the grid search is structure-free.  The LP has no size cap: one
 sort and one cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
 and the grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which
-oracle runs at which size.  The enumeration reads a per-n table, built once on
-first use and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, each
-row's nonzero count and each coordinate's list of the others.  It handles
-every fractional coordinate in one stacked matrix-vector product, which keeps
-the bits of one product per coordinate (see enumerate_game_value).  The
-abstain grid keeps only the levels and partial sums no other beats on both,
-which is exact because float addition rounds monotonically (see
-grid_abstain_value).
+oracle runs at which size, on solutions it is handed: only ``certify_batch``
+calls a solver.  The enumeration reads a per-n table, built once on first use
+and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, each row's
+nonzero count and each coordinate's list of the others.  It handles every
+fractional coordinate in one stacked matrix-vector product, which keeps the
+bits of one product per coordinate (see enumerate_game_value).  The abstain
+grid keeps only the levels and partial sums no other beats on both, which is
+exact because float addition rounds monotonically (see grid_abstain_value).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .abstain import solve_abstain
+from .abstain import AbstainSolution, solve_abstain
 from .errors import InfeasibleConstraint
-from .game import solve_game
+from .game import GameSolution, solve_game
 from .model import (
     SOLVER_TOL,
     AbstainStrategy,
@@ -251,69 +251,67 @@ def random_instances(count: int, seed: int, nmax: int):
 
 
 def certify_instance(
-    profile: VoteProfile, alpha: Optional[float] = None, grid_step: Optional[float] = None
-) -> dict:
-    """Certify ``profile`` against every oracle that reaches its size.
+    profile: VoteProfile,
+    game: GameSolution,
+    abstain: Optional[AbstainSolution] = None,
+    grid_step: Optional[float] = None,
+) -> tuple[dict, dict, float]:
+    """Check ``game`` and ``abstain``, solved on ``profile``, against the oracles that reach n.
 
-    Each oracle reads the profile's own votes, clipped to [-1, 1], and lam.
-    The saddle best responses run at every n, the game value's enumeration at
-    n <= ENUM_MAX_N and, with ``alpha``, the structure-free abstain grid at
-    n <= GRID_MAX_N, held to its n*step/2 accuracy (``grid_excess``, -inf when
-    no grid ran).  The step is ``grid_step``, else 0.005 up to n = 3 and 0.02
-    at n = 4.  An oracle that did not run reports None, so the keys depend
-    only on ``alpha``.  ``deviations`` holds every closed-form deviation by
-    check name; ``ok`` requires all of them and the grid excess to stay within
-    SOLVER_TOL, and z* to meet the correlation constraint: the ``fsum`` of
-    votes * z* must reach ``cover_floor(n*lam)``.  The predictor's best
-    response reads only mean |z*|, which no permutation of z* changes.  ``ok``
-    also requires the game's lower bound to stay within a relative SOLVER_TOL
-    of the value and, with ``alpha``, the exact abstain value to lie in its
-    bracket to within SOLVER_TOL.
+    Runs no solver.  Each oracle reads the profile's own votes, clipped to
+    [-1, 1], and lam.  The saddle best responses run at every n, the game
+    value's enumeration at n <= ENUM_MAX_N and, with ``abstain``, the abstain
+    grid at ``abstain.alpha`` and n <= GRID_MAX_N, with step ``grid_step``,
+    else 0.005 up to n = 3 and 0.02 at n = 4.  Returns ``(report, deviations,
+    grid_excess)``: what ``verify --votes`` prints, its keys set by ``abstain``
+    alone (an oracle that did not run reports None); each closed-form deviation
+    by check name; and the grid's excess over its n*step/2 accuracy, -inf when
+    no grid ran.  ``ok`` requires these, and the exact abstain value's distance
+    outside its bracket, to stay within SOLVER_TOL, z* to meet the correlation
+    constraint (the ``fsum`` of votes * z* reaches ``cover_floor(n*lam)``; the
+    predictor's best response reads only mean |z*|, which no permutation of z*
+    changes), and the game's lower bound to stay within a relative SOLVER_TOL of the value.
     """
     votes, lam, n = profile.votes, profile.lam, profile.n
-    solution = solve_game(profile)
     enumerated = enumerate_game_value(votes, lam) if n <= ENUM_MAX_N else None
     deviations = {}
     if enumerated is not None:
-        deviations["value_vs_enumeration"] = abs(solution.value - enumerated)
+        deviations["value_vs_enumeration"] = abs(game.value - enumerated)
     # Nature's exact LP best response to g_star, and the predictor's to z_star, must pay the value.
-    _, objective = lp_best_response(solution.g_star.values, votes, n * lam)
+    _, objective = lp_best_response(game.g_star.values, votes, n * lam)
     saddle = {
         "nature_best_response": objective / n,
-        "predictor_best_response": float(np.abs(solution.z_star.values).mean()),
+        "predictor_best_response": float(np.abs(game.z_star.values).mean()),
     }
-    deviations["saddle"] = max(abs(side - solution.value) for side in saddle.values())
-    feasible = fsum(votes * solution.z_star.values) >= cover_floor(n * lam)
-    consistent = solution.lower_bound <= solution.value * (1.0 + SOLVER_TOL)
-    abstain = {}
+    deviations["saddle"] = max(abs(side - game.value) for side in saddle.values())
+    feasible = fsum(votes * game.z_star.values) >= cover_floor(n * lam)
+    consistent = game.lower_bound <= game.value * (1.0 + SOLVER_TOL)
+    bracket = {}
     grid_excess = -np.inf
-    if alpha is not None:
-        solved = solve_abstain(profile, alpha)
-        exact, lower, upper = solved.value_exact, solved.value_lower, solved.value_upper
-        abstain = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
+    if abstain is not None:
+        exact, lower, upper = abstain.value_exact, abstain.value_lower, abstain.value_upper
+        bracket = {"abstain_value_exact": exact, "abstain_value_bounds": [lower, upper]}
         consistent &= lower - SOLVER_TOL <= exact <= upper + SOLVER_TOL
-        abstain["abstain_grid_value"] = None
+        bracket["abstain_grid_value"] = None
         if n <= GRID_MAX_N:
             step = (0.005 if n <= 3 else 0.02) if grid_step is None else grid_step
-            abstain["abstain_grid_value"] = grid_abstain_value(votes, lam, alpha, step)
-            grid_excess = abs(abstain["abstain_grid_value"] - exact) - n * step / 2.0
+            bracket["abstain_grid_value"] = grid_abstain_value(votes, lam, abstain.alpha, step)
+            grid_excess = abs(bracket["abstain_grid_value"] - exact) - n * step / 2.0
     max_deviation = max(deviations.values())
-    return {
-        "closed_form_value": solution.value,
+    ok = feasible and consistent and max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL
+    report = {
+        "closed_form_value": game.value,
         "oracle_value": enumerated,
         "saddle": saddle,
         "max_deviation": max_deviation,
-        **abstain,
-        "ok": bool(
-            feasible and consistent and max_deviation <= SOLVER_TOL and grid_excess <= SOLVER_TOL
-        ),
-        "deviations": deviations,
-        "grid_excess": grid_excess,
+        **bracket,
+        "ok": bool(ok),
     }
+    return report, deviations, grid_excess
 
 
 def certify_batch(count: int, seed: int, nmax: int) -> dict:
-    """Run ``certify_instance`` over the profiles of seeded random instances.
+    """Solve seeded random instances once each and check them with ``certify_instance``.
 
     Returns an aggregate summary with the worst instance observed.
     """
@@ -323,17 +321,19 @@ def certify_batch(count: int, seed: int, nmax: int) -> dict:
     grid_checked = 0
     ok = True
     for votes, lam, alpha in random_instances(count, seed, nmax):
-        check = certify_instance(sort_profile(votes, lam), alpha, grid_step=0.02)
+        profile = sort_profile(votes, lam)
+        game, abstain = solve_game(profile), solve_abstain(profile, alpha)
+        check, deviations, grid_excess = certify_instance(profile, game, abstain, grid_step=0.02)
         ok &= check["ok"]
         grid_checked += check["abstain_grid_value"] is not None
-        max_grid_excess = max(max_grid_excess, check["grid_excess"])
+        max_grid_excess = max(max_grid_excess, grid_excess)
         if check["max_deviation"] > max_closed_dev:
             max_closed_dev = check["max_deviation"]
             worst = {
                 "votes": votes.tolist(),
                 "lam": lam,
                 "alpha": alpha,
-                "deviations": check["deviations"],
+                "deviations": deviations,
             }
     return {
         "instances_checked": count,

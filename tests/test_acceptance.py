@@ -53,7 +53,8 @@ def test_criterion_1_game_value_vs_enumeration():
 def test_criterion_2_saddle_certification():
     worst = 0.0
     for votes, lam, _ in BATCH:
-        worst = max(worst, certify_instance(sort_profile(votes, lam))["deviations"]["saddle"])
+        profile = sort_profile(votes, lam)
+        worst = max(worst, certify_instance(profile, solve_game(profile))[1]["saddle"])
     report(
         2,
         worst <= TOL,

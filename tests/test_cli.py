@@ -728,7 +728,8 @@ class TestPipelineCommand:
         assert code == 2
         assert report == {
             "error": "infeasible_constraint",
-            "message": "mean |vote| 0.777778 is below the correlation bound 0.86025",
+            "message": "mean |vote| 0.7777777777777778 is below the correlation bound "
+            "0.8602500940935824",
         }
 
     def test_all_right_training_gives_a_zero_gibbs_error(self, tmp_path, capsys):

@@ -143,6 +143,17 @@ class TestSortProfile:
         with pytest.raises(InfeasibleConstraint):
             sort_profile([1.0, 1.0], 1.5)
 
+    @pytest.mark.parametrize("lam", [math.nextafter(1.0, 2.0), 1 + 5e-13])
+    def test_lambda_any_float_past_one(self, lam):
+        # No float mean of margins in [0, 1] exceeds 1, so lam past 1 gets no slack.
+        with pytest.raises(InfeasibleConstraint, match="^correlation bound cannot exceed 1$"):
+            sort_profile([1.0, 1.0], lam)
+
+    def test_shortfall_message_tells_the_two_sides_apart(self):
+        message = "mean |vote| 0.3 is below the correlation bound 0.3000001"
+        with pytest.raises(InfeasibleConstraint, match=f"^{re.escape(message)}$"):
+            sort_profile([0.3] * 3, 0.3000001)
+
     def test_exact_boundary_is_feasible(self):
         profile = sort_profile([0.5, 0.3], 0.4)
         assert profile.lam == 0.4
@@ -344,7 +355,7 @@ CASES = [
 ]
 # A profile also needs a nonzero margin that covers lam.
 PROFILE_REFUSALS = {
-    (-0.0,): (InfeasibleConstraint, "mean |vote| 0 is below the correlation bound 0.25"),
+    (-0.0,): (InfeasibleConstraint, "mean |vote| 0.0 is below the correlation bound 0.25"),
     (): (DimensionError, "votes must form a non-empty 1-D vector"),
 }
 

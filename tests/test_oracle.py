@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from votebound import model, oracle, solve_abstain, solve_game, sort_profile
+from votebound import cli, model, oracle, solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
 from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
@@ -449,17 +449,49 @@ class TestGridAbstainValue:
 
 class TestCertifySaddle:
     def test_fix1(self, fix1):
-        check = certify_instance(fix1)
-        assert check["deviations"]["saddle"] < 1e-9
+        check, deviations, _ = certify_instance(fix1, solve_game(fix1))
+        assert deviations["saddle"] < 1e-9
         assert check["saddle"]["nature_best_response"] == pytest.approx(0.6, abs=1e-12)
         assert check["saddle"]["predictor_best_response"] == pytest.approx(0.6, abs=1e-12)
 
     def test_fix2_integral_binding(self, fix2):
-        assert certify_instance(fix2)["deviations"]["saddle"] < 1e-9
+        assert certify_instance(fix2, solve_game(fix2))[1]["saddle"] < 1e-9
 
     def test_batch_random_instances(self):
         for votes, lam, _ in random_instances(count=200, seed=34, nmax=6):
-            assert certify_instance(sort_profile(votes, lam))["deviations"]["saddle"] < 1e-9
+            profile = sort_profile(votes, lam)
+            assert certify_instance(profile, solve_game(profile))[1]["saddle"] < 1e-9
+
+
+def test_certify_instance_runs_no_solver(fix1, monkeypatch):
+    game, abstain = solve_game(fix1), solve_abstain(fix1, 0.25)
+
+    def refuse(*args):
+        raise AssertionError("certify_instance ran a solver")
+
+    monkeypatch.setattr(oracle, "solve_game", refuse)
+    monkeypatch.setattr(oracle, "solve_abstain", refuse)
+    assert certify_instance(fix1, game, abstain)[0]["ok"] is True
+
+
+def test_game_solution_of_another_size_raises(fix1):
+    # The saddle LP refuses g* against votes of another length; certify_instance adds no check.
+    other = solve_game(sort_profile([1.0, 0.8, 0.5], 0.5))
+    with pytest.raises(ValueError, match="costs and constraint coefficients must match"):
+        certify_instance(fix1, other)
+
+
+def patch_solver(monkeypatch, module, name, mutate):
+    """Make ``module.name`` return its solution passed through ``mutate``."""
+    solve = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: mutate(solve(*args)))
+
+
+def _swapped_z_star(solution):
+    z = np.array(solution.z_star.values)
+    i, j = np.argmax(np.abs(z)), np.argmin(np.abs(z))
+    z[[i, j]] = z[[j, i]]
+    return dataclasses.replace(solution, z_star=LabelVector(z))
 
 
 class TestCertifyFeasibility:
@@ -469,50 +501,30 @@ class TestCertifyFeasibility:
     predictor's side of the saddle, but drops a . z* below n*lam.
     """
 
-    @pytest.fixture(autouse=True)
-    def swapped_z_star(self, monkeypatch):
-        solve = oracle.solve_game
-
-        def swapped(profile):
-            solution = solve(profile)
-            z = np.array(solution.z_star.values)
-            i, j = np.argmax(np.abs(z)), np.argmin(np.abs(z))
-            z[[i, j]] = z[[j, i]]
-            return dataclasses.replace(solution, z_star=LabelVector(z))
-
-        monkeypatch.setattr(oracle, "solve_game", swapped)
-
-    def test_instance(self):
-        check = certify_instance(sort_profile([1.0, 0.8, 0.5, 0.2], 0.5), 0.25)
-        assert check["deviations"]["saddle"] < 1e-9
+    def test_instance(self, fix1):
+        game = _swapped_z_star(solve_game(fix1))
+        check, deviations, _ = certify_instance(fix1, game, solve_abstain(fix1, 0.25))
+        assert deviations["saddle"] < 1e-9
         assert check["ok"] is False
 
-    def test_batch(self):
+    def test_batch(self, monkeypatch):
+        patch_solver(monkeypatch, oracle, "solve_game", _swapped_z_star)
         assert certify_batch(count=20, seed=1, nmax=8)["ok"] is False
 
-    def test_verify_command_exits_1(self, tmp_path, capsys):
+    def test_verify_command_exits_1(self, tmp_path, capsys, monkeypatch):
+        patch_solver(monkeypatch, cli, "solve_game", _swapped_z_star)
         votes = tmp_path / "votes.csv"
         votes.write_text("vote\n1.0\n0.8\n0.5\n0.2\n")
         assert main(["verify", "--votes", str(votes), "--lambda", "0.5"]) == 1
         capsys.readouterr()
 
 
-def _lower_bound_above_value(solve):
-    def mutant(profile):
-        solution = solve(profile)
-        return dataclasses.replace(solution, lower_bound=solution.value + 0.01)
-
-    return mutant
+def _lower_bound_above_value(solution):
+    return dataclasses.replace(solution, lower_bound=solution.value + 0.01)
 
 
-def _swapped_abstain_bounds(solve):
-    def mutant(profile, alpha):
-        solved = solve(profile, alpha)
-        return dataclasses.replace(
-            solved, value_lower=solved.value_upper, value_upper=solved.value_lower
-        )
-
-    return mutant
+def _swapped_abstain_bounds(solved):
+    return dataclasses.replace(solved, value_lower=solved.value_upper, value_upper=solved.value_lower)
 
 
 class TestCertifyConsistency:
@@ -523,26 +535,30 @@ class TestCertifyConsistency:
     """
 
     @pytest.fixture(
-        autouse=True,
         params=[
             ("solve_game", _lower_bound_above_value),
             ("solve_abstain", _swapped_abstain_bounds),
         ],
         ids=["lower-bound-above-value", "swapped-abstain-bounds"],
     )
-    def mutant(self, request, monkeypatch):
-        name, mutate = request.param
-        monkeypatch.setattr(oracle, name, mutate(getattr(oracle, name)))
+    def mutant(self, request):
+        return request.param
 
-    def test_instance(self):
-        check = certify_instance(sort_profile([1.0, 0.8, 0.5, 0.2], 0.5), 0.25)
-        assert check["max_deviation"] < 1e-9 and check["grid_excess"] <= 1e-9
+    def test_instance(self, fix1, mutant):
+        name, mutate = mutant
+        solutions = {"solve_game": solve_game(fix1), "solve_abstain": solve_abstain(fix1, 0.25)}
+        solutions[name] = mutate(solutions[name])
+        game, abstain = solutions["solve_game"], solutions["solve_abstain"]
+        check, deviations, grid_excess = certify_instance(fix1, game, abstain)
+        assert max(deviations.values()) < 1e-9 and grid_excess <= 1e-9
         assert check["ok"] is False
 
-    def test_batch(self):
+    def test_batch(self, monkeypatch, mutant):
+        patch_solver(monkeypatch, oracle, *mutant)
         assert certify_batch(count=20, seed=1, nmax=8)["ok"] is False
 
-    def test_verify_command_exits_1(self, tmp_path, capsys):
+    def test_verify_command_exits_1(self, tmp_path, capsys, monkeypatch, mutant):
+        patch_solver(monkeypatch, cli, *mutant)
         votes = tmp_path / "votes.csv"
         votes.write_text("vote\n1.0\n0.8\n0.5\n0.2\n")
         argv = ["verify", "--votes", str(votes), "--lambda", "0.5", "--alpha", "0.25"]
@@ -613,9 +629,9 @@ def test_oracles_accept_every_instance_the_solver_accepts():
         except InfeasibleConstraint:
             continue
         accepted += 1
-        g_star = solve_game(profile).g_star
-        worst_case_abstain_loss(profile, g_star, solve_abstain(profile, 0.25).p_alg)
-        assert certify_instance(profile, 0.25, grid_step=0.02)["ok"], (votes, lam)
+        game, abstain = solve_game(profile), solve_abstain(profile, 0.25)
+        worst_case_abstain_loss(profile, game.g_star, abstain.p_alg)
+        assert certify_instance(profile, game, abstain, grid_step=0.02)[0]["ok"], (votes, lam)
     assert accepted == 18_628
 
 
@@ -642,7 +658,8 @@ def test_oracles_certify_the_clipped_instance_the_solver_solves():
     for votes, lam in clipped_vote_family():
         profile = sort_profile(votes, lam)
         assert np.abs(profile.votes).max() == 1.0
-        assert certify_instance(profile, 0.25, grid_step=0.02)["ok"], (votes, lam)
+        game, abstain = solve_game(profile), solve_abstain(profile, 0.25)
+        assert certify_instance(profile, game, abstain, grid_step=0.02)[0]["ok"], (votes, lam)
 
 
 def refuses(solver, *args) -> bool:
