@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
 from .game import find_threshold, game_value
 from .model import (
     VALIDATION_TOL,
@@ -24,7 +23,7 @@ from .model import (
     _Owned,
     _require_cost,
     _unit_shift,
-    as_array,
+    _vectors,
     threshold_index,
 )
 
@@ -38,7 +37,8 @@ class AbstainSolution:
     neither trivial nor alpha >= 1/2.
 
     - alpha: the cost of abstaining, positive and finite.
-    - trivial: alpha <= (1/2)(1 - n*lam / S_n) + VALIDATION_TOL: always abstaining is optimal.
+    - trivial: alpha < 1/2 and alpha <= (1/2)(1 - n*lam / S_n) + VALIDATION_TOL: always
+      abstaining is optimal.  The slack never reaches 1/2, where abstaining cannot help.
     - w: min { i : 2 alpha S_i covers n*budget }, the index where nature's raises stop;
       w <= v.  Covering is ``model.cover_floor``'s rule, as for v.
     - budget: lam - (1 - 2 alpha) S_n / n, what nature must cover once every |z_i| is 1 - 2 alpha;
@@ -85,13 +85,7 @@ def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
 
 def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
     """Expected loss (1/n) sum [p_i alpha + (1/2)(1 - p_i)(1 - g_i z_i)]."""
-    gv = as_array(g)
-    zv = as_array(z)
-    probs = strategy.probs
-    if not (gv.size == zv.size == probs.size):
-        raise DimensionError("predictions, labels, and abstain probabilities differ in length")
-    if gv.size < 1:
-        raise DimensionError("predictions, labels, and abstain probabilities must be non-empty")
+    gv, zv, probs = _vectors(g, z, strategy.probs)
     per_example = probs * strategy.alpha + 0.5 * (1.0 - probs) * (1.0 - gv * zv)
     return float(per_example.sum()) / gv.size
 
@@ -111,7 +105,9 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
     shift = _unit_shift(profile.abs_sorted[0])
     lam, total = ldexp(profile.lam, shift), ldexp(profile.total, shift)
     budget = lam - (1.0 - 2.0 * alpha) * total / n
-    trivial = alpha <= 0.5 * (1.0 - n * profile.lam / profile.total) + VALIDATION_TOL
+    trivial = alpha < 0.5 and (
+        alpha <= 0.5 * (1.0 - n * profile.lam / profile.total) + VALIDATION_TOL
+    )
     w = None
     if trivial:
         value = lower = upper = alpha

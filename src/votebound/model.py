@@ -42,12 +42,16 @@ def _all_signs(x: np.ndarray) -> bool:
     return bool(np.logical_or(signs := x == 1.0, x == -1.0, out=signs).all())
 
 
-def as_array(vector) -> np.ndarray:
-    """Accept a domain vector type or any 1-D sequence of reals."""
-    arr = np.asarray(getattr(vector, "values", vector), dtype=float)
-    if arr.ndim != 1:
+def _vectors(*vectors) -> list[np.ndarray]:
+    """The vectors (domain types unwrapped) as 1-D float arrays of one shared, non-zero length."""
+    arrays = [np.asarray(getattr(v, "values", v), dtype=float) for v in vectors]
+    if any(arr.ndim != 1 for arr in arrays):
         raise DimensionError("expected a 1-D vector")
-    return arr
+    if any(arr.size != arrays[0].size for arr in arrays):
+        raise DimensionError("vectors differ in length")
+    if arrays[0].size < 1:
+        raise DimensionError("vectors must be non-empty")
+    return arrays
 
 
 def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, ...]:
@@ -374,10 +378,5 @@ def sort_profile(votes, lam: float) -> VoteProfile:
 
 def payoff(g, z) -> float:
     """Average correlation (1/n) * sum(g_i * z_i) between predictions and labels."""
-    gv = as_array(g)
-    zv = as_array(z)
-    if gv.size != zv.size:
-        raise DimensionError("prediction and label vectors differ in length")
-    if gv.size < 1:
-        raise DimensionError("prediction and label vectors must be non-empty")
+    gv, zv = _vectors(g, z)
     return float(gv @ zv) / gv.size

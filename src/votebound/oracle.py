@@ -3,8 +3,9 @@
 These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
-admits, and the grid search is structure-free.  The LP has no size cap: one
-sort and one cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
+admits, and the grid search is structure-free.  All three take their
+vectors through ``_problem``.  The LP has no size cap: one sort and one
+cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
 and the grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which
 oracle runs at which size, on solutions it is handed: only ``certify_batch``
 calls a solver.  The enumeration reads a per-n table, built once on first use
@@ -35,7 +36,7 @@ from .model import (
     _readonly,
     _require_cost,
     _unit_shift,
-    as_array,
+    _vectors,
     cover_floor,
     sort_profile,
 )
@@ -56,6 +57,14 @@ def _require_cover(magnitudes: np.ndarray, floor: float) -> None:
         raise InfeasibleConstraint("no feasible label vector for this bound")
 
 
+def _problem(*vectors) -> list[np.ndarray]:
+    """``model._vectors``, with every entry finite: the oracles' one intake."""
+    arrays = _vectors(*vectors)
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError("problem data must be finite")
+    return arrays
+
+
 def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     """Minimize costs . z over z in [-1, 1]^n with coeffs . z >= rhs, by greedy exchange.
 
@@ -63,21 +72,16 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     coordinates at sign(a_i) since their constraint progress is free.  If the
     constraint is still violated, move coordinates toward sign(a_i) in
     ascending cost-per-progress c_i*sign(a_i)/|a_i| (ties by index), each by
-    its full gain 2|a_i| while the running float sum stays short of the
-    floor, and the first that reaches it by the clipped fractional step,
-    taken from the exact remainder rhs - a . z.
-    Exact because the objective and constraint are both linear and the box
-    has a single side constraint.  ``model.cover_floor`` decides when the
-    constraint is met, and the instance is feasible when the exact sum of
-    |a_i| reaches that floor, the solvers' rule, decided by ``math.fsum``
-    (``_require_cover``) and not by the solvers' integer pass.
+    its full gain 2|a_i| while the running float sum stays short of the floor,
+    and the first that reaches it by the clipped fractional step, taken from
+    the exact remainder rhs - a . z.  Exact because the objective and
+    constraint are both linear and the box has a single side constraint.
+    ``model.cover_floor`` decides when the constraint is met, and the instance
+    is feasible when the exact sum of |a_i| reaches that floor, the solvers'
+    rule, decided by ``math.fsum`` (``_require_cover``) and not by the
+    solvers' integer pass.  ``_problem`` refuses mismatched or non-finite data.
     """
-    c = as_array(costs)
-    a = as_array(coeffs)
-    if c.size != a.size or c.size < 1:
-        raise ValueError("costs and constraint coefficients must match and be non-empty")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
-        raise ValueError("problem data must be finite")
+    c, a = _problem(costs, coeffs)
     rhs = float(rhs)
     floor = cover_floor(rhs)
     _require_cover(np.abs(a), floor)
@@ -136,7 +140,7 @@ def enumerate_game_value(votes, lam: float) -> float:
     per-k product ``sub @ np.delete(a, k)``.  A 2-D ``sub @ a[rest].T`` would
     not: it is a matrix-matrix product, which rounds its sums differently.
     """
-    a = as_array(votes)
+    (a,) = _problem(votes)
     n = a.size
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
@@ -181,7 +185,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     beaten partial sum is beaten or tied by the sum that uses the better one.
     """
     _require_cost(alpha)
-    a = np.abs(as_array(votes))
+    a = np.abs(_problem(votes)[0])
     n = a.size
     if n > GRID_MAX_N:
         raise ValueError(f"grid oracle is capped at n = {GRID_MAX_N}")
@@ -228,9 +232,9 @@ def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) 
     maximizing it is the box LP that minimizes that sum.  The cost is the
     strategy's own ``alpha``.
     """
-    probs = strategy.probs
+    gv, probs = _vectors(g, strategy.probs)
     n = profile.n
-    _, objective = lp_best_response((1.0 - probs) * as_array(g), profile.votes, n * profile.lam)
+    _, objective = lp_best_response((1.0 - probs) * gv, profile.votes, n * profile.lam)
     return 0.5 + float(probs.sum()) * (strategy.alpha - 0.5) / n - objective / (2.0 * n)
 
 

@@ -9,7 +9,7 @@ import votebound.model
 from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import abstain_loss, p_alg
 from votebound.errors import DimensionError, InvalidCost
-from votebound.game import find_threshold
+from votebound.game import find_threshold, game_value
 from votebound.model import AbstainStrategy
 from votebound.oracle import grid_abstain_value, random_instances
 
@@ -32,6 +32,17 @@ class TestTrivialCheck:
     def test_zero_threshold_never_trivial(self):
         profile = sort_profile([0.5, 0.3], 0.4)  # lambda equals the mean margin
         assert solve_abstain(profile, 1e-9).trivial is False
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.5 + 5e-13])
+    def test_never_trivial_from_one_half(self, alpha):
+        # The edge (1/2)(1 - 2e-13/1.5) lies within VALIDATION_TOL below 1/2, but from
+        # alpha = 1/2 on abstaining never helps: the plain game's value, no abstention.
+        profile = sort_profile([1.0, 0.5], 1e-13)
+        solution = solve_abstain(profile, alpha)
+        assert solution.trivial is False
+        assert solution.w is None
+        assert solution.value_exact == (1.0 - game_value(profile)) / 2.0 == 0.49999999999995
+        assert solution.p_alg.probs.tolist() == [0.0, 0.0]
 
     def test_invalid_cost(self, fix1):
         with pytest.raises(InvalidCost):

@@ -388,6 +388,14 @@ class TestAbstainCommand:
         assert report["value_exact"] == 0.05
         assert report["p_alg"] == [1.0, 1.0, 1.0, 1.0]
 
+    def test_cost_of_one_half_within_the_trivial_slack_is_not_trivial(self, tmp_path, capsys):
+        votes = write_votes(tmp_path, "vote\n1.0\n0.5\n")
+        argv = ["abstain", "--votes", votes, "--lambda", "1e-13", "--alpha", "0.5", "--canonical"]
+        code, report = run(capsys, *argv)
+        assert code == 0
+        assert report["trivial"] is False
+        assert report["p_alg"] == [0.0, 0.0]
+
     def test_high_cost_never_abstains(self, tmp_path, capsys):
         code, report = run(
             capsys,

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from votebound import cli, model, oracle, solve_abstain, solve_game, sort_profile
 from votebound.abstain import p_alg
 from votebound.cli import main
-from votebound.errors import InfeasibleConstraint
+from votebound.errors import DimensionError, InfeasibleConstraint
 from votebound.game import game_value
-from votebound.model import LabelVector, cover_floor
+from votebound.model import AbstainStrategy, LabelVector, cover_floor
 from votebound.oracle import (
     ENUM_MAX_N,
     GRID_MAX_N,
@@ -360,19 +360,19 @@ class TestLpBestResponse:
         assert objective == pytest.approx(vertex_lp_optimum(costs, coeffs, 0.4), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "costs, coeffs",
+        "costs, coeffs, error",
         [
-            ([1.0, 2.0], [0.5]),
-            ([], []),
-            ([1.0, float("nan")], [0.5, 0.5]),
-            ([float("inf"), 1.0], [0.5, 0.5]),
-            ([1.0, 2.0], [0.5, float("nan")]),
-            ([1.0, 2.0], [float("-inf"), 0.5]),
+            ([1.0, 2.0], [0.5], DimensionError),
+            ([], [], DimensionError),
+            ([1.0, float("nan")], [0.5, 0.5], ValueError),
+            ([float("inf"), 1.0], [0.5, 0.5], ValueError),
+            ([1.0, 2.0], [0.5, float("nan")], ValueError),
+            ([1.0, 2.0], [float("-inf"), 0.5], ValueError),
         ],
         ids=["mismatched", "empty", "nan_cost", "inf_cost", "nan_coeff", "inf_coeff"],
     )
-    def test_refuses_bad_data(self, costs, coeffs):
-        with pytest.raises(ValueError):
+    def test_refuses_bad_data(self, costs, coeffs, error):
+        with pytest.raises(error):
             lp_best_response(np.array(costs), np.array(coeffs), 0.0)
 
 
@@ -477,7 +477,7 @@ def test_certify_instance_runs_no_solver(fix1, monkeypatch):
 def test_game_solution_of_another_size_raises(fix1):
     # The saddle LP refuses g* against votes of another length; certify_instance adds no check.
     other = solve_game(sort_profile([1.0, 0.8, 0.5], 0.5))
-    with pytest.raises(ValueError, match="costs and constraint coefficients must match"):
+    with pytest.raises(DimensionError, match="^vectors differ in length$"):
         certify_instance(fix1, other)
 
 
@@ -568,8 +568,6 @@ class TestCertifyConsistency:
 
 class TestWorstCaseAbstainLoss:
     def test_full_abstention_decouples_from_labels(self, fix1):
-        from votebound.model import AbstainStrategy
-
         strategy = AbstainStrategy(np.ones(4), alpha=0.3)
         loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy)
         assert loss == pytest.approx(0.3, abs=1e-12)
@@ -595,6 +593,12 @@ class TestWorstCaseAbstainLoss:
         costs = (1.0 - strategy.probs) * sol.g_star.values
         z, _ = lp_best_response(costs, fix2.votes, 4 * fix2.lam)
         assert np.allclose(z, [1, 1, 2 / 3, 1], atol=1e-9)
+
+    def test_strategy_of_another_length_raises(self, fix1):
+        # Broadcast against g*, one probability would stand for all four.
+        strategy = AbstainStrategy(np.array([0.3]), alpha=0.25)
+        with pytest.raises(DimensionError, match="^vectors differ in length$"):
+            worst_case_abstain_loss(fix1, solve_game(fix1).g_star, strategy)
 
     def test_dominates_minimax_value_on_random_instances(self):
         # Past the enumeration cap too: 10^4 uniform votes and 10^4 votes tied on k/20.
@@ -689,6 +693,30 @@ def test_each_oracle_refuses_exactly_the_instances_the_solver_refuses():
         if n <= GRID_MAX_N:
             assert refuses(grid_abstain_value, votes, lam, 0.25, 0.1) == refused, (votes, lam)
     assert rounded_up > 0
+
+
+BAD_VOTE_ORACLES = {
+    "lp": lambda votes: lp_best_response(np.ones(len(votes)), votes, 0.1 * len(votes)),
+    "enumeration": lambda votes: enumerate_game_value(votes, 0.1),
+    "grid": lambda votes: grid_abstain_value(votes, 0.1, 0.25, 0.02),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VOTE_ORACLES))
+@pytest.mark.parametrize(
+    "votes, error, match",
+    [
+        ([float("inf"), 0.5], ValueError, "^problem data must be finite$"),
+        ([0.5, float("-inf")], ValueError, "^problem data must be finite$"),
+        ([float("nan"), 0.5], ValueError, "^problem data must be finite$"),
+        ([], DimensionError, "^vectors must be non-empty$"),
+    ],
+    ids=["inf", "minus_inf", "nan", "empty"],
+)
+def test_each_oracle_refuses_bad_votes(name, votes, error, match):
+    # An oracle that answers a bad vote with a number certifies nothing.
+    with pytest.raises(error, match=match):
+        BAD_VOTE_ORACLES[name](votes)
 
 
 def test_oracles_never_run_the_solvers_integer_pass(monkeypatch):
