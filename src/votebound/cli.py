@@ -34,14 +34,13 @@ from .model import (
 from .oracle import certify_batch, certify_instance, worst_case_abstain_loss
 from .pacbayes import (
     PacBayesParams,
-    abstain_mistake_bounds,
     epsilon,
-    error_probability_bound,
     exp_weights_posterior,
     gibbs_train_error,
     kl_bound_train,
     kl_discrete,
     lambda_hat,
+    probability_bounds,
 )
 
 
@@ -241,16 +240,14 @@ def cmd_pipeline(args) -> int:
         profile = sort_profile(votes, lam_hat)
         solution = solve_game(profile)
         predictions = solution.g_star.values
-        raw = error_probability_bound(profile, gibbs, eps, params.delta)
+        raw, abstain_bound, mistake_bound = probability_bounds(profile, gibbs, eps, params.delta)
         if args.alpha is not None:
             abstain = solve_abstain(profile, args.alpha)
             probs = abstain.p_alg.probs
             abstain_json = _record(abstain)
-            # The bounds hold for the abstaining p_alg (w is set), not the all-abstain strategy.
-            if abstain.w is not None:
-                abstain_bound, mistake_bound = abstain_mistake_bounds(
-                    profile, gibbs, eps, params.delta
-                )
+        # The bounds hold for the abstaining p_alg (w is set), not the all-abstain strategy.
+        if args.alpha is None or abstain.w is None:
+            abstain_bound = mistake_bound = None
         game_json = _record(solution)
 
     payload = {

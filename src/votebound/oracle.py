@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import fsum, ldexp
+from math import fsum, isfinite, ldexp
 from typing import Optional
 
 import numpy as np
@@ -45,16 +45,23 @@ ENUM_MAX_N = 8
 GRID_MAX_N = 4
 
 
-def _require_cover(magnitudes: np.ndarray, floor: float) -> None:
-    """Raise InfeasibleConstraint unless the exact sum of ``magnitudes`` reaches ``floor``.
+def _require_cover(magnitudes: np.ndarray, target: float) -> float:
+    """Return ``cover_floor(target)`` once the exact sum of ``magnitudes`` reaches it.
 
-    ``fsum`` rounds the exact sum less the floor once, which keeps its sign.
-    The rounded sum of ``magnitudes`` alone can land on the floor from below.
+    A non-finite target is bad data, refused with the ``ValueError`` that
+    ``_problem`` raises for a non-finite vote; a shortfall raises
+    InfeasibleConstraint.  ``fsum`` rounds the exact sum less the floor once,
+    which keeps its sign.  The rounded sum of ``magnitudes`` alone can land
+    on the floor from below.
     """
+    if not isfinite(target):
+        raise ValueError("problem data must be finite")
+    floor = cover_floor(target)
     terms = magnitudes.tolist()
     terms.append(-floor)
     if not fsum(terms) >= 0.0:
         raise InfeasibleConstraint("no feasible label vector for this bound")
+    return floor
 
 
 def _problem(*vectors) -> list[np.ndarray]:
@@ -79,12 +86,12 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
     ``model.cover_floor`` decides when the constraint is met, and the instance
     is feasible when the exact sum of |a_i| reaches that floor, the solvers'
     rule, decided by ``math.fsum`` (``_require_cover``) and not by the
-    solvers' integer pass.  ``_problem`` refuses mismatched or non-finite data.
+    solvers' integer pass.  ``_problem`` refuses mismatched or non-finite
+    vectors, and ``_require_cover`` a non-finite rhs.
     """
     c, a = _problem(costs, coeffs)
     rhs = float(rhs)
-    floor = cover_floor(rhs)
-    _require_cover(np.abs(a), floor)
+    floor = _require_cover(np.abs(a), rhs)
 
     sign = np.sign(a)
     z = np.where(c > 0, -1.0, np.where(c < 0, 1.0, sign))
@@ -145,8 +152,7 @@ def enumerate_game_value(votes, lam: float) -> float:
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration oracle is capped at n = {ENUM_MAX_N}")
     target = n * lam
-    floor = cover_floor(target)
-    _require_cover(np.abs(a), floor)
+    floor = _require_cover(np.abs(a), target)
 
     grid, counts, sub, sub_counts, rest = _enumeration_table(n)
     # z = sign(a) is feasible by the exact-sum rule even where its float dot falls short.
@@ -192,7 +198,7 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     if not 0.0 < step <= 0.1:
         raise ValueError("step must lie in (0, 0.1]")
     target = n * lam
-    _require_cover(a, cover_floor(target))
+    _require_cover(a, target)
     # An exact shift up by a power of two puts the largest margin in [0.5, 1],
     # so the gains of subnormal margins round relatively (2.0**-e overflows).
     shift = _unit_shift(a.max(initial=0.0))

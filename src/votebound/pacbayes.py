@@ -6,7 +6,7 @@ converts to the correlation bound lambda_hat = 1 - 2*err - 2*epsilon fed to
 the game.  KL(q||q0) is computed once, by ``kl_discrete``, and passed to
 both ``epsilon`` and ``kl_bound_train``.  A nonpositive lambda_hat is flagged
 degenerate rather than clamped; the caller falls back to the averaged
-prediction, and the bounds refuse it with ``DegenerateBound``.
+prediction, and ``probability_bounds`` refuses it with ``DegenerateBound``.
 """
 
 from __future__ import annotations
@@ -78,38 +78,32 @@ def lambda_hat(gibbs_error: float, eps: float) -> float:
     return 1.0 - 2.0 * gibbs_error - 2.0 * eps
 
 
-def error_probability_bound(profile: VoteProfile, gibbs: float, eps: float, delta: float) -> float:
-    """Error probability bound err + eps + delta - (1/2n) sum_{i<v} (1 - |a_i|).
-
-    Returned raw; reporting clips to [0, 1] separately so that strong
-    ensembles with a negative raw bound stay observable.
-    """
-    if lambda_hat(gibbs, eps) <= 0.0:
-        raise DegenerateBound("error bound undefined for nonpositive lambda_hat")
-    disagreement = (profile.v - 1) - profile.head
-    return gibbs - disagreement / (2.0 * profile.n) + eps + delta
-
-
-def abstain_mistake_bounds(
+def probability_bounds(
     profile: VoteProfile, gibbs: float, eps: float, delta: float
-) -> tuple[float, float]:
-    """Bounds on the abstain and mistake probabilities of the abstaining rule.
+) -> tuple[float, float, float]:
+    """Bounds on the error of g* and on the abstain and mistake probabilities of p_alg.
 
+    error   <=   err +   eps + delta - (1/2n) sum_{i<v} (1 - |a_i|)
     abstain <= 2*err + 2*eps + delta - (1/n) sum_{i>v} |a_i|/|a_v|
     mistake <=   err +   eps + delta - (1/2n) sum_{i<=v} (1 - |a_i|)
 
-    Both bound p_alg in the nontrivial alpha < 1/2 regime and are independent
-    of the cost there; they say nothing of the trivial all-abstain strategy.
-    The profile's record gives every sum: ``head`` the one before v and
-    ``tail`` the one past it, each correctly rounded.
+    The error bound holds for the minimax predictor g* at every positive
+    lambda_hat.  The abstain and mistake bounds hold for the abstaining rule
+    p_alg in the nontrivial alpha < 1/2 regime and are independent of the
+    cost there; they say nothing of the trivial all-abstain strategy or of
+    alpha >= 1/2.  The profile's record gives every sum: ``head`` the one
+    before v and ``tail`` the one past it, each correctly rounded.  All three
+    are returned raw; reporting clips the error bound to [0, 1] separately so
+    that strong ensembles with a negative raw bound stay observable.
     """
     if lambda_hat(gibbs, eps) <= 0.0:
         raise DegenerateBound("bounds undefined for nonpositive lambda_hat")
     n = profile.n
-    head_disagreement = (profile.v - 1 - profile.head) + (1.0 - profile.pivot)
+    disagreement = (profile.v - 1) - profile.head
+    error = gibbs - disagreement / (2.0 * n) + eps + delta
     abstain = 2.0 * gibbs + 2.0 * eps + delta - profile.tail / profile.pivot / n
-    mistake = gibbs + eps + delta - head_disagreement / (2.0 * n)
-    return abstain, mistake
+    mistake = gibbs + eps + delta - (disagreement + (1.0 - profile.pivot)) / (2.0 * n)
+    return error, abstain, mistake
 
 
 def hypothesis_errors(sample: LabeledSample) -> np.ndarray:

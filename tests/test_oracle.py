@@ -719,6 +719,26 @@ def test_each_oracle_refuses_bad_votes(name, votes, error, match):
         BAD_VOTE_ORACLES[name](votes)
 
 
+@pytest.mark.parametrize(
+    "oracle_call",
+    [
+        lambda: lp_best_response([1.0, 1.0], [0.5, 0.5], math.nan),
+        lambda: lp_best_response([1.0, 1.0], [0.5, 0.5], math.inf),
+        lambda: lp_best_response([1.0, 1.0], [0.5, 0.5], -math.inf),
+        lambda: enumerate_game_value([0.5, 0.5], math.nan),
+        lambda: enumerate_game_value([0.5, 0.5], math.inf),
+        lambda: grid_abstain_value([0.5, 0.5], math.nan, 0.25, 0.02),
+        lambda: grid_abstain_value([0.5, 0.5], math.inf, 0.25, 0.02),
+    ],
+    ids=["lp_nan", "lp_inf", "lp_minus_inf", "enum_nan", "enum_inf", "grid_nan", "grid_inf"],
+)
+def test_each_oracle_refuses_a_non_finite_target(oracle_call):
+    # A non-finite target is bad data, not an infeasible instance; an rhs of -inf used to drop
+    # the LP's constraint and return the unconstrained optimum.
+    with pytest.raises(ValueError, match="^problem data must be finite$"):
+        oracle_call()
+
+
 def test_oracles_never_run_the_solvers_integer_pass(monkeypatch):
     # The oracles check the sums the solver forms, so they must not form them with its code.
     def integer_pass(*args):

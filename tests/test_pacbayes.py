@@ -11,9 +11,7 @@ from votebound.errors import DegenerateBound, DimensionError, InfiniteDivergence
 from votebound.model import LabeledSample, WeightVector
 from votebound.pacbayes import (
     PacBayesParams,
-    abstain_mistake_bounds,
     epsilon,
-    error_probability_bound,
     exp_weights_posterior,
     gibbs_train_error,
     hypothesis_errors,
@@ -21,6 +19,7 @@ from votebound.pacbayes import (
     kl_bound_train,
     kl_discrete,
     lambda_hat,
+    probability_bounds,
 )
 
 # Frozen fixtures, recomputed to 12 digits at 30-digit working precision
@@ -207,38 +206,38 @@ class TestErrorProbabilityBound:
     def test_fix1_style_inputs(self, fix1):
         gibbs, eps = 0.14, 0.08
         assert lambda_hat(gibbs, eps) >= fix1.lam  # inputs consistent by construction
-        bound = error_probability_bound(fix1, gibbs, eps, delta=0.05)
+        bound, _, _ = probability_bounds(fix1, gibbs, eps, delta=0.05)
         assert bound == pytest.approx(0.245, abs=1e-12)
 
     def test_no_voting_gain_with_unit_margins(self):
         profile = sort_profile([1.0, -1.0, 1.0], 0.9)
         gibbs, eps = 0.02, 0.01
-        assert error_probability_bound(profile, gibbs, eps, 0.05) == pytest.approx(
+        assert probability_bounds(profile, gibbs, eps, 0.05)[0] == pytest.approx(
             0.02 + 0.01 + 0.05, abs=1e-12
         )
 
     def test_first_index_threshold_empty_sum(self):
         profile = sort_profile([0.9, 0.1], 0.3)
         gibbs, eps = 0.1, 0.05
-        assert error_probability_bound(profile, gibbs, eps, 0.02) == pytest.approx(
+        assert probability_bounds(profile, gibbs, eps, 0.02)[0] == pytest.approx(
             0.1 + 0.05 + 0.02, abs=1e-12
         )
 
     def test_never_exceeds_unclipped_sum(self):
         for gibbs, eps, delta in [(0.1, 0.05, 0.05), (0.2, 0.01, 0.1)]:
             profile = sort_profile([0.9, 0.6, 0.3], 0.4)
-            assert error_probability_bound(profile, gibbs, eps, delta) <= gibbs + eps + delta
+            assert probability_bounds(profile, gibbs, eps, delta)[0] <= gibbs + eps + delta
 
     def test_degenerate_rejected(self, fix1):
-        gibbs, eps = 0.5, 0.3
-        with pytest.raises(DegenerateBound):
-            error_probability_bound(fix1, gibbs, eps, 0.05)
+        gibbs, eps = 0.45, 0.2  # lambda_hat = -0.3: one guard refuses all three bounds
+        with pytest.raises(DegenerateBound, match="^bounds undefined for nonpositive lambda_hat$"):
+            probability_bounds(fix1, gibbs, eps, 0.05)
 
 
 class TestAbstainMistakeBounds:
     def test_fix1_style_inputs(self, fix1):
         gibbs, eps = 0.14, 0.08
-        abstain, mistake = abstain_mistake_bounds(fix1, gibbs, eps, delta=0.05)
+        _, abstain, mistake = probability_bounds(fix1, gibbs, eps, delta=0.05)
         assert abstain == pytest.approx(0.39, abs=1e-12)
         assert mistake == pytest.approx(0.1825, abs=1e-12)
 
@@ -246,20 +245,15 @@ class TestAbstainMistakeBounds:
         profile = sort_profile([1.0, 1.0, -1.0, 1.0], 0.5)
         gibbs, eps = 0.1, 0.05
         v = 2  # prefix means 0.25, 0.5
-        abstain, mistake = abstain_mistake_bounds(profile, gibbs, eps, 0.02)
+        _, abstain, mistake = probability_bounds(profile, gibbs, eps, 0.02)
         assert abstain == pytest.approx(0.2 + 0.1 + 0.02 - (4 - v) / 4, abs=1e-12)
         assert mistake == pytest.approx(0.1 + 0.05 + 0.02, abs=1e-12)
 
     def test_threshold_at_n_drops_ratio_sum(self):
         profile = sort_profile([0.6, 0.5], 0.55)
         gibbs, eps = 0.05, 0.05
-        abstain, _ = abstain_mistake_bounds(profile, gibbs, eps, 0.05)
+        _, abstain, _ = probability_bounds(profile, gibbs, eps, 0.05)
         assert abstain == pytest.approx(0.1 + 0.1 + 0.05, abs=1e-12)
-
-    def test_degenerate_rejected(self, fix1):
-        gibbs, eps = 0.45, 0.2
-        with pytest.raises(DegenerateBound):
-            abstain_mistake_bounds(fix1, gibbs, eps, 0.05)
 
 
 class TestExpWeightsPosterior:
