@@ -229,7 +229,7 @@ class TestErrorProbabilityBound:
             assert probability_bounds(profile, gibbs, eps, delta)[0] <= gibbs + eps + delta
 
     def test_degenerate_rejected(self, fix1):
-        gibbs, eps = 0.45, 0.2  # lambda_hat = -0.3: one guard refuses all three bounds
+        gibbs, eps = 0.5, 0.3
         with pytest.raises(DegenerateBound, match="^bounds undefined for nonpositive lambda_hat$"):
             probability_bounds(fix1, gibbs, eps, 0.05)
 
@@ -254,6 +254,11 @@ class TestAbstainMistakeBounds:
         gibbs, eps = 0.05, 0.05
         _, abstain, _ = probability_bounds(profile, gibbs, eps, 0.05)
         assert abstain == pytest.approx(0.1 + 0.1 + 0.05, abs=1e-12)
+
+    def test_degenerate_rejected(self, fix1):
+        gibbs, eps = 0.45, 0.2  # lambda_hat = -0.3: the abstain and mistake bounds are refused too
+        with pytest.raises(DegenerateBound, match="^bounds undefined for nonpositive lambda_hat$"):
+            probability_bounds(fix1, gibbs, eps, 0.05)
 
 
 class TestExpWeightsPosterior:
