@@ -81,7 +81,9 @@ def solve_game(profile: VoteProfile) -> GameSolution:
     g_star = PredictionVector(_Owned(np.clip(g, -1.0, 1.0, out=g)))
     z = np.trunc(g)
     z += 0.0
-    rest = ties[v - 1 - (np.count_nonzero(z) - ties.size) :]
+    # The margins at or above the pivot, where z* is +-1, counted on the ascending view.
+    above = profile.n - int(np.searchsorted(profile.abs_sorted[::-1], pivot))
+    rest = ties[v - 1 - (above - ties.size) :]
     z[rest] = 0.0
     z[rest[0]] = np.sign(votes[rest[0]]) * profile.fraction
     z_star = LabelVector(_Owned(z))

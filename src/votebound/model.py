@@ -9,7 +9,9 @@ solver's own new buffer, wrapped in ``_Owned``, is checked alike and frozen in p
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,8 +27,10 @@ from .errors import (
 VALIDATION_TOL = 1e-12
 SOLVER_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-_LOW26 = (1 << 26) - 1
+_FIELD = (1 << 52) - 1  # the fraction field of a float64
 _UNITS = 1 << 1074  # every float64 is an integer multiple of 2**-1074
+_BLOCK = 2**14  # margins per block of the exact pass: 128 KB of float64
+_CHUNK = 2**12  # fraction fields per uint64 sum: 2**12 * 2**52 stays below 2**64
 
 
 def _readonly(values) -> np.ndarray:
@@ -54,34 +58,77 @@ def _vectors(*vectors) -> list[np.ndarray]:
     return arrays
 
 
-def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0, scratch=None) -> tuple[int, ...]:
+def _units(value: float) -> int:
+    """``value`` in units of 2**-1074, exactly."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator * _UNITS // denominator
+
+
+def _block_sums(block: np.ndarray, cut: int, scratch: np.ndarray) -> list[int]:
+    """Sums of ``block[:cut]``, ``[cut]`` and ``[cut + 1:]``, in units of 2**-1074.
+
+    Each float64 is its 52-bit fraction field plus the implicit leading bit,
+    scaled by 2**exponent.  ``block`` is nonincreasing, so its bits as int64
+    are too, and a binary search for each exponent's least bit pattern finds
+    where the runs of equal exponent (one per binade) start.
+    ``np.add.reduceat`` sums the fraction fields over each run, also split
+    around ``cut`` (-1 puts the whole block after it) and into pieces of at
+    most ``_CHUNK``, so no uint64 sum overflows, and Python ints add the run
+    sums.  ``scratch`` is an int64 buffer at least as long as ``block``, the
+    one vector the pass writes.
+    """
+    bits = block.view(np.int64)
+    size = bits.size
+    keys = np.arange((int(bits[-1]) >> 52) + 1, (int(bits[0]) >> 52) + 1, dtype=np.int64) << 52
+    drops = (size - np.searchsorted(bits[::-1], keys)).tolist()
+    splits = (i for i in (cut, cut + 1) if 0 < i < size)  # block[cut] is a run of its own
+    starts = sorted({0, *range(_CHUNK, size, _CHUNK), *drops, *splits})
+    fields = np.bitwise_and(bits, _FIELD, out=scratch[:size]).view(np.uint64)
+    totals = np.add.reduceat(fields, starts).tolist()
+    biased = np.right_shift(bits[starts], 52).tolist()
+    sums = [0, 0, 0]
+    for f, e, start, end in zip(totals, biased, starts, starts[1:] + [size]):
+        # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
+        run = (f + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
+        sums[(start >= cut) + (start > cut)] += run
+    return sums
+
+
+def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0) -> tuple[int, ...]:
     """Sums of ``magnitudes[:cut]``, ``[cut]``, ``[cut + 1:]`` and ``offset``, in units of 2**-1074.
 
-    ``magnitudes`` must be non-empty, and each must have a clear sign bit
-    (no -0.0), as ``np.abs`` gives them.  Each float64 is its 52-bit fraction
-    field plus the implicit leading bit, scaled by 2**exponent.
-    ``np.add.reduceat`` sums the fields' 26-bit halves, which cannot overflow,
-    over each run of equal exponent (one per binade when sorted), also split
-    around ``cut``, and Python ints add the run sums.  ``scratch``, an optional
-    int64 buffer of the same size, is the one n-vector the pass writes.
+    ``magnitudes`` must be non-empty and nonincreasing, and each must have a
+    clear sign bit (no -0.0), as ``np.abs`` gives them.  The pass walks them
+    in blocks of ``_BLOCK`` through ``_block_sums``, all in one int64 scratch
+    of at most ``_BLOCK`` entries (128 KB, which stays in L2), allocated once
+    per call, so it writes no n-sized array.
     """
-    bits = magnitudes.view(np.int64)
-    part = np.right_shift(bits, 52, out=scratch)  # the exponents, then each 26-bit half
-    edges = part[1:] != part[:-1]
-    edges[max(cut - 1, 0) : cut + 1] = True  # magnitudes[cut] is a run of its own
-    starts = np.concatenate(([0], np.flatnonzero(edges) + 1))
-    biased = part[starts].tolist()
-    np.bitwise_and(np.right_shift(bits, 26, out=part), _LOW26, out=part)
-    high = np.add.reduceat(part, starts).tolist()
-    low = np.add.reduceat(np.bitwise_and(bits, _LOW26, out=part), starts).tolist()
-    starts = starts.tolist()
+    scratch = np.empty(min(magnitudes.size, _BLOCK), dtype=np.int64)
     sums = [0, 0, 0]
-    for h, lo, e, start, end in zip(high, low, biased, starts, starts[1:] + [bits.size]):
-        # Normal floats (e > 0) carry an implicit 2**52; subnormals share e = 1's scale.
-        run = ((h << 26) + lo + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
-        sums[(start >= cut) + (start > cut)] += run
-    numerator, denominator = offset.as_integer_ratio()
-    return *sums, numerator * _UNITS // denominator
+    for begin in range(0, magnitudes.size, _BLOCK):
+        block = _block_sums(magnitudes[begin : begin + _BLOCK], max(cut - begin, -1), scratch)
+        sums = [x + y for x, y in zip(sums, block)]
+    return *sums, _units(offset)
+
+
+def _index_in_block(block: np.ndarray, rest: int) -> int:
+    """The least j with sum(block[: j + 1]) >= ``rest`` units of 2**-1074; block.size if none.
+
+    The float cumsum of the block brackets j within its rounding error (and
+    that of ``rest`` as a float), and the signs of exact prefix sums less
+    ``rest`` bisect the bracket.
+    """
+    sums = np.cumsum(block)
+    floor = rest / _UNITS  # correctly rounded; exact when rest is a float's units
+    slack = 4.0 * (sums.size + 1) * _EPS * float(sums[-1])
+    lo, hi = (int(i) for i in np.searchsorted(sums, (floor - slack, floor + slack)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(_binade_sums(block[: mid + 1])) >= rest:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _unit_shift(largest: float) -> int:
@@ -111,34 +158,40 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     the comparison with each prefix sum is exact.  The caller forms ``need``
     (n*lam for v, n*budget/(2 alpha) for w), and its rounding is the
     caller's.  ``magnitudes`` are nonnegative and nonincreasing, so prefix
-    sums only grow: the float cumsum brackets k within its rounding error,
-    and the signs of exact prefix sums less the floor bisect it.  Returns k
-    (1-based, size + 1 when even the full sum falls short), the fraction
+    sums only grow.  Above one ``_BLOCK``, exact block sums locate k: the
+    exact sum of each block, from one pass, picks the one block that holds k
+    (the last when even the full sum falls short), and gives the exact sums
+    before it and after it.  Inside that block only, the float cumsum
+    brackets k within its rounding error, and the signs of exact prefix sums
+    less the floor bisect it.  At or below one block, that block is all the
+    magnitudes and no block sum is taken.  Returns k (1-based,
+    size + 1 when even the full sum falls short), the fraction
     (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
     clipped to [0, 1] and 1 at k = size + 1, and the correctly rounded sums
     of the first k - 1 magnitudes (head), of all (total) and of those after
     the k-th (tail).  The remainder need - head is rounded once, so for
     need > 0 the clip acts only when the k-th prefix sum lies between the
-    floor and need.  The bisection's signs, and head, remainder, total and
-    tail, come from the one exact integer pass ``_binade_sums`` at every size.
+    floor and need.  Head, remainder, total and tail come from the block sums
+    and one exact pass over k's block, split around k.
     """
-    floor = cover_floor(need)
-    sums = np.cumsum(magnitudes)
-    slack = 4.0 * (sums.size + 1) * _EPS * float(sums[-1])
-    lo, hi = (int(i) for i in np.searchsorted(sums, (floor - slack, floor + slack)))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sum(_binade_sums(magnitudes[: mid + 1], -floor)) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    # The bisection is done with the cumsum, so the pass writes in its buffer.
-    head, pivot, tail, exact_need = _binade_sums(magnitudes, need, lo, sums.view(np.int64))
+    floor = _units(cover_floor(need))
+    begin = before = after = 0
+    if magnitudes.size > _BLOCK:
+        scratch = np.empty(_BLOCK, dtype=np.int64)
+        starts = range(0, magnitudes.size, _BLOCK)
+        blocks = (sum(_block_sums(magnitudes[i : i + _BLOCK], -1, scratch)) for i in starts)
+        prefix = list(accumulate(blocks, initial=0))  # prefix[b]: the blocks before b, exactly
+        b = min(bisect_left(prefix, floor, 1), len(prefix) - 1) - 1
+        begin, before, after = b * _BLOCK, prefix[b], prefix[-1] - prefix[b + 1]
+    block = magnitudes[begin : begin + _BLOCK]
+    lo = _index_in_block(block, floor - before)
+    head, pivot, tail, exact_need = _binade_sums(block, need, lo)
+    head, tail = before + head, tail + after
     units = head, head + pivot + tail, exact_need - head, tail
     head, total, remainder, tail = (x / _UNITS for x in units)
-    if lo == magnitudes.size:
-        return lo + 1, head, 1.0, total, tail
-    return lo + 1, head, min(max(remainder / float(magnitudes[lo]), 0.0), 1.0), total, tail
+    if begin + lo == magnitudes.size:
+        return begin + lo + 1, head, 1.0, total, tail
+    return begin + lo + 1, head, min(max(remainder / float(block[lo]), 0.0), 1.0), total, tail
 
 
 @dataclass(frozen=True)
@@ -307,7 +360,9 @@ class VoteProfile:
     exact sum of the v - 1 larger margins, ``tail`` that of the n - v smaller
     ones and ``fraction`` the share of the pivot nature takes, (n*lam - head) /
     |a_v| clipped to [0, 1].  The record is exact for some lam' within four ulps
-    of lam.  One exact integer pass gives ``head``, n*lam - head, ``total`` and
+    of lam.  Exact integer sums of blocks of ``_BLOCK`` margins locate v's
+    block, the float cumsum covers that one block, and the block sums plus one
+    exact pass over that block give ``head``, n*lam - head, ``total`` and
     ``tail``.  Construction fails unless the margins reach the floor; the pivot
     is then nonzero.
     """

@@ -192,9 +192,9 @@ class TestSortProfile:
 
 
 @st.composite
-def sorted_magnitudes(draw):
+def sorted_magnitudes(draw, sizes=st.one_of(st.integers(1, 64), st.integers(448, 10_000))):
     """Nonincreasing nonnegative floats, few or many: the exact pass takes n >= 1."""
-    n = draw(st.one_of(st.integers(1, 64), st.integers(448, 10_000)))
+    n = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pools = {
         "uniform": rng.uniform(0.0, 1.0, n),

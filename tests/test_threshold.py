@@ -15,15 +15,16 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from votebound import solve_abstain, solve_game, sort_profile
+from votebound import model, solve_abstain, solve_game, sort_profile
 from votebound.cli import main
 from votebound.errors import InfeasibleConstraint
-from votebound.model import cover_floor, threshold_index
+from votebound.model import _BLOCK, cover_floor, threshold_index
 
 from test_golden import library_votes
+from test_model import sorted_magnitudes
 
 EPS = np.finfo(float).eps
 
@@ -258,3 +259,72 @@ def test_tiny_margin_abstain_solves_exactly():
             w, value = exact_abstain(profile, alpha)
             assert solution.w == w
             assert abs(solution.value_exact - value) <= 4 * EPS
+
+
+def floor_at(value: float) -> float:
+    """A target whose ``cover_floor`` is ``value``, or the nearest float to one."""
+    target = value / (1.0 - 4.0 * EPS)
+    around = [target]
+    for _ in range(4):  # four floats either side
+        around = [np.nextafter(around[0], -np.inf), *around, np.nextafter(around[-1], np.inf)]
+    return float(next((t for t in around if cover_floor(t) == value), target))
+
+
+@given(
+    magnitudes=sorted_magnitudes(
+        st.one_of(
+            st.integers(1, 3 * _BLOCK + 1),
+            st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 1]),
+        )
+    ),
+    tie=st.tuples(st.sampled_from([_BLOCK, 2 * _BLOCK]), st.integers(0, 40)),
+)
+# Equal margins sum exactly in floats, so the floor can equal a block's prefix sum exactly.
+@example(magnitudes=np.full(3 * _BLOCK + 1, 0.75), tie=(_BLOCK, 0))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_record_is_exact_across_blocks(magnitudes, tie):
+    # k's block is found by exact block sums; every k, and every sum formed from the block
+    # sums and the pass over k's block, must be the exact rule's, on block edges included.
+    edge, width = tie
+    if width and magnitudes.size > edge:  # a run of equal margins across a block edge
+        start, end = max(edge - width, 0), min(edge + width, magnitudes.size)
+        magnitudes[start:end] = magnitudes[end - 1]
+    prefix = list(accumulate(map(Fraction, magnitudes)))
+    counts = (1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, magnitudes.size)
+    edges = [float(prefix[k - 1]) for k in counts if k <= magnitudes.size]
+    # Each edge's prefix sum as the target, and a target whose floor is that sum when one exists.
+    targets = edges + [floor_at(edge) for edge in edges]
+    targets += [float(prefix[-1]) * 0.5, 2.0 * float(prefix[-1]) + 1.0]  # mid-run; k = size + 1
+    for target in targets:
+        k, head, fraction, total, tail = threshold_index(magnitudes, target)
+        assert k == bisect_left(prefix, Fraction(cover_floor(target))) + 1
+        assert head.hex() == math.fsum(magnitudes[: k - 1]).hex()
+        assert total.hex() == math.fsum(magnitudes).hex()
+        assert tail.hex() == math.fsum(magnitudes[k:]).hex()
+        if k > magnitudes.size:
+            assert fraction == 1.0
+        else:
+            before = prefix[k - 2] if k > 1 else Fraction(0)
+            exact = (Fraction(target) - before) / Fraction(magnitudes[k - 1])
+            assert abs(fraction - min(max(exact, 0), 1)) <= EPS
+    assert threshold_index(magnitudes, targets[-1])[0] == magnitudes.size + 1
+
+
+def test_mixed_scale_profile_passes_each_margin_about_once(monkeypatch):
+    # 1000 margins of 1 and the rest 1e-13, with n*lam in the middle of the tiny run: a float
+    # cumsum over all n cannot bracket k there, so each bisection step must pass over k's block
+    # only, not over a whole prefix.
+    n = 1_000_000
+    votes = np.full(n, 1e-13)
+    votes[:1000] = 1.0
+    handed = []
+    block_sums = model._block_sums
+
+    def counted(block, *args):
+        handed.append(block.size)
+        return block_sums(block, *args)
+
+    monkeypatch.setattr(model, "_block_sums", counted)
+    profile = sort_profile(votes, (1000 + 1e-13 * (n - 1000) / 2) / n)
+    assert 1000 < profile.v < n
+    assert sum(handed) <= n + 16 * _BLOCK
