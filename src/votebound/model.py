@@ -67,15 +67,16 @@ def _units(value: float) -> int:
 def _block_sums(block: np.ndarray, cut: int, scratch: np.ndarray) -> list[int]:
     """Sums of ``block[:cut]``, ``[cut]`` and ``[cut + 1:]``, in units of 2**-1074.
 
-    Each float64 is its 52-bit fraction field plus the implicit leading bit,
-    scaled by 2**exponent.  ``block`` is nonincreasing, so its bits as int64
-    are too, and a binary search for each exponent's least bit pattern finds
-    where the runs of equal exponent (one per binade) start.
-    ``np.add.reduceat`` sums the fraction fields over each run, also split
-    around ``cut`` (-1 puts the whole block after it) and into pieces of at
-    most ``_CHUNK``, so no uint64 sum overflows, and Python ints add the run
-    sums.  ``scratch`` is an int64 buffer at least as long as ``block``, the
-    one vector the pass writes.
+    ``block`` is non-empty and nonincreasing, with clear sign bits (no -0.0),
+    as ``np.abs`` gives them; ``cut`` = -1 puts all of it after the cut.  Each
+    float64 is its 52-bit fraction field plus the implicit leading bit, scaled
+    by 2**exponent.  The bits as int64 are nonincreasing too, so a binary
+    search for each exponent's least bit pattern finds where the runs of equal
+    exponent (one per binade) start.  ``np.add.reduceat`` sums the fraction
+    fields over each run, also split around ``cut`` and into pieces of at most
+    ``_CHUNK``, so no uint64 sum overflows, and Python ints add the run sums.
+    ``scratch`` is an int64 buffer at least as long as ``block``; the fields
+    are the one vector the pass writes, and they go there.
     """
     bits = block.view(np.int64)
     size = bits.size
@@ -92,43 +93,6 @@ def _block_sums(block: np.ndarray, cut: int, scratch: np.ndarray) -> list[int]:
         run = (f + ((end - start) << 52 if e else 0)) << max(e - 1, 0)
         sums[(start >= cut) + (start > cut)] += run
     return sums
-
-
-def _binade_sums(magnitudes: np.ndarray, offset=0.0, cut=0) -> tuple[int, ...]:
-    """Sums of ``magnitudes[:cut]``, ``[cut]``, ``[cut + 1:]`` and ``offset``, in units of 2**-1074.
-
-    ``magnitudes`` must be non-empty and nonincreasing, and each must have a
-    clear sign bit (no -0.0), as ``np.abs`` gives them.  The pass walks them
-    in blocks of ``_BLOCK`` through ``_block_sums``, all in one int64 scratch
-    of at most ``_BLOCK`` entries (128 KB, which stays in L2), allocated once
-    per call, so it writes no n-sized array.
-    """
-    scratch = np.empty(min(magnitudes.size, _BLOCK), dtype=np.int64)
-    sums = [0, 0, 0]
-    for begin in range(0, magnitudes.size, _BLOCK):
-        block = _block_sums(magnitudes[begin : begin + _BLOCK], max(cut - begin, -1), scratch)
-        sums = [x + y for x, y in zip(sums, block)]
-    return *sums, _units(offset)
-
-
-def _index_in_block(block: np.ndarray, rest: int) -> int:
-    """The least j with sum(block[: j + 1]) >= ``rest`` units of 2**-1074; block.size if none.
-
-    The float cumsum of the block brackets j within its rounding error (and
-    that of ``rest`` as a float), and the signs of exact prefix sums less
-    ``rest`` bisect the bracket.
-    """
-    sums = np.cumsum(block)
-    floor = rest / _UNITS  # correctly rounded; exact when rest is a float's units
-    slack = 4.0 * (sums.size + 1) * _EPS * float(sums[-1])
-    lo, hi = (int(i) for i in np.searchsorted(sums, (floor - slack, floor + slack)))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sum(_binade_sums(block[: mid + 1])) >= rest:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _unit_shift(largest: float) -> int:
@@ -157,41 +121,55 @@ def threshold_index(magnitudes: np.ndarray, need: float) -> tuple[int, float, fl
     k is the smallest count with sum(magnitudes[:k]) >= cover_floor(need);
     the comparison with each prefix sum is exact.  The caller forms ``need``
     (n*lam for v, n*budget/(2 alpha) for w), and its rounding is the
-    caller's.  ``magnitudes`` are nonnegative and nonincreasing, so prefix
-    sums only grow.  Above one ``_BLOCK``, exact block sums locate k: the
-    exact sum of each block, from one pass, picks the one block that holds k
-    (the last when even the full sum falls short), and gives the exact sums
-    before it and after it.  Inside that block only, the float cumsum
-    brackets k within its rounding error, and the signs of exact prefix sums
-    less the floor bisect it.  At or below one block, that block is all the
-    magnitudes and no block sum is taken.  Returns k (1-based,
-    size + 1 when even the full sum falls short), the fraction
-    (need - head) / magnitudes[k-1] of the k-th magnitude that meets need,
-    clipped to [0, 1] and 1 at k = size + 1, and the correctly rounded sums
-    of the first k - 1 magnitudes (head), of all (total) and of those after
-    the k-th (tail).  The remainder need - head is rounded once, so for
-    need > 0 the clip acts only when the k-th prefix sum lies between the
-    floor and need.  Head, remainder, total and tail come from the block sums
-    and one exact pass over k's block, split around k.
+    caller's.  ``magnitudes`` are nonnegative and nonincreasing, with clear
+    sign bits, so prefix sums only grow.  Returns k (1-based, size + 1 when
+    even the full sum falls short), the fraction (need - head) /
+    magnitudes[k-1] of the k-th magnitude that meets need, clipped to [0, 1]
+    and 1 at k = size + 1, and the correctly rounded sums of the first k - 1
+    magnitudes (head), of all (total) and of those after the k-th (tail).
+
+    The pass walks blocks of ``_BLOCK`` margins, each summed exactly by
+    ``_block_sums`` in one int64 scratch of at most ``_BLOCK`` entries
+    (128 KB, which stays in L2), so it writes no n-sized array.  Above one
+    block, the exact sum of each block picks the one block that holds k (the
+    last when even the full sum falls short) and gives the sums before and
+    after it; at or below one block, that block is all the magnitudes.
+    Inside k's block only, the float cumsum brackets k within its rounding
+    error, the signs of exact prefix sums less the floor bisect the bracket,
+    and one more pass splits the block around k.  The remainder need - head
+    is rounded once, so for need > 0 the clip acts only when the k-th prefix
+    sum lies between the floor and need; a remainder <= 0 (the only case with
+    a zero k-th magnitude) takes fraction 0.
     """
     floor = _units(cover_floor(need))
+    scratch = np.empty(min(magnitudes.size, _BLOCK), dtype=np.int64)
     begin = before = after = 0
     if magnitudes.size > _BLOCK:
-        scratch = np.empty(_BLOCK, dtype=np.int64)
         starts = range(0, magnitudes.size, _BLOCK)
         blocks = (sum(_block_sums(magnitudes[i : i + _BLOCK], -1, scratch)) for i in starts)
         prefix = list(accumulate(blocks, initial=0))  # prefix[b]: the blocks before b, exactly
         b = min(bisect_left(prefix, floor, 1), len(prefix) - 1) - 1
         begin, before, after = b * _BLOCK, prefix[b], prefix[-1] - prefix[b + 1]
     block = magnitudes[begin : begin + _BLOCK]
-    lo = _index_in_block(block, floor - before)
-    head, pivot, tail, exact_need = _binade_sums(block, need, lo)
+    rest = floor - before
+    sums = np.cumsum(block)
+    slack = 4.0 * (sums.size + 1) * _EPS * float(sums[-1])
+    target = rest / _UNITS  # correctly rounded; exact when rest is a float's units
+    lo, hi = (int(i) for i in np.searchsorted(sums, (target - slack, target + slack)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(_block_sums(block[: mid + 1], -1, scratch)) >= rest:
+            hi = mid
+        else:
+            lo = mid + 1
+    head, pivot, tail = _block_sums(block, lo, scratch)
     head, tail = before + head, tail + after
-    units = head, head + pivot + tail, exact_need - head, tail
+    units = head, head + pivot + tail, _units(need) - head, tail
     head, total, remainder, tail = (x / _UNITS for x in units)
     if begin + lo == magnitudes.size:
         return begin + lo + 1, head, 1.0, total, tail
-    return begin + lo + 1, head, min(max(remainder / float(block[lo]), 0.0), 1.0), total, tail
+    fraction = min(remainder / float(block[lo]), 1.0) if remainder > 0 else 0.0
+    return begin + lo + 1, head, fraction, total, tail
 
 
 @dataclass(frozen=True)
@@ -360,11 +338,8 @@ class VoteProfile:
     exact sum of the v - 1 larger margins, ``tail`` that of the n - v smaller
     ones and ``fraction`` the share of the pivot nature takes, (n*lam - head) /
     |a_v| clipped to [0, 1].  The record is exact for some lam' within four ulps
-    of lam.  Exact integer sums of blocks of ``_BLOCK`` margins locate v's
-    block, the float cumsum covers that one block, and the block sums plus one
-    exact pass over that block give ``head``, n*lam - head, ``total`` and
-    ``tail``.  Construction fails unless the margins reach the floor; the pivot
-    is then nonzero.
+    of lam; ``threshold_index`` forms it in one exact pass.  Construction fails
+    unless the margins reach the floor; the pivot is then nonzero.
     """
 
     votes: np.ndarray
@@ -428,7 +403,7 @@ def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
 
 def sort_profile(votes, lam: float) -> VoteProfile:
     """Build the feasible profile, with its threshold record, used by all solvers."""
-    return VoteProfile(votes=getattr(votes, "values", votes), lam=lam)
+    return VoteProfile(votes=votes, lam=lam)
 
 
 def payoff(g, z) -> float:

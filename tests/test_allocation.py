@@ -4,8 +4,9 @@ Units are one float64 vector, 8n bytes (8nH for a matrix).  A caller's array
 is copied once, while a solver freezes the buffers it builds in place, so
 each bound allows the stage's fresh outputs plus little more than boolean
 or integer scratch.  ``sort_profile`` keeps the votes and the sorted margins
-(2 x 8n); its exact pass and float cumsum work in blocks of ``_BLOCK``
-margins, so an n-sized cumsum or int64 scratch would break its 2.25 bound.
+(2 x 8n); ``threshold_index`` walks the margins in blocks of ``_BLOCK`` with one
+int64 scratch per call and a float cumsum over one block, so an n-sized
+cumsum or scratch would break its 2.25 bound.
 The ``gen`` bounds are in MB, at 100k x 32 cells.
 """
 

@@ -22,7 +22,8 @@ from votebound.model import (
     LabeledSample,
     PredictionVector,
     WeightVector,
-    _binade_sums,
+    _block_sums,
+    _units,
     _UNITS,
     compute_votes,
 )
@@ -208,8 +209,9 @@ def sorted_magnitudes(draw, sizes=st.one_of(st.integers(1, 64), st.integers(448,
 
 
 def pass_sum(magnitudes, offset=0.0):
-    """The sum of ``magnitudes`` and ``offset`` from the integer pass, rounded once."""
-    return sum(_binade_sums(magnitudes, offset)) / _UNITS
+    """The sum of ``magnitudes`` (one block) and ``offset`` from the integer pass, rounded once."""
+    scratch = np.empty(magnitudes.size, dtype=np.int64)
+    return (sum(_block_sums(magnitudes, -1, scratch)) + _units(offset)) / _UNITS
 
 
 class TestExactSum:

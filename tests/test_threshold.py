@@ -281,6 +281,8 @@ def floor_at(value: float) -> float:
 )
 # Equal margins sum exactly in floats, so the floor can equal a block's prefix sum exactly.
 @example(magnitudes=np.full(3 * _BLOCK + 1, 0.75), tie=(_BLOCK, 0))
+# One zero margin and a target of 0: k = 1 with a zero pivot and a zero remainder.
+@example(magnitudes=np.zeros(1), tie=(_BLOCK, 0))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_record_is_exact_across_blocks(magnitudes, tie):
     # k's block is found by exact block sums; every k, and every sum formed from the block
@@ -304,9 +306,10 @@ def test_record_is_exact_across_blocks(magnitudes, tie):
         if k > magnitudes.size:
             assert fraction == 1.0
         else:
-            before = prefix[k - 2] if k > 1 else Fraction(0)
-            exact = (Fraction(target) - before) / Fraction(magnitudes[k - 1])
-            assert abs(fraction - min(max(exact, 0), 1)) <= EPS
+            # A remainder <= 0 takes fraction 0; only it can meet a zero k-th margin.
+            remainder = Fraction(target) - (prefix[k - 2] if k > 1 else 0)
+            exact = remainder / Fraction(magnitudes[k - 1]) if remainder > 0 else 0
+            assert abs(fraction - min(exact, 1)) <= EPS
     assert threshold_index(magnitudes, targets[-1])[0] == magnitudes.size + 1
 
 
@@ -328,3 +331,32 @@ def test_mixed_scale_profile_passes_each_margin_about_once(monkeypatch):
     profile = sort_profile(votes, (1000 + 1e-13 * (n - 1000) / 2) / n)
     assert 1000 < profile.v < n
     assert sum(handed) <= n + 16 * _BLOCK
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tied", "tiny"])
+def test_record_scales_exactly_by_powers_of_two(kind):
+    # Margins and lam times 2**-k scale n*lam exactly, so every decision must keep its bits
+    # and every sum must scale by exactly 2**-k, through the walk over all 62 blocks.
+    rng = np.random.default_rng(36)
+    n = 1_000_000
+    if kind == "uniform":
+        votes = rng.uniform(-1.0, 1.0, n)
+    elif kind == "tied":
+        votes = rng.integers(-16, 17, n) / 16.0  # 33 levels
+    else:
+        votes = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+    lam, alpha = 0.6 * float(np.abs(votes).mean()), 0.25
+    profile = sort_profile(votes, lam)
+    game, abstain = solve_game(profile), solve_abstain(profile, alpha)
+    assert profile.v > _BLOCK and not abstain.trivial
+    for k in (1, 7, 29):
+        scaled = sort_profile(np.ldexp(votes, -k), math.ldexp(lam, -k))
+        scaled_game, scaled_abstain = solve_game(scaled), solve_abstain(scaled, alpha)
+        assert (scaled.v, scaled_abstain.w) == (profile.v, abstain.w)
+        assert scaled.fraction.hex() == profile.fraction.hex()
+        assert scaled_abstain.value_exact.hex() == abstain.value_exact.hex()
+        assert scaled_game.value.hex() == game.value.hex()
+        assert scaled_game.g_star.values.tobytes() == game.g_star.values.tobytes()
+        for name in ("head", "total", "tail", "pivot"):
+            expected = math.ldexp(getattr(profile, name), -k)
+            assert getattr(scaled, name).hex() == expected.hex(), name
