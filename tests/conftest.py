@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from votebound import sort_profile
-
-# CI runs with --hypothesis-profile=ci: numpy summarises arrays past 1000 entries in a
-# failure report, so a failing draw is replayed from its printed blob instead.
-settings.register_profile("ci", print_blob=True)
 
 # Desk fixtures shared across the suite.  All derived numbers quoted in the
 # tests were recomputed against the independent oracles before freezing.
