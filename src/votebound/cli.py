@@ -44,6 +44,10 @@ from .pacbayes import (
 )
 
 
+# Rows formatted per text part of a report, and per write of a gen CSV.
+_WRITE_ROWS = 8192
+
+
 class ParseError(VoteboundError):
     """An input file could not be parsed."""
 
@@ -55,65 +59,109 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _json(obj, pad: str = "", path: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` with reals rounded to 12 significant digits.
+def _text(x, path: str) -> str:
+    """The JSON text of a real (rounded to 12 significant digits), bool or integer scalar."""
+    if isinstance(x, (float, np.floating)):
+        if not abs(x) <= sys.float_info.max:
+            raise ValueError(f"non-finite real ({float(x)}) at {path[1:]}")
+        return repr(float(f"{float(x):.12g}"))
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return str(int(x))
 
-    A 1-D array is formatted once per distinct value, keyed on its bits (so
-    -0.0 and 0.0 stay apart), and a structured array is written as a list of
-    records, one per row.  A NaN or infinite real is refused, named by its key path.
+
+def _json(obj, pad: str = "", path: str = "") -> list[str]:
+    """The text parts of ``json.dumps(obj, indent=2)``, reals rounded to 12 significant digits.
+
+    Joined, the parts are the report.  A 1-D numeric array and a structured
+    array (a list of records, one per row) are formatted once per distinct
+    value and joined ``_WRITE_ROWS`` rows to a part (see ``_json_rows``).
+    A NaN or infinite real is refused, named by its key path.
     """
     inner = pad + "  "
-    if isinstance(obj, (float, np.floating)):
-        if not abs(obj) <= sys.float_info.max:
-            raise ValueError(f"non-finite real ({float(obj)}) at {path[1:]}")
-        return repr(float(f"{float(obj):.12g}"))
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if isinstance(obj, (float, np.floating, bool, np.bool_, int, np.integer)):
+        return [_text(obj, path)]
+    if isinstance(obj, np.ndarray) and (
+        obj.dtype.names or (obj.ndim == 1 and obj.dtype.kind in "biuf")
+    ):
+        return _json_rows(obj, pad, path)
     if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {_json(v, inner, f'{path}.{k}')}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
-    if isinstance(obj, np.ndarray) and obj.dtype.names:
-        fields = ",\n".join(f"{inner}  {json.dumps(name)}: %s" for name in obj.dtype.names)
-        columns = [_json_texts(obj[name], f"{path}.{name}") for name in obj.dtype.names]
-        items = [f"{{\n{fields}\n{inner}}}" % row for row in zip(*columns)]
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
-        items = _json_texts(obj, path)
+        items = [
+            (f"\n{inner}{json.dumps(k)}: ", _json(v, inner, f"{path}.{k}")) for k, v in obj.items()
+        ]
+        opening, closing = "{", f"\n{pad}}}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = [_json(value, inner, path) for value in obj]
+        items = [(f"\n{inner}", _json(value, inner, path)) for value in obj]
+        opening, closing = "[", f"\n{pad}]"
     else:
-        return json.dumps(obj)
-    return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
+        return [json.dumps(obj)]
+    if not items:
+        return [opening + closing[-1]]
+    parts = [opening]
+    for key, value in items:
+        parts += [key, *value, ","]
+    parts[-1] = closing
+    return parts
 
 
-def _json_texts(column: np.ndarray, path: str) -> list[str]:
-    """``_json`` of each entry of a 1-D array, computed once per distinct value."""
-    keys, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-    distinct = keys.view(column.dtype).tolist()
-    # Integers need neither rounding nor a finiteness check.
-    texts = [str(x) if column.dtype.kind in "iu" else _json(x, "", path) for x in distinct]
-    return np.array(texts, object)[inverse].tolist()
+def _json_rows(table: np.ndarray, pad: str, path: str) -> list[str]:
+    """``_json`` of a 1-D numeric array, or of a structured array as a list of records.
+
+    Each column's distinct values, keyed on their bits (so -0.0 and 0.0 stay
+    apart), are formatted once, together with the text around them in a row:
+    the row separator, the record's braces and the field's key line.
+    Gathered back into one object array of rows by columns, the texts are
+    joined ``_WRITE_ROWS`` rows to a part.
+    """
+    if table.size == 0:
+        return ["[]"]
+    inner, names = pad + "  ", table.dtype.names
+    if names is None:
+        columns, befores, after = [(table, path)], [f",\n{inner}"], ""
+    else:
+        columns = [(table[name], f"{path}.{name}") for name in names]
+        keys = [f"\n{inner}  {json.dumps(name)}: " for name in names]
+        befores = [f",\n{inner}{{{keys[0]}", *("," + key for key in keys[1:])]
+        after = f"\n{inner}}}"
+    cells = np.empty((table.size, len(columns)), dtype=object)
+    for c, ((column, where), before) in enumerate(zip(columns, befores)):
+        bits, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+        end = after if c == len(columns) - 1 else ""
+        values = bits.view(column.dtype).tolist()
+        # Integers need neither rounding nor a finiteness check.
+        texts = map(str, values) if column.dtype.kind in "iu" else (_text(x, where) for x in values)
+        cells[:, c] = np.array([before + text + end for text in texts], object)[inverse]
+    cells[0, 0] = cells[0, 0][1:]  # no separator before the first row
+    blocks = range(0, table.size, _WRITE_ROWS)
+    rows = ("".join(cells[i : i + _WRITE_ROWS].ravel().tolist()) for i in blocks)
+    return ["[", *rows, f"\n{pad}]"]
 
 
 def _emit(payload: dict, args, out: str | None) -> None:
-    """Write the report as JSON, with tool metadata unless --canonical."""
+    """Write the report as JSON, with tool metadata unless --canonical.
+
+    The whole report is formatted before the first byte is written, so a
+    non-finite real leaves no partial report and no ``--out`` file.  Its
+    parts are then written in turn, and never joined into one string.
+    """
     if not args.canonical:
         payload["tool"] = {"name": "votebound", "version": __version__}
-    text = _json(payload)
+    parts = _json(payload)
+    parts.append("\n")
     if out:
         with open(out, "w", encoding="utf-8") as stream:
-            print(text, file=stream)  # text, then "\n": the report is never copied
+            stream.writelines(parts)
     else:
-        print(text, flush=True)  # a closed pipe raises here, inside main, not at exit
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
     """The cells under a checked header line, one row per line.
 
     ``header=None`` expects the prediction header ``h1,...,hH``.  Every row
-    must hold exactly the header's cell count, each cell parsing as ``dtype``.
+    must hold exactly the header's cell count, each cell parsing as ``dtype``;
+    an integer cell past ``dtype``'s range does not parse.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -132,7 +180,12 @@ def _read_csv(path: str, header: list[str] | None, dtype) -> np.ndarray:
         raise ParseError(f"{path}: not valid UTF-8") from exc
     except ValueError as exc:  # a cell that does not parse, or a ragged row
         detail = str(exc).split(";")[0]  # drop numpy's hint about usecols
-        raise ParseError(f"{path}: rows must hold {dtype.__name__} cells ({detail})") from exc
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            cells = f"integer cells from {info.min} to {info.max}"
+        else:
+            cells = f"{dtype.__name__} cells"
+        raise ParseError(f"{path}: rows must hold {cells} ({detail})") from exc
     if cells.shape[1] != len(names):
         raise ParseError(f"{path}: every row must hold the header's {len(names)} cells")
     return cells
@@ -213,10 +266,10 @@ def cmd_abstain(args) -> int:
 
 def cmd_pipeline(args) -> int:
     sample = LabeledSample(
-        predictions=_read_csv(args.train_pred, None, int),
-        labels=_read_csv(args.train_labels, ["label"], int)[:, 0],
+        predictions=_read_csv(args.train_pred, None, np.int8),
+        labels=_read_csv(args.train_labels, ["label"], np.int8)[:, 0],
     )
-    test = EnsembleMatrix(_read_csv(args.test_pred, None, int))
+    test = EnsembleMatrix(_read_csv(args.test_pred, None, np.int8))
     if test.num_hypotheses != sample.num_hypotheses:
         raise DimensionError(
             f"train has {sample.num_hypotheses} hypotheses, test has {test.num_hypotheses}"
@@ -304,7 +357,6 @@ def cmd_verify(args) -> int:
 
 # Entry b holds the cells of byte b's bits, most significant first, as np.packbits packs them.
 _SIGN_TEXTS = [",".join(cells) for cells in itertools.product(("-1", "1"), repeat=8)]
-_WRITE_ROWS = 8192  # rows formatted per write: one block's text is held, not the file's
 
 
 def _write_signs(path: Path, blocks, header: str) -> None:

@@ -31,6 +31,7 @@ _FIELD = (1 << 52) - 1  # the fraction field of a float64
 _UNITS = 1 << 1074  # every float64 is an integer multiple of 2**-1074
 _BLOCK = 2**14  # margins per block of the exact pass: 128 KB of float64
 _CHUNK = 2**12  # fraction fields per uint64 sum: 2**12 * 2**52 stays below 2**64
+_ROW_GROUP = 16  # rows per step of a BLAS matrix-vector kernel, rounded up
 
 
 def _readonly(values) -> np.ndarray:
@@ -41,9 +42,27 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-def _all_signs(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is exactly -1 or +1, with boolean temporaries only."""
-    return bool(np.logical_or(signs := x == 1.0, x == -1.0, out=signs).all())
+def _sign_cells(values) -> np.ndarray:
+    """``values`` as an integer array, or else as a float array checked to be finite."""
+    cells = np.asarray(values)
+    if cells.dtype.kind in "iu":
+        return cells
+    cells = np.asarray(cells, dtype=float)
+    if not np.isfinite(cells).all():
+        raise ValueError("values must be finite (no NaN or inf)")
+    return cells
+
+
+def _frozen_signs(cells: np.ndarray, message: str) -> np.ndarray:
+    """A read-only int8 copy of ``cells``, each of which must be exactly -1 or +1.
+
+    The check makes boolean temporaries only, so a caller's array is copied once, as int8.
+    """
+    if not np.logical_or(signs := cells == 1, cells == -1, out=signs).all():
+        raise ValueError(message)
+    cells = cells.astype(np.int8)
+    cells.setflags(write=False)
+    return cells
 
 
 def _vectors(*vectors) -> list[np.ndarray]:
@@ -177,18 +196,20 @@ class EnsembleMatrix:
     """Sign predictions of the base classifiers on the unlabeled examples.
 
     Rows index examples, columns index classifiers; every entry is -1 or +1.
+    ``entries`` is a read-only int8 copy of the caller's array.  A float input
+    is checked to be finite, then its shape, then its signs, before it is
+    converted.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _readonly(self.entries)
+        entries = _sign_cells(self.entries)
         if entries.ndim != 2:
             raise DimensionError("prediction matrix must be 2-D")
         if entries.shape[0] < 1 or entries.shape[1] < 1:
             raise DimensionError("prediction matrix must be non-empty")
-        if not _all_signs(entries):
-            raise ValueError("prediction entries must be exactly -1 or +1")
+        entries = _frozen_signs(entries, "prediction entries must be exactly -1 or +1")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -298,24 +319,25 @@ class AbstainStrategy:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """Training predictions with their known labels."""
+    """Training predictions with their known labels, both read-only int8 copies.
+
+    The checks run in ``EnsembleMatrix``'s order: finite (float inputs), shapes, signs.
+    """
 
     predictions: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        predictions = _readonly(self.predictions)
-        labels = _readonly(self.labels)
+        predictions = _sign_cells(self.predictions)
+        labels = _sign_cells(self.labels)
         if predictions.ndim != 2 or labels.ndim != 1:
             raise DimensionError("expected a 2-D prediction grid and 1-D labels")
         if predictions.shape[0] != labels.size:
             raise DimensionError("label count must equal prediction row count")
         if predictions.size < 1:
             raise DimensionError("training sample must be non-empty")
-        if not _all_signs(predictions):
-            raise ValueError("training predictions must be exactly -1 or +1")
-        if not _all_signs(labels):
-            raise ValueError("training labels must be exactly -1 or +1")
+        predictions = _frozen_signs(predictions, "training predictions must be exactly -1 or +1")
+        labels = _frozen_signs(labels, "training labels must be exactly -1 or +1")
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "labels", labels)
 
@@ -390,13 +412,35 @@ class VoteProfile:
 
 
 def compute_votes(matrix: EnsembleMatrix, q: WeightVector) -> np.ndarray:
-    """Weighted-average ensemble prediction per example, each in [-1, 1]."""
+    """Weighted-average ensemble prediction per example, each in [-1, 1].
+
+    Each vote has the bits of its row of ``matrix.entries.astype(float) @
+    q.weights`` made in one BLAS call on one thread, but no n x H float copy
+    is made: the int8 rows are converted a block at a time into one float
+    buffer, and each block takes the same product into its slice of the
+    votes.  A BLAS kernel takes rows in groups, and a call of very few rows
+    goes another way, so every block but the last starts and ends on a
+    multiple of ``_ROW_GROUP`` rows, and the last holds at least
+    ``_ROW_GROUP`` rows unless it is the only one.  A block holds at most
+    ``_BLOCK`` floats, or at most 2 * ``_ROW_GROUP`` - 1 rows if fewer rows fit.
+    """
     if len(q) != matrix.num_hypotheses:
         raise DimensionError(
             f"weight vector has length {len(q)}, matrix has "
             f"{matrix.num_hypotheses} hypotheses"
         )
-    votes = matrix.entries @ q.weights
+    entries = matrix.entries
+    n, h = entries.shape
+    # The last block may take up to _ROW_GROUP - 1 rows more than the others.
+    rows = max((_BLOCK // h - _ROW_GROUP + 1) // _ROW_GROUP * _ROW_GROUP, _ROW_GROUP)
+    ends = [*range(rows, n - _ROW_GROUP + 1, rows), n]
+    starts = [0, *ends[:-1]]
+    buffer = np.empty((max(end - start for start, end in zip(starts, ends)), h))
+    votes = np.empty(n)
+    for start, end in zip(starts, ends):
+        block = buffer[: end - start]
+        np.copyto(block, entries[start:end])
+        np.matmul(block, q.weights, out=votes[start:end])
     # |votes| <= sum(q) = 1 mathematically; clip float residue only, in place.
     return np.clip(votes, -1.0, 1.0, out=votes)
 

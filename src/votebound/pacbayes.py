@@ -107,8 +107,13 @@ def probability_bounds(
 
 
 def hypothesis_errors(sample: LabeledSample) -> np.ndarray:
-    """Per-hypothesis empirical error rates on the labeled sample."""
-    agreement = (sample.labels @ sample.predictions) / sample.num_examples
+    """Per-hypothesis empirical error rates on the labeled sample.
+
+    Each hypothesis' agreements less disagreements are counted exactly in
+    int64 (an int8 product would wrap), then divided by m as a float.
+    """
+    signed = np.multiply(sample.predictions, sample.labels[:, None])  # +-1 fits int8
+    agreement = signed.sum(axis=0, dtype=np.int64) / sample.num_examples
     return (1.0 - agreement) / 2.0
 
 

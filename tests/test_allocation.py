@@ -7,7 +7,9 @@ or integer scratch.  ``sort_profile`` keeps the votes and the sorted margins
 (2 x 8n); ``threshold_index`` walks the margins in blocks of ``_BLOCK`` with one
 int64 scratch per call and a float cumsum over one block, so an n-sized
 cumsum or scratch would break its 2.25 bound.
-The ``gen`` bounds are in MB, at 100k x 32 cells.
+The ``gen`` bounds are in MB, at 100k x 32 cells, and so is ``pipeline``'s, at
+4k train x 20k test x 32 hypotheses: the int8 cells are converted to float one
+block of rows at a time, and the report is held as parts, never as one string.
 """
 
 import tracemalloc
@@ -84,6 +86,20 @@ def test_gen_draws_each_flip_matrix_in_blocks(tmp_path, capsys):
     argv = ["gen", "--seed", "1", "--train-size", "20000", "--test-size", "100000"]
     argv += ["--hypotheses", "32", "--base-error", "0.1", "--out", str(tmp_path)]
     assert traced_peak(lambda: main(argv), 2**20) <= 6
+    capsys.readouterr()
+
+
+def test_pipeline_reads_and_reports_without_float_copies(tmp_path, capsys):
+    # In MB, at 4k train x 20k test x 32 hypotheses: the int8 test matrix is 0.64 MB, its
+    # float64 copy 5.1 MB, and the report 3.4 MB, written in parts of 8192 rows.
+    data, report = tmp_path / "data", tmp_path / "report.json"
+    gen = ["gen", "--seed", "1", "--train-size", "4000", "--test-size", "20000"]
+    assert main([*gen, "--hypotheses", "32", "--base-error", "0.1", "--out", str(data)]) == 0
+    argv = ["pipeline", "--train-pred", str(data / "train_predictions.csv")]
+    argv += ["--train-labels", str(data / "train_labels.csv")]
+    argv += ["--test-pred", str(data / "test_predictions.csv")]
+    argv += ["--alpha", "0.25", "--canonical", "--out", str(report)]
+    assert traced_peak(lambda: main(argv), 2**20) <= 10
     capsys.readouterr()
 
 

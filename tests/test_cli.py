@@ -903,6 +903,32 @@ class TestPipelineInputs:
         assert exit_code == code
         assert code == 0 or report["error"] == "parse_error"
 
+    @pytest.mark.parametrize("cell", ["127", "2", "128", "300", "-129"])
+    @pytest.mark.parametrize(
+        "key, rule",
+        [
+            ("test_pred", "prediction entries must be exactly -1 or +1"),
+            ("train_pred", "training predictions must be exactly -1 or +1"),
+            ("train_labels", "training labels must be exactly -1 or +1"),
+        ],
+    )
+    def test_int8_edge_cells(self, tmp_path, capsys, cell, key, rule):
+        # Cells are read as int8: 127 and 2 parse and break the sign rule (exit 2);
+        # 128, 300 and -129 do not parse (exit 3), and the message names the range.
+        files = gen_dataset(tmp_path, capsys, m=50, n=5, h=3)
+        path = Path(files[key])
+        lines = path.read_text().split("\n")
+        lines[2] = ",".join([cell] + lines[2].split(",")[1:])
+        path.write_text("\n".join(lines))
+        code, report = run_pipeline(capsys, files)
+        if cell in ("127", "2"):
+            assert (code, report) == (2, {"error": "validation_error", "message": rule})
+        else:
+            assert_parse_error(code, report)
+            assert report["message"].startswith(
+                f"{path}: rows must hold integer cells from -128 to 127 (could not convert string"
+            )
+
     @pytest.mark.parametrize(
         "content",
         [

@@ -4,7 +4,8 @@ The CLI used to round every real with a recursive walk and then call
 ``json.dumps(..., indent=2)``.  That route is kept here as the reference:
 the encoder must write the same bytes for any payload the CLI can build,
 including float arrays with signed zeros, subnormals and heavy repeats, and
-the column table that holds ``pipeline``'s per-example records.
+the column table that holds ``pipeline``'s per-example records.  The
+encoder returns the report as text parts; the tests join them.
 """
 
 import json
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from votebound.cli import _json
+from votebound import cli
+from votebound.cli import _WRITE_ROWS, _json, main
 
 EXAMPLE_FIELDS = ("index", "vote", "prediction", "abstain_probability", "label")
 
@@ -49,6 +51,10 @@ def as_records(obj):
 
 def reference(payload) -> str:
     return json.dumps(round_floats(as_records(payload)), indent=2)
+
+
+def encode(payload) -> str:
+    return "".join(_json(payload))
 
 
 SPECIAL_REALS = [
@@ -97,18 +103,18 @@ payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_bytes_equal_the_former_route(payload):
-    assert _json(payload) == reference(payload)
+    assert encode(payload) == reference(payload)
 
 
 @settings(max_examples=100, deadline=None)
 @given(example_tables())
 def test_example_table_equals_per_row_dicts(table):
     payload = {"examples": table, "fallback": False}
-    assert _json(payload) == reference(payload)
+    assert encode(payload) == reference(payload)
 
 
-def test_many_rows_of_tied_and_distinct_values():
-    n = 5000
+def tied_and_distinct_payload(n):
+    """A per-example table of n rows and its g_star column: values tied, distinct and -0.0."""
     k = np.arange(n)
     vote = ((k * 37) % 41 - 20) / 20.0
     prediction = np.clip(vote / 0.35, -1.0, 1.0)
@@ -119,8 +125,21 @@ def test_many_rows_of_tied_and_distinct_values():
         [k, vote, prediction, probs, np.sign(prediction).astype(int)],
         names=",".join(EXAMPLE_FIELDS),
     )
-    payload = {"game_solution": {"g_star": prediction, "v": 3}, "examples": table}
-    assert _json(payload) == reference(payload)
+    return {"game_solution": {"g_star": prediction, "v": 3}, "examples": table}
+
+
+def test_many_rows_of_tied_and_distinct_values():
+    payload = tied_and_distinct_payload(5000)
+    assert encode(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("n", [_WRITE_ROWS, 2 * _WRITE_ROWS + 1])
+def test_rows_across_text_part_edges(n):
+    # Each array of n rows is joined _WRITE_ROWS rows to a part; the last part may hold one row.
+    payload = tied_and_distinct_payload(n)
+    parts = _json(payload)
+    assert "".join(parts) == reference(payload)
+    assert max(part.count('"index"') for part in parts) == _WRITE_ROWS
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -135,4 +154,33 @@ def test_non_finite_reals_are_refused(bad):
         ({"examples": np.rec.fromarrays([np.array([0.0, bad])], names="vote")}, "examples.vote"),
     ):
         with pytest.raises(ValueError, match=rf"non-finite real \(.+\) at {path}$"):
-            _json(payload)
+            encode(payload)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_non_finite_real_in_the_last_part_writes_no_report(tmp_path, capsys, monkeypatch, out):
+    data = tmp_path / "data"
+    gen = ["gen", "--seed", "3", "--train-size", "200", "--test-size", str(2 * _WRITE_ROWS + 1)]
+    assert main([*gen, "--hypotheses", "4", "--base-error", "0.1", "--out", str(data)]) == 0
+    report = tmp_path / "report.json"
+    argv = ["pipeline", "--canonical", "--alpha", "0.25"]
+    argv += ["--train-pred", str(data / "train_predictions.csv")]
+    argv += ["--train-labels", str(data / "train_labels.csv")]
+    argv += ["--test-pred", str(data / "test_predictions.csv")]
+    argv += ["--out", str(report)] if out else []
+    emit = cli._emit
+
+    def emit_with_nan_last(payload, args, path):
+        payload["examples"]["vote"][-1] = math.nan  # in the last part of 2 * _WRITE_ROWS + 1 rows
+        emit(payload, args, path)
+
+    monkeypatch.setattr(cli, "_emit", emit_with_nan_last)
+    capsys.readouterr()
+    assert main(argv) == 2
+    stdout = capsys.readouterr().out
+    assert stdout.count("\n") == 1  # the error line alone
+    assert json.loads(stdout) == {
+        "error": "validation_error",
+        "message": "non-finite real (nan) at examples.vote",
+    }
+    assert not report.exists()

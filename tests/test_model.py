@@ -22,6 +22,8 @@ from votebound.model import (
     LabeledSample,
     PredictionVector,
     WeightVector,
+    _BLOCK,
+    _ROW_GROUP,
     _block_sums,
     _units,
     _UNITS,
@@ -114,6 +116,28 @@ class TestComputeVotes:
         q[j] = 1.0
         votes = compute_votes(EnsembleMatrix(matrix), WeightVector(q))
         assert np.array_equal(votes, matrix[:, j].astype(float))
+
+
+    @given(
+        h=st.sampled_from([1, 3, 8, 32, 33, 700]),
+        blocks=st.integers(1, 3),
+        offset=st.sampled_from([-1, 0, 1, _ROW_GROUP - 1, _ROW_GROUP]),
+        seed=st.integers(0, 2**32 - 1),
+        as_float=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_give_the_bits_of_one_product(self, h, blocks, offset, seed, as_float):
+        # Row counts at each block edge +-1 and at the edge where the last block stands alone.
+        rows = max((_BLOCK // h - _ROW_GROUP + 1) // _ROW_GROUP * _ROW_GROUP, _ROW_GROUP)
+        rng = np.random.default_rng(seed)
+        signs = np.where(rng.random((max(blocks * rows + offset, 1), h)) < 0.5, -1, 1)
+        weights = rng.random(h) ** 3
+        q = WeightVector(weights / weights.sum())
+        entries = signs.astype(float) if as_float else signs.astype(np.int8)
+        matrix = EnsembleMatrix(entries)
+        assert matrix.entries.dtype == np.int8
+        expected = np.clip(entries.astype(float) @ q.weights, -1.0, 1.0)
+        assert compute_votes(matrix, q).tobytes() == expected.tobytes()
 
 
 class TestSortProfile:

@@ -290,6 +290,24 @@ class TestExpWeightsPosterior:
             exp_weights_posterior(sample, -1.0)
 
 
+@given(
+    m=st.integers(1, 400) | st.sampled_from([127, 128, 129, 255, 256, 70_000]),
+    h=st.integers(1, 5),
+    agree=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_int8_errors_equal_the_float_route(m, h, agree, seed):
+    # Counts past 127 would wrap in an int8 product; the float route sums exact integers.
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(m) < 0.5, -1, 1)
+    predictions = labels[:, None] * np.where(rng.random((m, h)) < agree, 1, -1)
+    sample = LabeledSample(predictions=predictions, labels=labels)
+    assert sample.predictions.dtype == sample.labels.dtype == np.int8
+    expected = (1.0 - (labels.astype(float) @ predictions.astype(float)) / m) / 2.0
+    assert hypothesis_errors(sample).tobytes() == expected.tobytes()
+
+
 class TestKlBoundTrain:
     def test_uniform_posterior(self):
         params = PacBayesParams(m=100, delta=0.05)
