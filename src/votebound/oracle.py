@@ -9,18 +9,20 @@ cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
 and the grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which
 oracle runs at which size, on solutions it is handed: only ``certify_batch``
 calls a solver.  The enumeration reads a per-n table, built once on first use
-and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, each row's
+and read-only: the {-1, 0, 1}^n and {-1, 0, 1}^(n-1) grids, C-contiguous
+(the matrix-vector kernel sums another layout in another order), each row's
 nonzero count and each coordinate's list of the others.  It handles every
 fractional coordinate in one stacked matrix-vector product, which keeps the
-bits of one product per coordinate (see enumerate_game_value).  The abstain
-grid keeps only the levels and partial sums no other beats on both, which is
-exact because float addition rounds monotonically (see grid_abstain_value).
+bits of one product per coordinate, and solves z_k only on the rows whose
+count can still beat the integral optimum (see enumerate_game_value).  The
+abstain grid keeps only the levels and partial sums no other beats on both,
+found by one sort on gain, which is exact because float addition rounds
+monotonically (see grid_abstain_value).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from math import fsum, isfinite, ldexp
 from typing import Optional
 
@@ -117,7 +119,12 @@ def lp_best_response(costs, coeffs, rhs: float) -> tuple[np.ndarray, float]:
 
 @functools.cache
 def _ternary_grid(n: int) -> np.ndarray:
-    return _readonly(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    """{-1, 0, 1}^n in ``itertools.product`` order, C-contiguous and read-only.
+
+    C order matters: the gemv kernel sums an F-ordered grid's rows in another order.
+    """
+    digits = np.indices((3,) * n).reshape(n, 3**n).T
+    return _readonly(np.ascontiguousarray(digits - 1.0))
 
 
 @functools.cache
@@ -146,6 +153,7 @@ def enumerate_game_value(votes, lam: float) -> float:
     matrix-vector product on each slab, so each slab has the bits of the
     per-k product ``sub @ np.delete(a, k)``.  A 2-D ``sub @ a[rest].T`` would
     not: it is a matrix-matrix product, which rounds its sums differently.
+    z_k is solved only on the rows whose count is below the integral optimum.
     """
     (a,) = _problem(votes)
     n = a.size
@@ -160,18 +168,28 @@ def enumerate_game_value(votes, lam: float) -> float:
 
     moved = np.flatnonzero(a)
     pivots = a[moved, None]
+    products = np.matmul(sub, a[rest[moved]][:, :, None])[:, :, 0]
+    # A row's total is at least its count, so a row whose count reaches best cannot beat it.
+    open_rows = sub_counts < best
     with np.errstate(over="ignore"):  # a subnormal a_k: the cover test drops the inf
-        z = (target - np.matmul(sub, a[rest[moved]][:, :, None])[:, :, 0]) / pivots
+        z = (target - products[:, open_rows]) / pivots
     # Clipped to the box, z_k misses the target by (|z_k| - 1)|a_k|; the floor allows that much.
     inside = (np.abs(z) - 1.0) * np.abs(pivots) <= target - floor
-    totals = sub_counts + np.minimum(np.abs(z), 1.0)
+    totals = sub_counts[open_rows] + np.minimum(np.abs(z), 1.0)
     return float(totals.min(initial=best, where=inside)) / n
 
 
 def _pareto_frontier(gain: np.ndarray, pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs no other pair matches or beats on both, by ascending gain."""
-    order = np.lexsort((-pay, -gain))
+    """The pairs no other pair matches or beats on both, by ascending gain.
+
+    One sort by descending gain (ties in any order), each distinct gain's best
+    pay, then a gain is kept where that pay beats every pay at a larger gain.
+    Equal gains share their bits: no gain is -0.0.
+    """
+    order = np.argsort(-gain)
     gain, pay = gain[order], pay[order]
+    starts = np.flatnonzero(np.concatenate(([True], gain[1:] != gain[:-1])))
+    gain, pay = gain[starts], np.maximum.reduceat(pay, starts)
     keep = pay > np.maximum.accumulate(np.concatenate(([-np.inf], pay[:-1])))
     return gain[keep][::-1], pay[keep][::-1]
 
@@ -291,7 +309,7 @@ def certify_instance(
     _, objective = lp_best_response(game.g_star.values, votes, n * lam)
     saddle = {
         "nature_best_response": objective / n,
-        "predictor_best_response": float(np.abs(game.z_star.values).mean()),
+        "predictor_best_response": float(np.abs(game.z_star.values).sum()) / n,
     }
     deviations["saddle"] = max(abs(side - game.value) for side in saddle.values())
     feasible = fsum(votes * game.z_star.values) >= cover_floor(n * lam)

@@ -60,6 +60,14 @@ def reference_enumerate_game_value(votes, lam):
     return best / n
 
 
+def reference_pareto_frontier(gain, pay):
+    """``_pareto_frontier`` as the two-key lexsort it replaced."""
+    order = np.lexsort((-pay, -gain))
+    gain, pay = gain[order], pay[order]
+    keep = pay > np.maximum.accumulate(np.concatenate(([-np.inf], pay[:-1])))
+    return gain[keep][::-1], pay[keep][::-1]
+
+
 def reference_grid_abstain_value(votes, lam, alpha, step):
     """``grid_abstain_value`` as a full tail scan per first-coordinate level.
 
@@ -229,6 +237,8 @@ class TestAgainstFormerRoutes:
             assert table is _enumeration_table(n)
             grid, counts, sub, sub_counts, rest = table
             assert grid is _ternary_grid(n) and sub is _ternary_grid(n - 1)
+            # The gemv kernel sums the rows of an F-ordered grid in another order, moving the bits.
+            assert grid.flags.c_contiguous and sub.flags.c_contiguous
             assert np.array_equal(counts, np.abs(grid).sum(axis=1))
             assert np.array_equal(sub_counts, np.abs(sub).sum(axis=1))
             others = [[j for j in range(n) if j != k] for k in range(n)]
@@ -243,6 +253,9 @@ class TestAgainstFormerRoutes:
             st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40
         )
     )
+    @example([(1, 3), (1, 5), (1, 2)])  # tied in gain
+    @example([(0, 4), (2, 4), (5, 4)])  # tied in pay
+    @example([(3, 2), (3, 2), (1, 2), (3, 2), (1, 6)])  # tied in both
     def test_frontier_keeps_exactly_the_undominated_pairs(self, pairs):
         gain, pay = (np.array(column, dtype=float) / 4 for column in zip(*pairs))
         front_gain, front_pay = _pareto_frontier(gain, pay)
@@ -251,6 +264,8 @@ class TestAgainstFormerRoutes:
         for g, p in zip(gain.tolist(), pay.tolist()):
             beaten = np.any((gain >= g) & (pay >= p) & ((gain > g) | (pay > p)))
             assert ((g, p) in kept) == (not beaten)
+        reference = reference_pareto_frontier(gain, pay)
+        assert [front_gain.tobytes(), front_pay.tobytes()] == [part.tobytes() for part in reference]
 
 
 def vertex_lp_optimum(costs, coeffs, rhs):
