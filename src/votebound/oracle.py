@@ -23,6 +23,7 @@ monotonically (see grid_abstain_value).
 from __future__ import annotations
 
 import functools
+import random
 from math import fsum, isfinite, ldexp
 from typing import Optional
 
@@ -265,17 +266,22 @@ def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) 
 def random_instances(count: int, seed: int, nmax: int):
     """Seeded random feasible instances: (votes, lam, alpha) triples.
 
-    Votes are uniform on [-1, 1], lam is uniform on
-    (0.1 * mean|votes|, mean|votes|], alpha is uniform on (0.05, 0.45).
+    Every draw is one ``u = rng.random()`` of ``rng = random.Random(seed)``,
+    whose sequence Python keeps across versions, so a seed gives the same
+    instances on any Python and any numpy.  In order: n = 1 + int(u * nmax),
+    uniform on {1, ..., nmax}; n votes 2u - 1, uniform on [-1, 1);
+    lam = m * (0.1 + 0.9u), uniform on [0.1m, m) where m is the mean |vote|
+    (``fsum`` of the magnitudes over n); alpha = 0.05 + 0.4u, uniform on
+    [0.05, 0.45).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(count):
-        n = int(rng.integers(1, nmax + 1))
-        votes = rng.uniform(-1.0, 1.0, n)
-        mean_abs = float(np.abs(votes).mean())
-        lam = float(rng.uniform(0.1 * mean_abs, mean_abs))
-        alpha = float(rng.uniform(0.05, 0.45))
-        yield votes, lam, alpha
+        n = 1 + int(rng.random() * nmax)
+        votes = [2.0 * rng.random() - 1.0 for _ in range(n)]
+        mean_abs = fsum(map(abs, votes)) / n
+        lam = mean_abs * (0.1 + 0.9 * rng.random())
+        alpha = 0.05 + 0.4 * rng.random()
+        yield np.array(votes), lam, alpha
 
 
 def certify_instance(

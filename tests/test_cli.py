@@ -1160,6 +1160,20 @@ class TestVerifyCommand:
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["ok"] is True
 
+    def test_batch_never_imports_numpy_random(self):
+        # A batch draws from Python's random; importing numpy.random would cost every
+        # verify process ~15 ms and ~6 MB, and only a fresh interpreter shows whether it ran.
+        script = (
+            "import contextlib, io, sys\n"
+            "from votebound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--count', '30', '--seed', '1', '--nmax', '8'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(votebound.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
+
     def test_single_instance_grid_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
         # FIX-1's exact abstain value is 0.1484375; the grid's tolerance at
         # n = 4 and the default step 0.02 is 0.04.

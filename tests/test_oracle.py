@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -790,6 +791,19 @@ class TestCertifyBatch:
         a = certify_batch(count=50, seed=9, nmax=5)
         b = certify_batch(count=50, seed=9, nmax=5)
         assert a == b
+
+    def test_instances_follow_the_documented_draws(self):
+        # Each draw is one random.Random(seed).random(), so a seed gives the same batch anywhere.
+        rng = random.Random(1)
+        instances = random_instances(count=40, seed=1, nmax=ENUM_MAX_N)
+        for votes, lam, alpha in itertools.islice(instances, 40):
+            n = 1 + int(rng.random() * ENUM_MAX_N)
+            expected = [2.0 * rng.random() - 1.0 for _ in range(n)]
+            mean_abs = math.fsum(abs(vote) for vote in expected) / n
+            assert votes.dtype == np.float64 and votes.tolist() == expected
+            assert lam == mean_abs * (0.1 + 0.9 * rng.random())
+            assert alpha == 0.05 + 0.4 * rng.random()
+            assert type(lam) is float and type(alpha) is float
 
     def test_nmax_above_the_enumeration_cap(self):
         # The LP saddle check alone certifies the instances above ENUM_MAX_N.
