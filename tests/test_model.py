@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votebound import payoff, solve_game, sort_profile
+from votebound.cli import _read_csv
 from votebound.errors import (
     DegenerateBound,
     DimensionError,
@@ -29,6 +31,8 @@ from votebound.model import (
     _UNITS,
     compute_votes,
 )
+
+from test_golden import DATA
 
 sign_entries = st.integers(min_value=0, max_value=1).map(lambda b: 2 * b - 1)
 
@@ -138,6 +142,25 @@ class TestComputeVotes:
         assert matrix.entries.dtype == np.int8
         expected = np.clip(entries.astype(float) @ q.weights, -1.0, 1.0)
         assert compute_votes(matrix, q).tobytes() == expected.tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 6: the BLAS product rounds rows with equal counts apart",
+    )
+    def test_uniform_votes_are_the_correctly_rounded_weight_sums(self):
+        # Rows with the same count of +1 cells must then share one bit pattern.
+        entries = _read_csv(str(DATA / "test_predictions.csv"), None, np.int8)
+        h = entries.shape[1]
+        q = WeightVector(np.full(h, 1.0 / h))
+        votes = compute_votes(EnsembleMatrix(entries), q).tolist()
+        weight = Fraction(float(q.weights[0]))
+        read, exact = {}, {}
+        for row, vote in zip(entries.tolist(), votes):
+            count = row.count(1)
+            read.setdefault(count, set()).add(vote.hex())
+            exact[count] = {float(weight * sum(row)).hex()}
+        assert read == exact
 
 
 class TestSortProfile:

@@ -795,8 +795,7 @@ class TestCertifyBatch:
     def test_instances_follow_the_documented_draws(self):
         # Each draw is one random.Random(seed).random(), so a seed gives the same batch anywhere.
         rng = random.Random(1)
-        instances = random_instances(count=40, seed=1, nmax=ENUM_MAX_N)
-        for votes, lam, alpha in itertools.islice(instances, 40):
+        for votes, lam, alpha in random_instances(count=40, seed=1, nmax=ENUM_MAX_N):
             n = 1 + int(rng.random() * ENUM_MAX_N)
             expected = [2.0 * rng.random() - 1.0 for _ in range(n)]
             mean_abs = math.fsum(abs(vote) for vote in expected) / n
