@@ -5,6 +5,7 @@ Abstaining on an example costs a flat alpha; predicting costs the usual
 reduces to the plain prediction game.  For alpha < 1/2 the dual value is
 obtained by a budget greedy over label magnitudes, and the predictor has a
 simple near-optimal strategy that abstains only below the threshold margin.
+``AbstainSolution.alpha`` holds the cost; the losses take it with the probabilities.
 """
 
 from __future__ import annotations
@@ -68,25 +69,26 @@ class AbstainSolution:
     loss_no_abstain: float
 
 
-def p_alg(profile: VoteProfile, alpha: float) -> AbstainStrategy:
-    """Near-optimal abstain probabilities, in original example order.
+def p_alg(profile: VoteProfile, alpha: float) -> np.ndarray:
+    """Near-optimal abstain probabilities, in original example order, as a new float array.
 
     For alpha < 1/2: zero on the v most confident examples and
     1 - |a_i|/|a_v| on the rest (one minus the committed prediction
     magnitude); for alpha >= 1/2: identically zero.  Within each regime the
-    probabilities do not depend on alpha.  ``AbstainStrategy`` refuses a bad cost.
+    probabilities do not depend on alpha, which must still be a valid cost.
     """
-    if alpha >= 0.5:
-        return AbstainStrategy(probs=_Owned(np.zeros(profile.n)), alpha=alpha)
+    if _require_cost(alpha) >= 0.5:
+        return np.zeros(profile.n)
     probs = np.abs(profile.votes)
     np.minimum(np.divide(probs, profile.pivot, out=probs), 1.0, out=probs)
-    return AbstainStrategy(probs=_Owned(np.subtract(1.0, probs, out=probs)), alpha=alpha)
+    return np.subtract(1.0, probs, out=probs)
 
 
-def abstain_loss(g, strategy: AbstainStrategy, z) -> float:
-    """Expected loss (1/n) sum [p_i alpha + (1/2)(1 - p_i)(1 - g_i z_i)]."""
-    gv, zv, probs = _vectors(g, z, strategy.probs)
-    per_example = probs * strategy.alpha + 0.5 * (1.0 - probs) * (1.0 - gv * zv)
+def abstain_loss(g, probs, alpha: float, z) -> float:
+    """Expected loss (1/n) sum [p_i alpha + (1/2)(1 - p_i)(1 - g_i z_i)], cost checked first."""
+    alpha = _require_cost(alpha)
+    gv, zv, probs = _vectors(g, z, probs)
+    per_example = probs * alpha + 0.5 * (1.0 - probs) * (1.0 - gv * zv)
     return float(per_example.sum()) / gv.size
 
 
@@ -123,11 +125,8 @@ def solve_abstain(profile: VoteProfile, alpha: float) -> AbstainSolution:
         value = alpha * (n - w + 1 - f) / n
         lower = alpha * (1.0 - w / n)
         upper = alpha * (1.0 - (w - 1) / n)
-    if trivial:
-        # The vacuous game is won by abstaining everywhere.
-        strategy = AbstainStrategy(probs=_Owned(np.ones(n)), alpha=alpha)
-    else:
-        strategy = p_alg(profile, alpha)
+    # The vacuous game is won by abstaining everywhere.
+    strategy = AbstainStrategy(_Owned(np.ones(n) if trivial else p_alg(profile, alpha)))
     if alpha >= 0.5:
         loss_formula = 0.5 * (1.0 - v / n)
     else:

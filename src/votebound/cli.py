@@ -250,6 +250,7 @@ def cmd_abstain(args) -> int:
     solution = solve_game(profile)
     abstain = solve_abstain(profile, args.alpha)
     record = _record(abstain)
+    probs, alpha = abstain.p_alg.probs, abstain.alpha
     payload = {
         "n": profile.n,
         "lambda": profile.lam,
@@ -257,8 +258,8 @@ def cmd_abstain(args) -> int:
         "v": solution.v,
         "game_value": solution.value,
         **record,
-        "loss_vs_z_star": abstain_loss(solution.g_star, abstain.p_alg, solution.z_star),
-        "oracle_worst_case_loss": worst_case_abstain_loss(profile, solution.g_star, abstain.p_alg),
+        "loss_vs_z_star": abstain_loss(solution.g_star, probs, alpha, solution.z_star),
+        "oracle_worst_case_loss": worst_case_abstain_loss(profile, solution.g_star, probs, alpha),
     }
     _emit(payload, args, args.out)
     return 0

@@ -303,18 +303,15 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class AbstainStrategy:
-    """Per-example abstain probabilities together with the abstain cost."""
+    """Per-example abstain probabilities, one real in [0, 1] per example."""
 
     probs: np.ndarray
-    alpha: float
 
     def __post_init__(self):
-        alpha = _require_cost(self.alpha)  # a bad cost is refused before a bad vector
         probs = _frozen_box(
             self.probs, 0.0, "abstain probabilities", "abstain probabilities must lie in [0, 1]"
         )
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ These solvers know nothing about the threshold formulas they certify: the
 LP greedy is a generic single-constraint box solver, the candidate
 enumeration scans every optimum shape a single-constraint box program
 admits, and the grid search is structure-free.  All three take their
-vectors through ``_problem``.  The LP has no size cap: one sort and one
-cumsum, O(n log n).  The enumeration stops at n = ENUM_MAX_N = 8
+vectors through ``_problem``, and ``worst_case_abstain_loss`` its g and
+abstain probabilities through ``model._vectors``, its cost as a number.
+The LP has no size cap: one sort and one cumsum, O(n log n).  The
+enumeration stops at n = ENUM_MAX_N = 8
 and the grid at n = GRID_MAX_N = 4; ``certify_instance`` alone decides which
 oracle runs at which size, on solutions it is handed: only ``certify_batch``
 calls a solver.  The enumeration reads a per-n table, built once on first use
@@ -34,7 +36,6 @@ from .errors import InfeasibleConstraint
 from .game import GameSolution, solve_game
 from .model import (
     SOLVER_TOL,
-    AbstainStrategy,
     VoteProfile,
     _readonly,
     _require_cost,
@@ -250,17 +251,17 @@ def grid_abstain_value(votes, lam: float, alpha: float, step: float) -> float:
     return float(best + base) / n
 
 
-def worst_case_abstain_loss(profile: VoteProfile, g, strategy: AbstainStrategy) -> float:
-    """The loss of a fixed (g, p) against nature's exact best response.
+def worst_case_abstain_loss(profile: VoteProfile, g, probs, alpha: float) -> float:
+    """The loss of a fixed (g, p) at cost ``alpha`` against nature's exact best response.
 
     The loss is affine in z through -(1/2n) sum (1 - p_i) g_i z_i, so
-    maximizing it is the box LP that minimizes that sum.  The cost is the
-    strategy's own ``alpha``.
+    maximizing it is the box LP that minimizes that sum.  The cost is checked first.
     """
-    gv, probs = _vectors(g, strategy.probs)
+    alpha = _require_cost(alpha)
+    gv, probs = _vectors(g, probs)
     n = profile.n
     _, objective = lp_best_response((1.0 - probs) * gv, profile.votes, n * profile.lam)
-    return 0.5 + float(probs.sum()) * (strategy.alpha - 0.5) / n - objective / (2.0 * n)
+    return 0.5 + float(probs.sum()) * (alpha - 0.5) / n - objective / (2.0 * n)
 
 
 def random_instances(count: int, seed: int, nmax: int):

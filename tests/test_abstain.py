@@ -10,7 +10,6 @@ from votebound import solve_abstain, solve_game, sort_profile
 from votebound.abstain import abstain_loss, p_alg
 from votebound.errors import DimensionError, InvalidCost
 from votebound.game import find_threshold, game_value
-from votebound.model import AbstainStrategy
 from votebound.oracle import grid_abstain_value, random_instances
 
 
@@ -183,47 +182,56 @@ class TestAbstainValue:
 
 class TestPAlg:
     def test_fix1(self, fix1):
-        strategy = p_alg(fix1, 0.25)
-        assert np.allclose(strategy.probs, [0, 0, 0, 0.6])
+        assert np.allclose(p_alg(fix1, 0.25), [0, 0, 0, 0.6])
 
     def test_high_cost_never_abstains(self, fix1):
-        assert np.all(p_alg(fix1, 0.7).probs == 0.0)
+        assert np.all(p_alg(fix1, 0.7) == 0.0)
 
     def test_equal_margins_never_abstain(self):
         profile = sort_profile([0.6, -0.6, 0.6], 0.5)
-        assert np.all(p_alg(profile, 0.25).probs == 0.0)
+        assert np.all(p_alg(profile, 0.25) == 0.0)
+
+    def test_returns_a_new_writable_float_array(self, fix1):
+        for alpha in (0.25, 0.7):
+            probs = p_alg(fix1, alpha)
+            assert probs.dtype == np.float64 and probs.flags.writeable
+            assert not np.shares_memory(probs, fix1.votes)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.25, float("inf"), float("nan")])
+    def test_refuses_a_bad_cost(self, fix1, alpha):
+        with pytest.raises(InvalidCost, match="^abstain cost must be positive and finite$"):
+            p_alg(fix1, alpha)
 
     def test_cost_independent_within_regime(self, fix1):
-        a = p_alg(fix1, 0.1).probs
-        b = p_alg(fix1, 0.49).probs
+        a = p_alg(fix1, 0.1)
+        b = p_alg(fix1, 0.49)
         assert np.array_equal(a, b)
 
     def test_zero_only_on_top_margins(self):
         for votes, lam, alpha in random_instances(count=200, seed=23, nmax=6):
             profile = sort_profile(votes, lam)
-            strategy = p_alg(profile, alpha)
+            probs = p_alg(profile, alpha)
             top = np.abs(votes) >= profile.pivot
             assert np.count_nonzero(top) >= find_threshold(profile)
-            assert np.all(strategy.probs[top] == 0.0)
+            assert np.all(probs[top] == 0.0)
 
     def test_abstain_fraction_bound(self):
         # (1/n) sum p_i <= 1 - lambda - (1/n) sum_{i>v} |a_i| / |a_v|
         for votes, lam, alpha in random_instances(count=200, seed=24, nmax=6):
             profile = sort_profile(votes, lam)
-            strategy = p_alg(profile, min(alpha, 0.45))
+            probs = p_alg(profile, min(alpha, 0.45))
             v = find_threshold(profile)
             pivot = profile.abs_sorted[v - 1]
             tail_ratio = profile.abs_sorted[v:].sum() / pivot
             bound = 1 - lam - tail_ratio / profile.n
-            assert strategy.probs.mean() <= bound + 1e-9
+            assert probs.mean() <= bound + 1e-9
 
     def test_ordering2_keys_flatten_beyond_threshold(self):
         for votes, lam, alpha in random_instances(count=200, seed=25, nmax=6):
             profile = sort_profile(votes, lam)
             if np.any(profile.abs_sorted == 0.0):
                 continue
-            strategy = p_alg(profile, min(alpha, 0.45))
-            keys = np.abs(profile.votes) / (1.0 - strategy.probs)
+            keys = np.abs(profile.votes) / (1.0 - p_alg(profile, min(alpha, 0.45)))
             at_or_below = np.abs(votes) <= profile.pivot
             assert np.allclose(keys[at_or_below], profile.pivot, atol=1e-9)
 
@@ -232,19 +240,16 @@ class TestAbstainLoss:
     def test_no_abstain_reduction(self):
         g = np.array([1.0, 0.5, -0.5])
         z = np.array([0.2, 1.0, -1.0])
-        strategy = AbstainStrategy(np.zeros(3), alpha=0.25)
         expected = np.mean(0.5 * (1 - g * z))
-        assert abstain_loss(g, strategy, z) == pytest.approx(expected, abs=1e-12)
+        assert abstain_loss(g, np.zeros(3), 0.25, z) == pytest.approx(expected, abs=1e-12)
 
     def test_always_abstain_pays_cost(self):
-        strategy = AbstainStrategy(np.ones(4), alpha=0.3)
-        assert abstain_loss(np.zeros(4), strategy, np.ones(4)) == pytest.approx(0.3)
+        assert abstain_loss(np.zeros(4), np.ones(4), 0.3, np.ones(4)) == pytest.approx(0.3)
 
     def test_fix2_integral_binding_case(self, fix2):
         g = np.array([1, 1, 1, 1 / 3])
         z = np.array([1, 1, 1, 0])
-        strategy = AbstainStrategy(np.array([0, 0, 0, 2 / 3]), alpha=0.25)
-        assert abstain_loss(g, strategy, z) == pytest.approx(1 / 12, abs=1e-12)
+        assert abstain_loss(g, [0, 0, 0, 2 / 3], 0.25, z) == pytest.approx(1 / 12, abs=1e-12)
 
     def test_bilinear_identity(self):
         rng = np.random.default_rng(26)
@@ -254,8 +259,7 @@ class TestAbstainLoss:
             z = rng.uniform(-1, 1, n)
             probs = rng.uniform(0, 1, n)
             alpha = float(rng.uniform(0.01, 0.9))
-            strategy = AbstainStrategy(probs, alpha=alpha)
-            direct = abstain_loss(g, strategy, z)
+            direct = abstain_loss(g, probs, alpha, z)
             bilinear = (
                 0.5
                 + probs.sum() * (alpha - 0.5) / n
@@ -264,14 +268,12 @@ class TestAbstainLoss:
             assert direct == pytest.approx(bilinear, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        strategy = AbstainStrategy(np.zeros(2), alpha=0.25)
         with pytest.raises(DimensionError):
-            abstain_loss([1.0, 1.0, 1.0], strategy, [1.0, 1.0, 1.0])
+            abstain_loss([1.0, 1.0, 1.0], np.zeros(2), 0.25, [1.0, 1.0, 1.0])
 
     def test_refuses_empty_vectors(self):
-        strategy = AbstainStrategy(np.zeros(0), alpha=0.25)
         with pytest.raises(DimensionError, match="must be non-empty$"):
-            abstain_loss([], strategy, [])
+            abstain_loss([], [], 0.25, [])
 
 
 class TestWorstCaseLossFormula:
@@ -305,8 +307,7 @@ class TestWorstCaseLossFormula:
                     continue
                 alpha = 0.25
                 sol = solve_game(profile)
-                strategy = p_alg(profile, alpha)
-                lhs = abstain_loss(sol.g_star, strategy, sol.z_star)
+                lhs = abstain_loss(sol.g_star, p_alg(profile, alpha), alpha, sol.z_star)
                 rhs = solve_abstain(profile, alpha).loss_formula
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 

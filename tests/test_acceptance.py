@@ -140,11 +140,11 @@ def test_criterion_6_near_optimal_strategy():
     for votes, lam, a in BATCH:
         profile = sort_profile(votes, lam)
         v = find_threshold(profile)
-        strategy = p_alg(profile, min(a, 0.45))
+        probs = p_alg(profile, min(a, 0.45))
         top = np.abs(votes) >= profile.pivot
-        ok &= bool(np.count_nonzero(top) >= v and np.all(strategy.probs[top] == 0.0))
+        ok &= bool(np.count_nonzero(top) >= v and np.all(probs[top] == 0.0))
         if np.all(profile.abs_sorted > 0):
-            keys = np.abs(profile.votes) / (1.0 - strategy.probs)
+            keys = np.abs(profile.votes) / (1.0 - probs)
             at_or_below = np.abs(votes) <= profile.pivot
             ok &= bool(np.allclose(keys[at_or_below], profile.pivot, atol=TOL))
     matched = 0
@@ -155,13 +155,13 @@ def test_criterion_6_near_optimal_strategy():
         if find_threshold(profile) != v_bind:
             continue
         sol = solve_game(profile)
-        loss = abstain_loss(sol.g_star, p_alg(profile, alpha), sol.z_star)
+        loss = abstain_loss(sol.g_star, p_alg(profile, alpha), alpha, sol.z_star)
         formula = solve_abstain(profile, alpha).loss_formula
         ok &= abs(loss - formula) <= TOL
         matched += 1
     fix2 = sort_profile([1.0, 0.8, 0.6, 0.2], 0.6)
     sol2 = solve_game(fix2)
-    loss2 = abstain_loss(sol2.g_star, p_alg(fix2, alpha), sol2.z_star)
+    loss2 = abstain_loss(sol2.g_star, p_alg(fix2, alpha), alpha, sol2.z_star)
     formula2 = solve_abstain(fix2, alpha).loss_formula
     ok &= abs(loss2 - 1 / 12) <= TOL and abs(formula2 - 1 / 12) <= TOL
     report(
@@ -176,10 +176,10 @@ def test_criterion_7_abstain_fraction_bound():
     ok = True
     for votes, lam, alpha in BATCH:
         profile = sort_profile(votes, lam)
-        strategy = p_alg(profile, min(alpha, 0.45))
+        probs = p_alg(profile, min(alpha, 0.45))
         v = find_threshold(profile)
         tail_ratio = profile.abs_sorted[v:].sum() / profile.abs_sorted[v - 1]
-        ok &= strategy.probs.mean() <= 1 - lam - tail_ratio / profile.n + TOL
+        ok &= probs.mean() <= 1 - lam - tail_ratio / profile.n + TOL
     report(7, ok, "mean abstain probability within 1 - lam - tail-ratio bound on 200 instances")
 
 
@@ -310,16 +310,13 @@ def test_criterion_10_discrepancy_logging(tmp_path, capsys):
     # Re-verify each figure independently of the report.
     profile = sort_profile([1.0, 0.8, 0.5, 0.2], 0.5)
     sol = solve_game(profile)
-    strategy = p_alg(profile, 0.25)
+    probs = p_alg(profile, 0.25)
     ok &= abs(solve_abstain(profile, 0.25).loss_formula - 0.0875) <= TOL
     direct_loss = float(
-        np.mean(
-            strategy.probs * 0.25
-            + 0.5 * (1 - strategy.probs) * (1 - sol.g_star.values * sol.z_star.values)
-        )
+        np.mean(probs * 0.25 + 0.5 * (1 - probs) * (1 - sol.g_star.values * sol.z_star.values))
     )
     ok &= abs(direct_loss - 0.1625) <= TOL
-    worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
+    worst = worst_case_abstain_loss(profile, sol.g_star, probs, 0.25)
     ok &= abs(worst - 0.1925) <= TOL
     value_exact = solve_abstain(profile, 0.25).value_exact
     ok &= abs(value_exact - 0.1484375) <= TOL

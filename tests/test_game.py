@@ -258,19 +258,43 @@ class TestGameProperties:
             if v > 1 and np.any(profile.abs_sorted[: v - 1] < 1 - 1e-6):
                 assert game_value(profile) > lam
 
-    def test_permutation_equivariance(self):
+    @pytest.mark.parametrize("kind", ["uniform", "tied", "scaled"])
+    @pytest.mark.parametrize("n", [1, 7, 2**14 + 1, 3 * 2**14 + 1])
+    def test_permutation_equivariance(self, n, kind):
+        # Permuting or negating the votes permutes or negates the solution, bit for bit:
+        # the threshold record reads only the sorted margins, and every vector is formed
+        # per example.  Under a permutation, ties at the pivot may fill in another order,
+        # so z* is compared as the multiset of |z*|.  Under a negation, z*'s zeros are +0.0
+        # on both sides, so its bits are compared with the sign of zero cleared.
         rng = np.random.default_rng(15)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            votes = rng.uniform(-1, 1, n)
-            lam = 0.5 * np.abs(votes).mean()
-            if lam <= 0:
-                continue
-            perm = rng.permutation(n)
-            base = solve_game(sort_profile(votes, lam))
-            shuffled = solve_game(sort_profile(votes[perm], lam))
-            assert np.allclose(shuffled.g_star.values, base.g_star.values[perm], atol=1e-12)
-            assert np.allclose(shuffled.z_star.values, base.z_star.values[perm], atol=1e-12)
+        votes = rng.uniform(-1.0, 1.0, n)
+        if kind == "tied":
+            votes = ((np.arange(n) * 37) % 41 - 20) / 20.0
+        elif kind == "scaled":
+            votes *= 10.0 ** rng.uniform(-12.0, 0.0, n)
+        lam = 0.5 * fsum(np.abs(votes)) / n
+        perm = rng.permutation(n)
+
+        def solve(votes):
+            profile = sort_profile(votes, lam)
+            return solve_game(profile), solve_abstain(profile, 0.3)
+
+        def bits(values):
+            return values.view(np.uint64).tolist()
+
+        (game, abstain), (shuffled, shuffled_abstain), (negated, negated_abstain) = (
+            solve(votes), solve(votes[perm]), solve(-votes)
+        )
+        for other, other_abstain in ((shuffled, shuffled_abstain), (negated, negated_abstain)):
+            assert (other.v, other.value.hex()) == (game.v, game.value.hex())
+            assert other_abstain.w == abstain.w is not None
+            assert other_abstain.value_exact.hex() == abstain.value_exact.hex()
+        assert bits(shuffled.g_star.values) == bits(game.g_star.values[perm])
+        assert bits(shuffled_abstain.p_alg.probs) == bits(abstain.p_alg.probs[perm])
+        assert sorted(np.abs(shuffled.z_star.values)) == sorted(np.abs(game.z_star.values))
+        assert bits(negated.g_star.values) == bits(-game.g_star.values)
+        assert bits(negated.z_star.values + 0.0) == bits(-game.z_star.values + 0.0)
+        assert bits(negated_abstain.p_alg.probs) == bits(abstain.p_alg.probs)
 
     def test_zero_votes_get_zero_strategies(self):
         profile = sort_profile([0.9, 0.0, 0.4, 0.0], 0.3)

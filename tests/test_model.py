@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votebound import payoff, solve_game, sort_profile
+from votebound.abstain import abstain_loss
 from votebound.cli import _read_csv
 from votebound.errors import (
     DegenerateBound,
@@ -30,6 +31,12 @@ from votebound.model import (
     _units,
     _UNITS,
     compute_votes,
+)
+from votebound.oracle import (
+    enumerate_game_value,
+    grid_abstain_value,
+    lp_best_response,
+    worst_case_abstain_loss,
 )
 
 from test_golden import DATA
@@ -322,7 +329,7 @@ class TestVectors:
 
     def test_abstain_strategy_validation(self):
         with pytest.raises(ValueError):
-            AbstainStrategy(np.array([1.1]), alpha=0.2)
+            AbstainStrategy(np.array([1.1]))
 
     def test_labeled_sample_validation(self):
         with pytest.raises(DimensionError):
@@ -343,19 +350,71 @@ class TestVectors:
         with pytest.raises(DimensionError, match="^training sample must be non-empty$"):
             LabeledSample(np.zeros((m, h)), np.ones(m))
 
-    @pytest.mark.parametrize(
-        "probs, alpha",
-        [
-            pytest.param([0.0, 0.5], float("inf"), id="inf"),
-            pytest.param([0.0, 0.5], float("nan"), id="nan"),
-            pytest.param([2.0], float("inf"), id="inf-before-out-of-box"),
-        ],
-    )
-    def test_abstain_strategy_refuses_non_finite_cost(self, probs, alpha):
-        # An infinite cost would make abstain_loss compute 0 * inf.  The cost is
-        # checked first, so it is refused even beside probabilities outside [0, 1].
-        with pytest.raises(InvalidCost, match="^abstain cost must be positive and finite$"):
-            AbstainStrategy(np.array(probs), alpha)
+
+# README's intake rule: every function named there takes a vector type or a sequence of
+# reals.  Each entry calls its function on the vectors it is handed and returns a float.
+INTAKE_VECTORS = [[1.0, 0.8, 0.5, 0.2], [0.0, 0.5, 0.25, 1.0], [1.0, -0.5, 0.5, -1.0]]
+INTAKE_PROFILE = sort_profile(INTAKE_VECTORS[0], 0.5)
+INTAKE = [
+    pytest.param(lambda g, z: payoff(g, z), id="payoff"),
+    pytest.param(lambda g, p, z: abstain_loss(g, p, 0.25, z), id="abstain_loss"),
+    pytest.param(
+        lambda g, p: worst_case_abstain_loss(INTAKE_PROFILE, g, p, 0.25),
+        id="worst_case_abstain_loss",
+    ),
+    pytest.param(lambda c, a: lp_best_response(c, a, 1.0)[1], id="lp_best_response"),
+    pytest.param(lambda a: enumerate_game_value(a, 0.3), id="enumerate_game_value"),
+    pytest.param(lambda a: grid_abstain_value(a, 0.3, 0.25, 0.05), id="grid_abstain_value"),
+]
+
+
+def intake_operands(call, as_array):
+    count = call.__code__.co_argcount
+    return [np.array(v) if as_array else list(v) for v in INTAKE_VECTORS[:count]]
+
+
+@pytest.mark.parametrize("call", INTAKE)
+def test_one_intake_reads_lists_as_arrays(call):
+    listed = call(*intake_operands(call, as_array=False))
+    assert type(listed) is float
+    assert listed == call(*intake_operands(call, as_array=True))
+
+
+@pytest.mark.parametrize("call", INTAKE)
+def test_one_intake_refuses_a_mismatch_or_a_2d_operand(call):
+    operands = intake_operands(call, as_array=False)
+    with pytest.raises(DimensionError, match="^expected a 1-D vector$"):
+        call([operands[0]], *operands[1:])
+    if len(operands) > 1:
+        with pytest.raises(DimensionError, match="^vectors differ in length$"):
+            call(*operands[:-1], operands[-1][:-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p, alpha: abstain_loss([1.0, 0.5], p, alpha, [1.0, 1.0]), id="loss"),
+        pytest.param(
+            lambda p, alpha: worst_case_abstain_loss(INTAKE_PROFILE, [1.0, 0.5], p, alpha),
+            id="worst_case_loss",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "probs, alpha",
+    [
+        pytest.param([0.0, 0.5], float("inf"), id="inf"),
+        pytest.param([0.0, 0.5], float("nan"), id="nan"),
+        pytest.param([0.0, 0.5], 0.0, id="zero"),
+        pytest.param([0.0, 0.5], -0.25, id="negative"),
+        pytest.param([2.0], float("inf"), id="inf-before-a-bad-vector"),
+    ],
+)
+def test_abstain_losses_refuse_a_bad_cost(call, probs, alpha):
+    # An infinite cost would compute 0 * inf.  The cost is checked first, so it is
+    # refused even beside probabilities of the wrong length or outside [0, 1].
+    with pytest.raises(InvalidCost, match="^abstain cost must be positive and finite$"):
+        call(probs, alpha)
 
 
 # The constructor contract shared by every per-example vector.  BOX and SHAPE stand
@@ -378,7 +437,7 @@ CONSTRUCTORS = [
         id="LabelVector",
     ),
     pytest.param(
-        lambda v: AbstainStrategy(v, alpha=0.25).probs,
+        lambda v: AbstainStrategy(v).probs,
         "abstain probabilities must lie in [0, 1]",
         "abstain probabilities must form a 1-D vector",
         id="AbstainStrategy",
@@ -462,7 +521,7 @@ MATRICES = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(edge_arrays)
         pytest.param(sort_profile, st.tuples(VECTORS, EDGE_SCALARS | st.floats(0.0, 1.0)), id="sort_profile"),
         pytest.param(PredictionVector, st.tuples(VECTORS), id="PredictionVector"),
         pytest.param(LabelVector, st.tuples(VECTORS), id="LabelVector"),
-        pytest.param(AbstainStrategy, st.tuples(VECTORS, EDGE_SCALARS), id="AbstainStrategy"),
+        pytest.param(AbstainStrategy, st.tuples(VECTORS), id="AbstainStrategy"),
         pytest.param(WeightVector, st.tuples(VECTORS), id="WeightVector"),
         pytest.param(EnsembleMatrix, st.tuples(MATRICES), id="EnsembleMatrix"),
         pytest.param(LabeledSample, st.tuples(MATRICES, VECTORS), id="LabeledSample"),

@@ -14,7 +14,7 @@ from votebound.abstain import p_alg
 from votebound.cli import main
 from votebound.errors import DimensionError, InfeasibleConstraint
 from votebound.game import game_value
-from votebound.model import AbstainStrategy, LabelVector, cover_floor
+from votebound.model import LabelVector, cover_floor
 from votebound.oracle import (
     ENUM_MAX_N,
     GRID_MAX_N,
@@ -584,37 +584,35 @@ class TestCertifyConsistency:
 
 class TestWorstCaseAbstainLoss:
     def test_full_abstention_decouples_from_labels(self, fix1):
-        strategy = AbstainStrategy(np.ones(4), alpha=0.3)
-        loss = worst_case_abstain_loss(fix1, np.zeros(4), strategy)
+        loss = worst_case_abstain_loss(fix1, np.zeros(4), np.ones(4), 0.3)
         assert loss == pytest.approx(0.3, abs=1e-12)
 
     def test_fix1_exceeds_stated_formula(self, fix1):
         # The oracle's worst case (0.1925) sits above the stated bound
         # (0.0875); both are reported, the gap is expected.
         sol = solve_game(fix1)
-        strategy = p_alg(fix1, 0.25)
-        loss = worst_case_abstain_loss(fix1, sol.g_star, strategy)
+        probs = p_alg(fix1, 0.25)
+        loss = worst_case_abstain_loss(fix1, sol.g_star, probs, 0.25)
         assert loss == pytest.approx(0.1925, abs=1e-12)
         # Nature's best response, as worst_case_abstain_loss poses it.
-        costs = (1.0 - strategy.probs) * sol.g_star.values
+        costs = (1.0 - probs) * sol.g_star.values
         z, _ = lp_best_response(costs, fix1.votes, 4 * fix1.lam)
         assert np.allclose(z, [1, 1, 0, 1])
 
     def test_fix2(self, fix2):
         sol = solve_game(fix2)
-        strategy = p_alg(fix2, 0.25)
-        loss = worst_case_abstain_loss(fix2, sol.g_star, strategy)
+        probs = p_alg(fix2, 0.25)
+        loss = worst_case_abstain_loss(fix2, sol.g_star, probs, 0.25)
         assert loss == pytest.approx(1 / 9, abs=1e-9)
         # Nature's best response, as worst_case_abstain_loss poses it.
-        costs = (1.0 - strategy.probs) * sol.g_star.values
+        costs = (1.0 - probs) * sol.g_star.values
         z, _ = lp_best_response(costs, fix2.votes, 4 * fix2.lam)
         assert np.allclose(z, [1, 1, 2 / 3, 1], atol=1e-9)
 
     def test_strategy_of_another_length_raises(self, fix1):
         # Broadcast against g*, one probability would stand for all four.
-        strategy = AbstainStrategy(np.array([0.3]), alpha=0.25)
         with pytest.raises(DimensionError, match="^vectors differ in length$"):
-            worst_case_abstain_loss(fix1, solve_game(fix1).g_star, strategy)
+            worst_case_abstain_loss(fix1, solve_game(fix1).g_star, [0.3], 0.25)
 
     def test_dominates_minimax_value_on_random_instances(self):
         # Past the enumeration cap too: 10^4 uniform votes and 10^4 votes tied on k/20.
@@ -624,8 +622,7 @@ class TestWorstCaseAbstainLoss:
         for votes, lam, alpha in [*random_instances(count=200, seed=35, nmax=6), *large]:
             profile = sort_profile(votes, lam)
             sol = solve_game(profile)
-            strategy = p_alg(profile, alpha)
-            worst = worst_case_abstain_loss(profile, sol.g_star, strategy)
+            worst = worst_case_abstain_loss(profile, sol.g_star, p_alg(profile, alpha), alpha)
             exact = solve_abstain(profile, alpha).value_exact
             assert worst >= exact - 1e-9
 
@@ -650,7 +647,7 @@ def test_oracles_accept_every_instance_the_solver_accepts():
             continue
         accepted += 1
         game, abstain = solve_game(profile), solve_abstain(profile, 0.25)
-        worst_case_abstain_loss(profile, game.g_star, abstain.p_alg)
+        worst_case_abstain_loss(profile, game.g_star, abstain.p_alg.probs, abstain.alpha)
         assert certify_instance(profile, game, abstain, grid_step=0.02)[0]["ok"], (votes, lam)
     assert accepted == 18_628
 
